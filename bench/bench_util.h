@@ -37,6 +37,7 @@
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,6 +48,7 @@
 #include "metrics/table.h"
 #include "obs/observability.h"
 #include "obs/report.h"
+#include "rpc/json.h"
 #include "sim/trial_runner.h"
 
 namespace themis::bench {
@@ -321,6 +323,26 @@ inline void print_run_footer(const BenchArgs& args, const WallTimer& timer,
             << " threads=" << options.resolved_threads()
             << " wall=" << timer.seconds() << "s\n";
   write_observability_outputs(args);
+}
+
+/// Load the JSON perf-floors file the scale benchmarks gate on
+/// (bench/ci_floors.json).  False, after printing why, when `path` cannot be
+/// read or parsed.
+inline bool read_floors(const std::string& path, rpc::Json& floors) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "error: cannot read floors file " << path << "\n";
+    return false;
+  }
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  try {
+    floors = rpc::Json::parse(text);
+  } catch (const rpc::JsonError& e) {
+    std::cerr << "error: bad floors JSON: " << e.what() << "\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace themis::bench

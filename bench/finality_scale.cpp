@@ -1,10 +1,13 @@
 // Checkpoint finality at simulator scale: a Themis/GEOST sweep over
-// consortium size n and checkpoint interval k, with the FinalityOverlay
-// gossiping checkpoint votes next to block announcements.  Reports, per
-// (n, k) point, how far the head runs ahead of hard finality (lag in
-// blocks) and how long a checkpoint takes to certify after the head first
-// reaches it (latency in simulated seconds) — the cost of bolting BFT
-// finality onto the probabilistic chain.
+// consortium size n and checkpoint interval k.  Every simulated node runs
+// the daemon's finality code (consensus::ChainCore: own votes, quorum,
+// parked certificates, hard-finalized fork choice) and floods its votes next
+// to block announcements.  Reports, per (n, k) point, how far the head runs
+// ahead of hard finality (lag in blocks) and how long a checkpoint takes to
+// certify after the head first reaches it (latency in simulated seconds) —
+// the cost of bolting BFT finality onto the probabilistic chain.  The lag
+// and latency bookkeeping reads each node's chain listener; votes,
+// certificates and finalized heights are PowNode observers.
 //
 //   --nodes=<n[,n...]>     consortium sizes (default 100,200,400; --quick: 100)
 //   --interval=<k[,k...]>  checkpoint intervals (default 8,16,32; --quick: 16)
@@ -15,17 +18,17 @@
 //                          (keys "finality_max_lag_blocks" — max head/finality
 //                          lag at certification — and
 //                          "finality_min_certificates" per point)
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
 #include "rpc/json.h"
 #include "sim/experiment.h"
-#include "sim/finality_overlay.h"
 #include "sim/power_dist.h"
 
 namespace {
@@ -48,15 +51,13 @@ std::vector<std::uint64_t> parse_list(std::string_view spec) {
 struct PointResult {
   std::size_t nodes = 0;
   std::uint64_t interval = 0;
-  std::uint64_t height = 0;
   std::uint64_t votes = 0;
   std::uint64_t certificates = 0;
-  std::uint64_t finalized_min = 0;
+  std::uint64_t finalized_min = UINT64_MAX;
   std::uint64_t finalized_max = 0;
-  double mean_lag = 0.0;
-  std::uint64_t max_lag = 0;
-  double mean_latency_s = 0.0;
-  double max_latency_s = 0.0;
+  /// Per node and checkpoint: blocks from the checkpoint to the head when it
+  /// finalized, and seconds from the head first reaching it to finality.
+  metrics::Summary lag, latency;
   double sim_s = 0.0;
   double wall_s = 0.0;
 };
@@ -91,7 +92,8 @@ int main(int argc, char** argv) {
   }
 
   bench::banner("Checkpoint finality: lag and latency vs n and interval k",
-                "finality overlay sweep (Themis/GEOST, gossiped votes)");
+                "checkpoint finality sweep (Themis/GEOST, the daemon's "
+                "finality code, gossiped votes)");
 
   const bench::WallTimer total_timer;
   std::vector<PointResult> results;
@@ -105,35 +107,51 @@ int main(int argc, char** argv) {
       config.expected_interval_s = 4.0;
       config.txs_per_block = 0;
       config.seed = seed;
+      config.checkpoint_interval = k;
 
       PointResult r;
       r.nodes = n;
       r.interval = k;
-      r.height = height;
 
       const bench::WallTimer point_timer;
       sim::PoxExperiment exp(config);
-      std::vector<consensus::PowNode*> nodes;
-      nodes.reserve(exp.size());
-      for (std::size_t i = 0; i < exp.size(); ++i) nodes.push_back(&exp.node(i));
-      sim::FinalityOverlayConfig oc;
-      oc.interval = k;
-      sim::FinalityOverlay overlay(exp.simulation(), exp.network(),
-                                   std::move(nodes), oc);
-      overlay.attach();
+      // Sim time each node's head first reached each checkpoint height.
+      std::vector<std::unordered_map<std::uint64_t, SimTime>> reached(
+          exp.size());
+      std::vector<double> lags, latencies;
+      for (std::size_t i = 0; i < exp.size(); ++i) {
+        exp.node(i).set_chain_listener(
+            [&, i](const consensus::PowNode& node,
+                   const consensus::ChainCore::Effects& fx) {
+              const SimTime now = exp.simulation().now();
+              const std::uint64_t head = node.head_height();
+              // Newest first, down to the first height already stamped.
+              for (std::uint64_t h = (head / k) * k; fx.head_changed && h >= k;
+                   h -= k) {
+                if (!reached[i].emplace(h, now).second) break;
+              }
+              for (const finality::CheckpointCertificate& c : fx.finalized) {
+                lags.push_back(static_cast<double>(head - c.height));
+                if (const auto it = reached[i].find(c.height);
+                    it != reached[i].end()) {
+                  latencies.push_back((now - it->second).to_seconds());
+                }
+              }
+            });
+      }
       exp.run_to_height(height, SimTime::seconds(1e7));
       r.wall_s = point_timer.seconds();
       r.sim_s = exp.elapsed().to_seconds();
-
-      const sim::FinalityOverlay::Metrics m = overlay.metrics();
-      r.votes = m.votes_cast;
-      r.certificates = m.certificates;
-      r.finalized_min = m.finalized_min;
-      r.finalized_max = m.finalized_max;
-      r.mean_lag = m.mean_lag_blocks;
-      r.max_lag = m.max_lag_blocks;
-      r.mean_latency_s = m.mean_latency_s;
-      r.max_latency_s = m.max_latency_s;
+      r.lag = metrics::summarize(lags);
+      r.latency = metrics::summarize(latencies);
+      for (std::size_t i = 0; i < exp.size(); ++i) {
+        const consensus::PowNode& node = exp.node(i);
+        r.votes += node.votes_sent();
+        r.certificates +=
+            node.core().checkpoints()->stats().certificates_formed;
+        r.finalized_min = std::min(r.finalized_min, node.finalized_height());
+        r.finalized_max = std::max(r.finalized_max, node.finalized_height());
+      }
       results.push_back(r);
     }
   }
@@ -143,12 +161,13 @@ int main(int argc, char** argv) {
                     "max lat s", "wall s"});
   for (const PointResult& r : results) {
     t.add_row({std::to_string(r.nodes), std::to_string(r.interval),
-               std::to_string(r.height), std::to_string(r.votes),
+               std::to_string(height), std::to_string(r.votes),
                std::to_string(r.certificates), std::to_string(r.finalized_min),
                std::to_string(r.finalized_max),
-               metrics::Table::num(r.mean_lag, 2), std::to_string(r.max_lag),
-               metrics::Table::num(r.mean_latency_s, 2),
-               metrics::Table::num(r.max_latency_s, 2),
+               metrics::Table::num(r.lag.mean, 2),
+               std::to_string(static_cast<std::uint64_t>(r.lag.max)),
+               metrics::Table::num(r.latency.mean, 2),
+               metrics::Table::num(r.latency.max, 2),
                metrics::Table::num(r.wall_s, 2)});
   }
   if (csv) {
@@ -175,10 +194,10 @@ int main(int argc, char** argv) {
             << ", \"certificates\": " << r.certificates
             << ", \"finalized_min\": " << r.finalized_min
             << ", \"finalized_max\": " << r.finalized_max
-            << ", \"mean_lag_blocks\": " << r.mean_lag
-            << ", \"max_lag_blocks\": " << r.max_lag
-            << ", \"mean_latency_s\": " << r.mean_latency_s
-            << ", \"max_latency_s\": " << r.max_latency_s
+            << ", \"mean_lag_blocks\": " << r.lag.mean
+            << ", \"max_lag_blocks\": " << r.lag.max
+            << ", \"mean_latency_s\": " << r.latency.mean
+            << ", \"max_latency_s\": " << r.latency.max
             << ", \"sim_s\": " << r.sim_s << ", \"wall_s\": " << r.wall_s
             << "}" << (i + 1 < results.size() ? "," : "") << "\n";
       }
@@ -188,27 +207,15 @@ int main(int argc, char** argv) {
   }
 
   if (!floors_path.empty()) {
-    std::ifstream in(floors_path);
-    if (!in) {
-      std::cerr << "error: cannot read floors file " << floors_path << "\n";
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
     rpc::Json floors;
-    try {
-      floors = rpc::Json::parse(text);
-    } catch (const rpc::JsonError& e) {
-      std::cerr << "error: bad floors JSON: " << e.what() << "\n";
-      return 1;
-    }
+    if (!bench::read_floors(floors_path, floors)) return 1;
     bool violated = false;
     if (floors.has("finality_max_lag_blocks")) {
       const double cap = floors["finality_max_lag_blocks"].as_double();
       for (const PointResult& r : results) {
-        if (static_cast<double>(r.max_lag) > cap) {
+        if (r.lag.max > cap) {
           std::cerr << "FLOOR VIOLATED: n=" << r.nodes << " k=" << r.interval
-                    << " max finality lag " << r.max_lag << " > " << cap
+                    << " max finality lag " << r.lag.max << " > " << cap
                     << " blocks\n";
           violated = true;
         }

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -556,20 +555,8 @@ int main(int argc, char** argv) {
 
   // --- perf floors (the CI regression gate) ---------------------------------
   if (!floors_path.empty()) {
-    std::ifstream in(floors_path);
-    if (!in) {
-      std::cerr << "error: cannot read floors file " << floors_path << "\n";
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
     rpc::Json floors;
-    try {
-      floors = rpc::Json::parse(text);
-    } catch (const rpc::JsonError& e) {
-      std::cerr << "error: bad floors JSON: " << e.what() << "\n";
-      return 1;
-    }
+    if (!bench::read_floors(floors_path, floors)) return 1;
     bool violated = false;
     const auto fail = [&violated](const std::string& what) {
       std::cerr << "FLOOR VIOLATED: " << what << "\n";

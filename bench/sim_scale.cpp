@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -171,20 +170,8 @@ int main(int argc, char** argv) {
   }
 
   if (!floors_path.empty()) {
-    std::ifstream in(floors_path);
-    if (!in) {
-      std::cerr << "error: cannot read floors file " << floors_path << "\n";
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
     rpc::Json floors;
-    try {
-      floors = rpc::Json::parse(text);
-    } catch (const rpc::JsonError& e) {
-      std::cerr << "error: bad floors JSON: " << e.what() << "\n";
-      return 1;
-    }
+    if (!bench::read_floors(floors_path, floors)) return 1;
     bool violated = false;
     if (floors.has("sim_min_events_per_sec")) {
       const double floor = floors["sim_min_events_per_sec"].as_double();

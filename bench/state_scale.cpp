@@ -31,7 +31,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -466,20 +465,8 @@ int main(int argc, char** argv) {
   }
 
   if (!floors_path.empty()) {
-    std::ifstream in(floors_path);
-    if (!in) {
-      std::cerr << "error: cannot read floors file " << floors_path << "\n";
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
     rpc::Json floors;
-    try {
-      floors = rpc::Json::parse(text);
-    } catch (const rpc::JsonError& e) {
-      std::cerr << "error: bad floors JSON: " << e.what() << "\n";
-      return 1;
-    }
+    if (!bench::read_floors(floors_path, floors)) return 1;
     bool violated = false;
     if (floors.has("state_min_restart_speedup")) {
       const double floor = floors["state_min_restart_speedup"].as_double();

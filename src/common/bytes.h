@@ -22,6 +22,12 @@ std::string to_hex(ByteSpan data);
 /// Lowercase hex of a 32-byte hash (convenience overload).
 std::string to_hex(const Hash32& h);
 
+/// Hex of a hash's first 8 bytes: the compact id log and trace records use
+/// (unique within any plausible run).
+inline std::string short_hex(const Hash32& h) {
+  return to_hex(ByteSpan(h.data(), 8));
+}
+
 /// Parse hex (upper or lower case, no 0x prefix). Throws PreconditionError on
 /// odd length or non-hex characters.
 Bytes from_hex(std::string_view hex);

@@ -68,7 +68,7 @@ HeadTracker::Update HeadTracker::on_insert(const BlockTree& tree,
   if (div_height < anchor_height_) {
     // The batch forked off below the anchor; a walk from the anchor never
     // sees it.  When the divergence also sits below a hard-finalized
-    // checkpoint, flag it — this is the reorg attempt the finality overlay
+    // checkpoint, flag it — this is the reorg attempt checkpoint finality
     // exists to refuse, and callers count those.
     update.below_finalized =
         finalized_height_ > 0 && div_height < finalized_height_;
@@ -148,7 +148,7 @@ void HeadTracker::advance_anchor() {
   const std::uint64_t head_height = anchor_height_ + path_.size() - 1;
   std::uint64_t target =
       head_height > finality_depth_ ? head_height - finality_depth_ : 0;
-  // The hard floor outranks the probabilistic trail: once the overlay has
+  // The hard floor outranks the probabilistic trail: once the consortium has
   // certified a checkpoint, the anchor (and with it the aggregate floor and
   // the snapshot/pruning cursor) never sits below it.
   target = std::max(target, std::min(finalized_height_, head_height));

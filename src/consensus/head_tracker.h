@@ -54,7 +54,7 @@ class HeadTracker {
     /// divergence point, exclusive).  Non-zero only when reorg is true.
     std::uint64_t reorg_depth = 0;
     /// The batch diverged below the hard-finalized height, so the head stood
-    /// regardless of the batch's weight (the finality overlay's guarantee).
+    /// regardless of the batch's weight (checkpoint finality's guarantee).
     bool below_finalized = false;
   };
 
@@ -76,8 +76,7 @@ class HeadTracker {
                    const ledger::BlockHash& batch_root,
                    const ledger::BlockHash& batch_parent, bool batch_is_leaf);
 
-  /// Hard-finalize `block` (a certified checkpoint from the finality
-  /// overlay, already in the tree).  From here on, no insert can reorg the
+  /// Hard-finalize `block` (a certified checkpoint, already in the tree).  From here on, no insert can reorg the
   /// path at or below its height, and the anchor never trails below it.  If
   /// the certified block is off the current preferred path — the certified
   /// branch lost the weight race locally — the path is force-switched
@@ -99,8 +98,8 @@ class HeadTracker {
   }
 
   /// Block on the cached preferred path at `height`, or nullptr when the
-  /// height falls outside [anchor, head].  O(1) — the checkpoint overlay
-  /// reads the block to vote on here.
+  /// height falls outside [anchor, head].  O(1) — ChainCore reads the block
+  /// to vote on here.
   const ledger::BlockHash* path_block_at(std::uint64_t height) const {
     if (height < anchor_height_ || height - anchor_height_ >= path_.size()) {
       return nullptr;
@@ -114,14 +113,14 @@ class HeadTracker {
                         const ForkChoiceRule& rule);
   /// Pop finalized blocks off the front so the anchor trails the head by at
   /// most `finality_depth_` (the seed's advance_anchor semantics) — and, when
-  /// the overlay has hard-finalized past that probabilistic trail, so the
+  /// a checkpoint has hard-finalized past that probabilistic trail, so the
   /// anchor never sits below the hard-finalized height.
   void advance_anchor();
 
   std::deque<ledger::BlockHash> path_;  ///< anchor … head, contiguous heights
   std::uint64_t anchor_height_ = 0;     ///< height of path_.front()
   std::uint64_t finality_depth_ = 64;
-  /// Hard floor from the checkpoint overlay (0 = none): reorgs diverging at
+  /// Hard floor from checkpoint finality (0 = none): reorgs diverging at
   /// or below this height are refused, and the anchor stays at or above it.
   std::uint64_t finalized_height_ = 0;
 };

@@ -2,13 +2,26 @@
 
 #include "common/check.h"
 #include "consensus/wire.h"
-#include "crypto/merkle.h"
 
 namespace themis::consensus {
 
 using ledger::Block;
 using ledger::BlockHash;
 using ledger::BlockPtr;
+
+namespace {
+
+ChainCoreConfig core_config(const NodeConfig& config) {
+  ChainCoreConfig core;
+  core.id = config.id;
+  core.n_nodes = config.n_nodes;
+  core.finality_depth = config.finality_depth;
+  core.use_signatures = config.use_signatures;
+  core.checkpoint_interval = config.checkpoint_interval;
+  return core;
+}
+
+}  // namespace
 
 PowNode::PowNode(net::Simulation& sim, net::GossipNetwork& network,
                  NodeConfig config, std::shared_ptr<ForkChoiceRule> rule,
@@ -17,34 +30,19 @@ PowNode::PowNode(net::Simulation& sim, net::GossipNetwork& network,
     : sim_(sim),
       network_(network),
       config_(config),
-      rule_(std::move(rule)),
-      policy_(std::move(policy)),
-      registry_(std::move(registry)),
+      core_(core_config(config), std::move(rule), std::move(policy),
+            std::move(registry)),
       rng_(config.rng_seed) {
   expects(config_.n_nodes >= 2, "consensus needs at least two nodes");
   expects(config_.id < config_.n_nodes, "node id out of range");
-  expects(rule_ != nullptr && policy_ != nullptr, "rule and policy required");
-  expects(!config_.use_signatures || registry_ != nullptr,
-          "signatures require a key registry");
-  if (config_.use_signatures) {
-    keypair_ = crypto::Keypair::from_node_id(config_.id);
-  }
-  tracker_.reset(tree_, *rule_, tree_.genesis_hash(), config_.finality_depth);
 
   obs_ = sim_.obs();
   if (obs_ != nullptr) {
     prof_mine_ = &obs_->profiler.scope("consensus.mine_block");
     prof_accept_ = &obs_->profiler.scope("consensus.accept_block");
-    prof_update_head_ = &obs_->profiler.scope("consensus.update_head");
+    core_.set_profile(&obs_->profiler.scope("consensus.update_head"));
     reorg_depths_ = &obs_->counters.histogram("consensus.reorg_depth");
   }
-}
-
-/// Dedup key for trace records: the first 8 bytes of the block id in hex —
-/// short enough to keep traces compact, long enough to be unique within any
-/// plausible run.
-static std::string short_hex(const ledger::BlockHash& id) {
-  return to_hex(ByteSpan(id.data(), 8));
 }
 
 void PowNode::start() {
@@ -67,7 +65,8 @@ void PowNode::restart_mining() {
   if (!started_) return;
   if (mining_event_ != 0) sim_.cancel(mining_event_);
   const std::uint64_t generation = ++mining_generation_;
-  const double difficulty = policy_->difficulty_for(tree_, head(), config_.id);
+  const double difficulty =
+      core_.policy().difficulty_for(tree(), head(), config_.id);
   const SimTime wait =
       SimMiner::sample_block_time(rng_, config_.hash_rate, difficulty);
   mining_event_ = sim_.schedule_after(
@@ -80,33 +79,22 @@ void PowNode::on_block_found(std::uint64_t generation) {
   obs::ProfileScope profile(prof_mine_);
 
   ledger::BlockHeader header;
-  header.height = tree_.height(head()) + 1;
+  header.height = head_height() + 1;
   header.prev = head();
   header.producer = config_.id;
-  header.epoch = policy_->epoch_for(tree_, head());
-  header.difficulty = policy_->difficulty_for(tree_, head(), config_.id);
+  header.epoch = core_.policy().epoch_for(tree(), head());
+  header.difficulty = core_.policy().difficulty_for(tree(), head(), config_.id);
   header.timestamp_nanos = sim_.now().count_nanos();
   header.nonce = rng_.next_u64();
+  // Simulated blocks carry no bodies: the declared count sizes them on the
+  // wire (see BlockHeader::tx_count).
   header.tx_count = config_.txs_per_block;
 
-  // Real transaction bodies are attached only when the pool has entries;
-  // large sweeps run with declared-size-only blocks (see BlockHeader::tx_count).
-  std::vector<ledger::Transaction> txs;
-  if (!pool_.empty()) {
-    txs = pool_.select(config_.txs_per_block);
-    header.tx_count = static_cast<std::uint32_t>(txs.size());
-  }
-  if (!txs.empty() || config_.check_pow) {
-    std::vector<Hash32> leaves;
-    leaves.reserve(txs.size());
-    for (const auto& tx : txs) leaves.push_back(tx.id());
-    header.merkle_root = crypto::merkle_root(leaves);
-  }
-
   crypto::Signature signature{};
-  if (keypair_.has_value()) signature = keypair_->sign(header.hash());
+  if (keypair().has_value()) signature = keypair()->sign(header.hash());
 
-  auto block = std::make_shared<const Block>(header, signature, std::move(txs));
+  auto block = std::make_shared<const Block>(
+      header, signature, std::vector<ledger::Transaction>{});
   ++blocks_produced_;
 
   if (obs_ != nullptr && obs_->tracer.enabled()) {
@@ -129,10 +117,13 @@ void PowNode::on_block_found(std::uint64_t generation) {
     return;
   }
 
-  accept_block(block);
+  {
+    obs::ProfileScope accept_profile(prof_accept_);
+    react(core_.add_own_block(block));
+  }
   network_.broadcast(config_.id, kBlockAnnounce, announce_size(*block), block);
-  // accept_block() already restarted mining via the head change; if our own
-  // block somehow lost the fork choice, make sure mining still continues.
+  // react() already restarted mining via the head change; if our own block
+  // somehow lost the fork choice, make sure mining still continues.
   if (mining_event_ == 0) restart_mining();
 }
 
@@ -144,123 +135,64 @@ std::size_t PowNode::announce_size(const ledger::Block& block) const {
 }
 
 void PowNode::on_message(const net::Message& msg) {
-  if (msg.type != kBlockAnnounce) return;
-  const auto* block = std::any_cast<BlockPtr>(&msg.payload);
-  if (block == nullptr || *block == nullptr) return;
-  handle_block(*block);
+  if (msg.type == kBlockAnnounce) {
+    const auto* block = std::any_cast<BlockPtr>(&msg.payload);
+    if (block != nullptr && *block != nullptr) handle_block(*block);
+  } else if (msg.type == kCkptVote && core_.checkpoints() != nullptr) {
+    const auto* vote = std::any_cast<finality::CheckpointVote>(&msg.payload);
+    if (vote != nullptr) react(core_.add_vote(*vote));
+  }
 }
 
 void PowNode::handle_block(BlockPtr block) {
-  const BlockHash id = block->id();
-  if (tree_.contains(id)) return;
+  if (tree().contains(block->id())) return;
 
   if (obs_ != nullptr && obs_->tracer.enabled()) {
     obs_->tracer.emit(sim_.now(), "block_received",
                       {obs::Field::u64("node", config_.id),
-                       obs::Field::str("hash", short_hex(id)),
+                       obs::Field::str("hash", short_hex(block->id())),
                        obs::Field::u64("height", block->header().height),
                        obs::Field::u64("producer", block->header().producer)});
   }
-
-  if (!tree_.contains(block->header().prev)) {
-    // Parent unknown: buffer; validation happens once the parent arrives so
-    // the difficulty check can see the full parent chain.
-    auto& waiting = pending_[block->header().prev];
-    for (const BlockPtr& w : waiting) {
-      if (w->id() == id) return;
-    }
-    waiting.push_back(std::move(block));
-    return;
-  }
-
-  if (!validate(*block)) {
-    ++blocks_rejected_;
-    return;
-  }
-  accept_block(std::move(block));
+  obs::ProfileScope profile(prof_accept_);
+  react(core_.add_block(std::move(block)));
 }
 
-void PowNode::accept_block(BlockPtr block) {
-  obs::ProfileScope profile(prof_accept_);
-  // Everything inserted below descends from this first block, so the whole
-  // batch forms one subtree — exactly what HeadTracker::on_insert needs.
-  const BlockHash batch_root = block->id();
-  const BlockHash batch_parent = block->header().prev;
-  std::size_t batch_size = 0;
-  std::vector<BlockPtr> ready{std::move(block)};
-  while (!ready.empty()) {
-    BlockPtr cur = std::move(ready.back());
-    ready.pop_back();
-    const BlockHash id = cur->id();
-    tree_.insert(std::move(cur));
-    ++batch_size;
-    const auto it = pending_.find(id);
-    if (it != pending_.end()) {
-      std::vector<BlockPtr> waiting = std::move(it->second);
-      pending_.erase(it);
-      for (BlockPtr& w : waiting) {
-        if (tree_.contains(w->id())) continue;
-        if (!validate(*w)) {
-          ++blocks_rejected_;
-          continue;
-        }
-        ready.push_back(std::move(w));
-      }
-    }
-  }
-  HeadTracker::Update update;
-  {
-    obs::ProfileScope update_profile(prof_update_head_);
-    update = tracker_.on_insert(tree_, *rule_, batch_root, batch_parent,
-                                /*batch_is_leaf=*/batch_size == 1);
-  }
-  if (update.reorg) {
+void PowNode::react(const ChainCore::Effects& fx) {
+  blocks_rejected_ += fx.rejected.size();
+  if (fx.reorg) {
     ++reorgs_;
     if (obs_ != nullptr) {
-      reorg_depths_->record(static_cast<double>(update.reorg_depth));
+      if (fx.reorg_depth > 0) {
+        reorg_depths_->record(static_cast<double>(fx.reorg_depth));
+      }
       if (obs_->tracer.enabled()) {
         obs_->tracer.emit(sim_.now(), "reorg",
                           {obs::Field::u64("node", config_.id),
-                           obs::Field::u64("depth", update.reorg_depth),
+                           obs::Field::u64("depth", fx.reorg_depth),
                            obs::Field::str("new_head", short_hex(head())),
-                           obs::Field::u64("height", tracker_.head_height())});
+                           obs::Field::u64("height", head_height())});
       }
     }
   }
-  if (update.head_changed) {
+  if (fx.head_changed) {
     if (obs_ != nullptr && obs_->tracer.enabled()) {
       obs_->tracer.emit(sim_.now(), "block_adopted",
                         {obs::Field::u64("node", config_.id),
                          obs::Field::str("hash", short_hex(head())),
-                         obs::Field::u64("height", tracker_.head_height()),
-                         obs::Field::boolean("reorg", update.reorg)});
+                         obs::Field::u64("height", head_height()),
+                         obs::Field::boolean("reorg", fx.reorg)});
     }
-    // Fork-choice walks start at the anchor, so aggregate maintenance below
-    // it is wasted work — let the tree freeze that prefix.
-    tree_.set_aggregate_floor(tracker_.anchor_height());
     restart_mining();
-    if (head_listener_) head_listener_(*this);
   }
-}
-
-bool PowNode::validate(const Block& block) const {
-  ledger::ValidationContext ctx;
-  ctx.check_signature = config_.use_signatures;
-  ctx.check_pow = config_.check_pow;
-  ctx.check_body = config_.check_pow;  // bodies are real only on the real path
-  if (registry_ != nullptr) {
-    ctx.public_key = [this](ledger::NodeId id) { return registry_->lookup(id); };
+  for (const finality::CheckpointVote& vote : fx.votes) {
+    ++votes_sent_;
+    network_.broadcast(config_.id, kCkptVote,
+                       finality::CheckpointVote::kEncodedSize, vote);
   }
-  ctx.expected_difficulty = [this](ledger::NodeId producer,
-                                   const BlockHash& parent) -> std::optional<double> {
-    if (!tree_.contains(parent)) return std::nullopt;
-    return policy_->difficulty_for(tree_, parent, producer);
-  };
-  ctx.parent_height = [this](const BlockHash& parent) -> std::optional<std::uint64_t> {
-    if (!tree_.contains(parent)) return std::nullopt;
-    return tree_.height(parent);
-  };
-  return ledger::validate_block(block, ctx) == ledger::BlockCheck::ok;
+  if (listener_ && (fx.head_changed || !fx.finalized.empty())) {
+    listener_(*this, fx);
+  }
 }
 
 }  // namespace themis::consensus

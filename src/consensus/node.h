@@ -11,6 +11,11 @@
 //   * ForkChoiceRule — GhostRule gives PoW-H / Themis-Lite;
 //     core::GeostRule gives Themis (Algorithm 1).
 //
+// The round itself — validate, insert with unblocked orphans, re-run fork
+// choice, checkpoint finality — is ChainCore, the same code the daemon runs;
+// PowNode is its simulator adapter: the mining timer, gossip, and (when
+// checkpoint_interval > 0) checkpoint votes as kCkptVote floods.
+//
 // Mining restarts are statistically sound because exponential waiting times
 // are memoryless: cancelling and resampling on a head change is equivalent to
 // letting the old draw continue.
@@ -19,36 +24,15 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
-#include "consensus/difficulty.h"
-#include "consensus/forkchoice.h"
-#include "consensus/head_tracker.h"
+#include "consensus/chain_core.h"  // ChainCore, KeyRegistry
 #include "consensus/miner.h"
-#include "crypto/schnorr.h"
-#include "ledger/blocktree.h"
-#include "ledger/txpool.h"
-#include "ledger/validation.h"
 #include "net/gossip.h"
 #include "obs/observability.h"
 
 namespace themis::consensus {
-
-/// Maps node ids to their public keys when header signatures are enabled.
-class KeyRegistry {
- public:
-  void add(ledger::NodeId id, crypto::PublicKey key) { keys_[id] = key; }
-  std::optional<crypto::PublicKey> lookup(ledger::NodeId id) const {
-    const auto it = keys_.find(id);
-    if (it == keys_.end()) return std::nullopt;
-    return it->second;
-  }
-
- private:
-  std::unordered_map<ledger::NodeId, crypto::PublicKey> keys_;
-};
 
 struct NodeConfig {
   ledger::NodeId id = 0;
@@ -59,10 +43,6 @@ struct NodeConfig {
   /// multiplications per block; large sweeps turn it off (§VI-C shows the
   /// signature adds only ~constant bytes/CPU per block either way).
   bool use_signatures = false;
-  /// Verify real proof-of-work on received blocks.  Only meaningful when
-  /// blocks are ground with RealMiner; simulation-mined blocks sample the
-  /// waiting time instead of grinding nonces.
-  bool check_pow = false;
   /// The fork-choice walk starts this many blocks behind the head (blocks
   /// buried deeper are final for this node).  Must comfortably exceed the
   /// observed fork duration (2-3 blocks in the paper, §VII-D).
@@ -72,6 +52,10 @@ struct NodeConfig {
   /// ~header + this-many bytes per transaction; when < 0 the full block body
   /// travels on every relay hop.
   double announce_bytes_per_tx = -1.0;
+  /// Checkpoint finality every k heights (0 = off): the node votes through
+  /// ChainCore and floods its votes as kCkptVote messages of the real
+  /// 120-byte encoding; certified checkpoints constrain fork choice.
+  std::uint64_t checkpoint_interval = 0;
   std::uint64_t rng_seed = 1;
 };
 
@@ -95,27 +79,35 @@ class PowNode {
   bool producer_suppressed() const { return suppressed_; }
 
   // --- observers ------------------------------------------------------------
-  const ledger::BlockTree& tree() const { return tree_; }
-  const ledger::BlockHash& head() const { return tracker_.head(); }
+  /// The chain state machine: tree, head tracker, checkpoint tracker.
+  const ChainCore& core() const { return core_; }
+  const ledger::BlockTree& tree() const { return core_.tree(); }
+  const ledger::BlockHash& head() const { return core_.head(); }
   /// Fork-choice start: trails the head by at most finality_depth.
-  const ledger::BlockHash& anchor() const { return tracker_.anchor(); }
-  std::vector<ledger::BlockHash> main_chain() const { return tree_.chain_to(head()); }
-  std::uint64_t head_height() const { return tree_.height(head()); }
+  const ledger::BlockHash& anchor() const { return core_.tracker().anchor(); }
+  std::vector<ledger::BlockHash> main_chain() const { return tree().chain_to(head()); }
+  std::uint64_t head_height() const { return core_.head_height(); }
+  /// Highest checkpoint hard-finalized at this node (0 = none).
+  std::uint64_t finalized_height() const { return core_.finalized_height(); }
   const NodeConfig& config() const { return config_; }
-  ledger::TxPool& tx_pool() { return pool_; }
 
   std::uint64_t blocks_produced() const { return blocks_produced_; }
   std::uint64_t blocks_suppressed() const { return blocks_suppressed_; }
   std::uint64_t blocks_rejected() const { return blocks_rejected_; }
   std::uint64_t reorgs() const { return reorgs_; }
+  /// Checkpoint votes this node cast and flooded.
+  std::uint64_t votes_sent() const { return votes_sent_; }
 
-  /// Invoked after every head change with the new head (metrics hook).
-  void set_head_listener(std::function<void(const PowNode&)> fn) {
-    head_listener_ = std::move(fn);
-  }
+  /// Invoked after every block or vote that moved the head or hard-finalized
+  /// a checkpoint, with what the call changed (metrics hook).
+  using ChainListener =
+      std::function<void(const PowNode&, const ChainCore::Effects&)>;
+  void set_chain_listener(ChainListener fn) { listener_ = std::move(fn); }
 
   /// The keypair (present iff signatures are enabled).
-  const std::optional<crypto::Keypair>& keypair() const { return keypair_; }
+  const std::optional<crypto::Keypair>& keypair() const {
+    return core_.keypair();
+  }
 
   /// The node's buffered mining-draw stream.  Exposed so the experiment
   /// harness can refill many nodes' streams in parallel between events (the
@@ -126,31 +118,19 @@ class PowNode {
   std::size_t announce_size(const ledger::Block& block) const;
   void on_message(const net::Message& msg);
   void on_block_found(std::uint64_t generation);
-  void accept_block(ledger::BlockPtr block);
   void handle_block(ledger::BlockPtr block);
-  bool validate(const ledger::Block& block) const;
+  /// Act on one core call: counters, traces, mining restart, own votes.
+  void react(const ChainCore::Effects& fx);
   void restart_mining();
 
   net::Simulation& sim_;
   net::GossipNetwork& network_;
   NodeConfig config_;
-  std::shared_ptr<ForkChoiceRule> rule_;
-  std::shared_ptr<DifficultyPolicy> policy_;
-  std::shared_ptr<const KeyRegistry> registry_;
-  std::optional<crypto::Keypair> keypair_;
+  ChainCore core_;
 
   /// Mining randomness: exponential waiting times and nonces, drawn through
   /// a buffered stream so draws can be precomputed off the event loop.
   DrawStream rng_;
-  ledger::BlockTree tree_;
-  ledger::TxPool pool_;
-  /// Maintains head + anchor incrementally (cached preferred path); replaces
-  /// the seed's full choose_head-from-anchor walk on every block arrival.
-  HeadTracker tracker_;
-
-  // Blocks whose parent we have not validated yet, keyed by the parent id.
-  std::unordered_map<ledger::BlockHash, std::vector<ledger::BlockPtr>, Hash32Hasher>
-      pending_;
 
   std::uint64_t mining_generation_ = 0;
   net::EventId mining_event_ = 0;
@@ -161,16 +141,17 @@ class PowNode {
   std::uint64_t blocks_suppressed_ = 0;
   std::uint64_t blocks_rejected_ = 0;
   std::uint64_t reorgs_ = 0;
-  std::function<void(const PowNode&)> head_listener_;
+  std::uint64_t votes_sent_ = 0;
+  ChainListener listener_;
 
   // Observability (null when the simulation has no bundle attached — the
   // default — so every hook below is one predictable branch).  The profiling
   // stats and histogram are resolved once here; hot paths never do the
-  // string-keyed registry lookup.
+  // string-keyed registry lookup.  The update-head scope is handed to the
+  // core, which runs HeadTracker::on_insert.
   obs::Observability* obs_ = nullptr;
-  obs::ScopeStat* prof_mine_ = nullptr;         ///< on_block_found
-  obs::ScopeStat* prof_accept_ = nullptr;       ///< accept_block (insert batch)
-  obs::ScopeStat* prof_update_head_ = nullptr;  ///< HeadTracker::on_insert
+  obs::ScopeStat* prof_mine_ = nullptr;    ///< on_block_found
+  obs::ScopeStat* prof_accept_ = nullptr;  ///< a block's core call + react
   obs::Histogram* reorg_depths_ = nullptr;
 };
 

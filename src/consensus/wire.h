@@ -7,7 +7,7 @@ namespace themis::consensus {
 
 enum MessageType : std::uint32_t {
   kBlockAnnounce = 1,   // gossip flood of a freshly mined block
-  kCkptVote = 2,        // simulated checkpoint finality vote (FinalityOverlay)
+  kCkptVote = 2,        // gossip flood of a checkpoint finality vote
   kPbftRequest = 10,    // client request batch to the current leader
   kPbftPrePrepare = 11,
   kPbftPrepare = 12,

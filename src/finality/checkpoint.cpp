@@ -37,7 +37,7 @@ Hash32 CheckpointVote::vote_id() const {
 }
 
 Bytes CheckpointVote::encode() const {
-  Writer w(32 + 64 + 24);
+  Writer w(kEncodedSize);
   w.u64(height);
   w.hash(block);
   w.u64(epoch);

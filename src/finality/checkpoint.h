@@ -27,6 +27,9 @@ namespace themis::finality {
 
 /// One member's signature over a checkpoint (height, block, epoch).
 struct CheckpointVote {
+  /// Wire size of encode(): height, block, epoch, voter, signature.
+  static constexpr std::size_t kEncodedSize = 8 + 32 + 8 + 8 + 64;
+
   std::uint64_t height = 0;        ///< checkpoint height (multiple of k)
   ledger::BlockHash block{};       ///< the block this voter saw at `height`
   std::uint64_t epoch = 0;         ///< checkpoint sequence number, height / k

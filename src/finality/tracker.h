@@ -1,9 +1,9 @@
 // Per-checkpoint vote accumulation and the >2/3 hard-finality rule.
 //
-// The tracker is transport-agnostic: the p2p node feeds it votes from the
-// wire (and its own), the simulator's FinalityOverlay feeds it modeled
-// votes, and both ask the same questions — did this vote reach quorum, what
-// is the finalized height, what certificate proves it.
+// The tracker is transport-agnostic: consensus::ChainCore owns one and feeds
+// it votes from the wire and its own — for the daemon and the simulator
+// alike — and asks the same questions: did this vote reach quorum, what is
+// the finalized height, what certificate proves it.
 //
 // Vote discipline (the adversarial cases tests exercise):
 //   * one vote per (height, voter): a second identical vote is a duplicate,
@@ -48,8 +48,8 @@ std::string_view to_string(VoteOutcome outcome);
 struct TrackerConfig {
   /// Checkpoint interval k: votes are cast at heights k, 2k, 3k, …
   std::uint64_t interval = 16;
-  /// Large-n simulation models skip per-vote Schnorr verification (the
-  /// overlay measures propagation, not crypto).  Real nodes keep it on.
+  /// Simulations with signatures off skip per-vote Schnorr verification
+  /// (large sweeps measure propagation, not crypto).  The daemon keeps it on.
   bool verify_signatures = true;
   /// Votes for checkpoints this far below the finalized height are dropped
   /// and their state pruned; the last finalized checkpoint's votes are kept

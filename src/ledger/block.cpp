@@ -106,6 +106,11 @@ Block Block::decode(ByteSpan raw) {
   const auto signature = crypto::Signature::from_bytes(sig_bytes);
   if (!signature.has_value()) throw DecodeError("malformed signature");
   const std::uint32_t tx_count = r.u32();
+  // Bound the count by the bytes actually present before reserving: a
+  // hostile frame must not turn a 4-byte field into a 2 TiB allocation.
+  if (tx_count > r.remaining() / kCanonicalTxSize) {
+    throw DecodeError("transaction count exceeds payload");
+  }
   std::vector<Transaction> txs;
   txs.reserve(tx_count);
   for (std::uint32_t i = 0; i < tx_count; ++i) {

@@ -52,10 +52,6 @@ class GossipNetwork {
   /// Install the receive callback for a node (replaces any previous one).
   void set_handler(PeerId node, Handler handler);
 
-  /// The currently installed handler for a node (empty if none) — overlays
-  /// that interpose on delivery (sim/finality_overlay) chain through this.
-  const Handler& handler(PeerId node) const { return handlers_[node]; }
-
   /// Flood a new message from `origin`.  Returns the assigned message id.
   std::uint64_t broadcast(PeerId origin, std::uint32_t type, std::size_t size_bytes,
                           std::any payload);

@@ -8,7 +8,6 @@
 #include "consensus/wire.h"
 #include "crypto/merkle.h"
 #include "crypto/schnorr.h"
-#include "ledger/validation.h"
 #include "obs/live/log.h"
 #include "p2p/sync.h"
 #include "state/authstate/snapshot.h"
@@ -27,9 +26,13 @@ namespace {
 /// one-block overshoot serve_range allows can never breach kMaxFramePayload.
 constexpr std::size_t kSyncBatchBytes = kMaxFramePayload / 2;
 
-/// How long a getdata stays "in flight" before we re-request the hash from
-/// the next announcer (peer died or ignored us).
-constexpr std::int64_t kRequestRetryMs = 5000;
+/// In-flight getdata entries tolerated before handle_inv drops the ones past
+/// kRequestRetryMs — ids a peer announced but never serves (bogus, or
+/// confirmed before the getdata landed) would otherwise stay forever.
+constexpr std::size_t kMaxRequestsInFlight = 4 * kMaxInvHashes;
+
+static_assert(consensus::ChainCore::kMaxOrphans >= 2 * kMaxSyncBlocks,
+              "one orphaned sync batch must fit the orphan buffer");
 
 /// Consecutive fully-duplicate sync batches tolerated per peer before we stop
 /// re-requesting (Peer::sync_stalls).
@@ -41,8 +44,16 @@ std::int64_t steady_ms() {
       .count();
 }
 
-std::string short_hex(const BlockHash& id) {
-  return to_hex(ByteSpan(id.data(), 8));
+/// Send the votes `peer` is not known to have (per-peer known-inventory set
+/// keyed on vote_id(), like block and tx ids).
+void send_votes(Peer& peer,
+                const std::vector<finality::CheckpointVote>& votes) {
+  for (const finality::CheckpointVote& vote : votes) {
+    if (!peer.mark_known(vote.vote_id())) continue;
+    if (!peer.send_frame(consensus::kP2pCkptVote, CkptVoteMsg{vote}.encode())) {
+      return;
+    }
+  }
 }
 
 /// Genesis funding: every consortium account starts with the same balance.
@@ -55,6 +66,29 @@ std::map<ledger::NodeId, UInt128> genesis_allocation(
     }
   }
   return alloc;
+}
+
+/// The consortium keys: member i signs with Keypair::from_node_id(i).
+std::shared_ptr<const consensus::KeyRegistry> consortium_keys(
+    std::size_t n_nodes) {
+  auto registry = std::make_shared<consensus::KeyRegistry>();
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    registry->add(static_cast<ledger::NodeId>(i),
+                  crypto::Keypair::from_node_id(i).public_key());
+  }
+  return registry;
+}
+
+consensus::ChainCoreConfig core_config(const P2pNodeConfig& config) {
+  consensus::ChainCoreConfig core;
+  core.id = config.id;
+  core.n_nodes = config.n_nodes;
+  core.finality_depth = config.finality_depth;
+  core.use_signatures = true;
+  core.check_work = true;
+  core.checkpoint_interval = config.checkpoint_interval;
+  core.finality_backend = config.finality_backend;
+  return core;
 }
 
 /// Admission replay filter: a transaction belongs in a candidate block only
@@ -86,41 +120,27 @@ P2pNode::P2pNode(P2pNodeConfig config,
                  std::shared_ptr<consensus::ForkChoiceRule> rule,
                  std::shared_ptr<consensus::DifficultyPolicy> policy)
     : config_(std::move(config)),
-      rule_(rule != nullptr ? std::move(rule)
-                            : std::make_shared<consensus::GhostRule>()),
-      policy_(policy != nullptr
-                  ? std::move(policy)
-                  : std::make_shared<consensus::FixedDifficulty>(
-                        config_.difficulty)),
+      registry_(consortium_keys(config_.n_nodes)),
+      core_(core_config(config_),
+            rule != nullptr ? std::move(rule)
+                            : std::make_shared<consensus::GhostRule>(),
+            policy != nullptr ? std::move(policy)
+                              : std::make_shared<consensus::FixedDifficulty>(
+                                    config_.difficulty),
+            registry_),
+      keypair_(*core_.keypair()),
       state_(genesis_allocation(config_)),
       pool_(config_.pool_capacity) {
   expects(config_.n_nodes >= 1, "p2p node set must be non-empty");
   expects(config_.id < config_.n_nodes, "node id out of range");
-  if (config_.use_signatures) {
-    keypair_ = crypto::Keypair::from_node_id(config_.id);
-    registry_ = std::make_shared<consensus::KeyRegistry>();
-    for (std::size_t i = 0; i < config_.n_nodes; ++i) {
-      registry_->add(static_cast<ledger::NodeId>(i),
-                     crypto::Keypair::from_node_id(i).public_key());
-    }
-  }
-  tracker_.reset(tree_, *rule_, tree_.genesis_hash(), config_.finality_depth);
-
-  // Checkpoint finality overlay: needs the Schnorr keys (votes are
-  // signatures), so it engages only alongside use_signatures.
-  if (config_.use_signatures && config_.checkpoint_interval > 0) {
-    finality::TrackerConfig fc;
-    fc.interval = config_.checkpoint_interval;
-    fc.verify_signatures = true;
-    ckpt_.emplace(fc, finality::ValidatorSet::deterministic(config_.n_nodes),
-                  finality::make_backend(config_.finality_backend));
-  }
+  core_.set_body_check(
+      [this](const Block& block) { return replay_body_locked(block); });
 
   PeerManagerConfig pm;
   pm.listen_port = config_.listen_port;
   pm.listen = config_.listen;
   pm.dial = config_.peers;
-  pm.handshake.genesis = tree_.genesis_hash();
+  pm.handshake.genesis = core_.tree().genesis_hash();
   pm.handshake.node_id = config_.id;
   pm.handshake.agent = config_.agent;
   pm.dial_timeout_ms = config_.dial_timeout_ms;
@@ -203,24 +223,23 @@ void P2pNode::register_live_metrics() {
   r.gauge_fn("themis_finality_height",
              "Highest hard-finalized checkpoint height.", [this] {
                std::lock_guard<std::mutex> lock(mu_);
-               return static_cast<double>(stats_.finalized_height);
+               return static_cast<double>(core_.finalized_height());
              });
   r.gauge_fn("themis_finality_lag_blocks",
              "Blocks between the fork-choice head and the finalized height.",
              [this] {
+               // HeadTracker keeps the head at or above the finalized height.
                std::lock_guard<std::mutex> lock(mu_);
-               const std::uint64_t head = tracker_.head_height();
-               return static_cast<double>(
-                   head > stats_.finalized_height
-                       ? head - stats_.finalized_height
-                       : 0);
+               return static_cast<double>(core_.head_height() -
+                                          core_.finalized_height());
              });
   r.gauge_fn("themis_finality_cert_votes",
              "Voters on the latest formed checkpoint certificate.", [this] {
                std::lock_guard<std::mutex> lock(mu_);
-               if (!ckpt_.has_value()) return 0.0;
+               const finality::CheckpointTracker* ckpt = core_.checkpoints();
+               if (ckpt == nullptr) return 0.0;
                const finality::CheckpointCertificate* cert =
-                   ckpt_->latest_certificate();
+                   ckpt->latest_certificate();
                return cert == nullptr
                           ? 0.0
                           : static_cast<double>(cert->voters.size());
@@ -250,42 +269,41 @@ bool P2pNode::start() {
         state::authstate::read_snapshot(config_.datadir / "state.snap");
     store_ =
         std::make_unique<ledger::BlockStore>(config_.datadir / "blocks.dat");
-    bool rerooted = false;
+    ledger::BlockTree tree;
+    std::uint64_t replay_from = 0;
     if (snap.has_value()) {
       if (auto root_block = store_->read_by_id(snap->block);
           root_block.has_value()) {
-        tree_ = ledger::BlockTree(
+        tree = ledger::BlockTree(
             std::make_shared<const Block>(*std::move(root_block)));
         state_.reset_base(snap->state);
         last_snapshot_height_ = snap->height;
         stats_.snapshot_height = snap->height;
         stats_.restored_from_snapshot = true;
-        rerooted = true;
-        stats_.store_replayed = store_->replay_into(tree_, snap->height + 1);
-        obs::live::log_info(
-            "chain", "restored from snapshot",
-            {{"height", snap->height},
-             {"accounts",
-              static_cast<std::uint64_t>(snap->state.accounts().size())},
-             {"replayed", stats_.store_replayed}});
+        replay_from = snap->height + 1;
       } else {
         obs::live::log_warn("chain",
                             "snapshot block missing from store; full replay",
                             {{"height", snap->height}});
       }
     }
-    if (!rerooted) stats_.store_replayed = store_->replay_into(tree_);
-    if (stats_.store_replayed > 0 || rerooted) {
-      tracker_.reset(tree_, *rule_, tree_.genesis_hash(),
-                     config_.finality_depth);
-      // The confirmed-tx index covers the replayed main chain, so tx_status
-      // and duplicate suppression survive a restart.
-      reconciler_.rebuild(tree_, tracker_.head());
+    stats_.store_replayed = store_->replay_into(tree, replay_from);
+    if (stats_.restored_from_snapshot) {
+      obs::live::log_info(
+          "chain", "restored from snapshot",
+          {{"height", snap->height},
+           {"accounts",
+            static_cast<std::uint64_t>(snap->state.accounts().size())},
+           {"replayed", stats_.store_replayed}});
     }
+    core_.reset(std::move(tree));
+    // The confirmed-tx index covers the replayed main chain, so tx_status
+    // and duplicate suppression survive a restart.
+    reconciler_.rebuild(core_.tree(), core_.head());
   }
   trace("node_start", {obs::Field::u64("node", config_.id),
                        obs::Field::u64("replayed", stats_.store_replayed),
-                       obs::Field::u64("height", tracker_.head_height())});
+                       obs::Field::u64("height", core_.head_height())});
 
   if (!peers_->start()) {
     obs::live::log_error("node", "listen failed",
@@ -370,22 +388,18 @@ void P2pNode::on_peer_ready(Peer& peer) {
   std::vector<finality::CheckpointVote> retained;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (ckpt_.has_value()) retained = ckpt_->retained_votes();
-  }
-  for (const finality::CheckpointVote& vote : retained) {
-    if (!peer.mark_known(vote.vote_id())) continue;
-    if (!peer.send_frame(consensus::kP2pCkptVote,
-                         CkptVoteMsg{vote}.encode())) {
-      break;
+    if (const auto* ckpt = core_.checkpoints()) {
+      retained = ckpt->retained_votes();
     }
   }
+  send_votes(peer, retained);
 }
 
 void P2pNode::request_sync(Peer& peer) {
   GetBlocksMsg request;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    request.locator = build_locator(tree_, tracker_.head());
+    request.locator = build_locator(core_.tree(), core_.head());
     ++stats_.sync_rounds;
   }
   request.max_blocks = static_cast<std::uint32_t>(kMaxSyncBlocks);
@@ -395,7 +409,7 @@ void P2pNode::request_sync(Peer& peer) {
 void P2pNode::on_peer_frame(Peer& peer, std::uint32_t type, ByteSpan payload) {
   switch (type) {
     case consensus::kP2pInv:
-      handle_inv(peer, payload);
+      handle_inv(peer, payload, /*txs=*/false);
       return;
     case consensus::kP2pGetData:
       handle_getdata(peer, payload);
@@ -410,7 +424,7 @@ void P2pNode::on_peer_frame(Peer& peer, std::uint32_t type, ByteSpan payload) {
       handle_blocks(peer, payload);
       return;
     case consensus::kP2pTxInv:
-      handle_tx_inv(peer, payload);
+      handle_inv(peer, payload, /*txs=*/true);
       return;
     case consensus::kP2pGetTxData:
       handle_get_txdata(peer, payload);
@@ -431,29 +445,44 @@ void P2pNode::on_peer_frame(Peer& peer, std::uint32_t type, ByteSpan payload) {
   }
 }
 
-void P2pNode::handle_inv(Peer& peer, ByteSpan payload) {
-  const InvMsg inv = InvMsg::decode(payload);
+void P2pNode::handle_inv(Peer& peer, ByteSpan payload, bool txs) {
+  const InvMsg inv = InvMsg::decode(payload);  // tx ids are Hash32 like blocks
   InvMsg want;
   const std::int64_t now = steady_ms();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.invs_received += inv.hashes.size();
-    for (const BlockHash& h : inv.hashes) {
-      if (tree_.contains(h)) {
-        ++stats_.invs_redundant;
+    (txs ? stats_.tx_invs_received : stats_.invs_received) += inv.hashes.size();
+    // Sweep at most once per retry window, so a table of live entries is not
+    // rescanned on every announcement.
+    if (requested_.size() > kMaxRequestsInFlight &&
+        now - requested_swept_ms_ >= kRequestRetryMs) {
+      std::erase_if(requested_, [now](const auto& entry) {
+        return now - entry.second >= kRequestRetryMs;
+      });
+      requested_swept_ms_ = now;
+    }
+    for (const Hash32& h : inv.hashes) {
+      const bool known = txs ? pool_.contains(h) ||
+                                   reconciler_.block_of(h).has_value()
+                             : core_.tree().contains(h);
+      if (known) {
+        ++(txs ? stats_.tx_invs_redundant : stats_.invs_redundant);
         continue;
       }
-      const auto it = requested_.find(h);
-      if (it != requested_.end() && now - it->second < kRequestRetryMs) {
-        continue;  // already being fetched from another announcer
+      const auto [it, fresh] = requested_.try_emplace(h, now);
+      if (!fresh) {
+        if (now - it->second < kRequestRetryMs) {
+          continue;  // already being fetched from another announcer
+        }
+        it->second = now;
       }
-      requested_[h] = now;
       want.hashes.push_back(h);
     }
   }
-  for (const BlockHash& h : inv.hashes) peer.mark_known(h);
+  for (const Hash32& h : inv.hashes) peer.mark_known(h);
   if (!want.hashes.empty()) {
-    peer.send_frame(consensus::kP2pGetData, want.encode());
+    peer.send_frame(txs ? consensus::kP2pGetTxData : consensus::kP2pGetData,
+                    want.encode());
   }
 }
 
@@ -463,8 +492,8 @@ void P2pNode::handle_getdata(Peer& peer, ByteSpan payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const BlockHash& h : request.hashes) {
-      if (!tree_.contains(h)) continue;  // pruned/unknown: silently skip
-      found.emplace_back(h, tree_.block(h)->encode());
+      if (!core_.tree().contains(h)) continue;  // pruned/unknown: skip
+      found.emplace_back(h, core_.tree().block(h)->encode());
     }
   }
   for (const auto& [hash, encoding] : found) {
@@ -473,12 +502,12 @@ void P2pNode::handle_getdata(Peer& peer, ByteSpan payload) {
   }
 }
 
-void P2pNode::handle_block(Peer& peer, ByteSpan payload) {
+bool P2pNode::handle_block(Peer& peer, ByteSpan payload) {
   // DecodeError from a malformed block propagates to the reader loop, which
   // treats it as a protocol error and closes the connection.
   auto block = std::make_shared<const Block>(Block::decode(payload));
   peer.mark_known(block->id());
-  submit_block(std::move(block), peer.session_id());
+  return submit_block(std::move(block), peer.session_id());
 }
 
 void P2pNode::handle_getblocks(Peer& peer, ByteSpan payload) {
@@ -488,7 +517,7 @@ void P2pNode::handle_getblocks(Peer& peer, ByteSpan payload) {
     std::lock_guard<std::mutex> lock(mu_);
     const std::size_t max_blocks =
         std::min<std::size_t>(request.max_blocks, kMaxSyncBlocks);
-    const auto range = serve_range(tree_, tracker_.head(), request.locator,
+    const auto range = serve_range(core_.tree(), core_.head(), request.locator,
                                    max_blocks, kSyncBatchBytes);
     response.blocks.reserve(range.size());
     for (const BlockPtr& block : range) {
@@ -510,11 +539,7 @@ void P2pNode::handle_blocks(Peer& peer, ByteSpan payload) {
     return;  // caught up with this peer
   }
   bool grew = false;
-  for (const Bytes& raw : batch.blocks) {
-    auto block = std::make_shared<const Block>(Block::decode(raw));
-    peer.mark_known(block->id());
-    grew = submit_block(std::move(block), peer.session_id()) || grew;
-  }
+  for (const Bytes& raw : batch.blocks) grew = handle_block(peer, raw) || grew;
   // A non-empty batch means the peer may hold more; page until drained.  A
   // fully-duplicate batch usually means our locator raced with blocks that
   // arrived from another peer mid-round, so retry with a fresh locator — but
@@ -532,32 +557,6 @@ void P2pNode::handle_blocks(Peer& peer, ByteSpan payload) {
 // ---------------------------------------------------------------------------
 // Transaction relay
 // ---------------------------------------------------------------------------
-
-void P2pNode::handle_tx_inv(Peer& peer, ByteSpan payload) {
-  const InvMsg inv = InvMsg::decode(payload);  // tx ids are Hash32 like blocks
-  InvMsg want;
-  const std::int64_t now = steady_ms();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.tx_invs_received += inv.hashes.size();
-    for (const ledger::TxId& id : inv.hashes) {
-      if (pool_.contains(id) || reconciler_.block_of(id).has_value()) {
-        ++stats_.tx_invs_redundant;
-        continue;
-      }
-      const auto it = requested_tx_.find(id);
-      if (it != requested_tx_.end() && now - it->second < kRequestRetryMs) {
-        continue;  // already being fetched from another announcer
-      }
-      requested_tx_[id] = now;
-      want.hashes.push_back(id);
-    }
-  }
-  for (const ledger::TxId& id : inv.hashes) peer.mark_known(id);
-  if (!want.hashes.empty()) {
-    peer.send_frame(consensus::kP2pGetTxData, want.encode());
-  }
-}
 
 void P2pNode::handle_get_txdata(Peer& peer, ByteSpan payload) {
   const InvMsg request = InvMsg::decode(payload);
@@ -605,7 +604,7 @@ void P2pNode::handle_tx(Peer& peer, ByteSpan payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.txs_received;
-    requested_tx_.erase(id);
+    requested_.erase(id);
   }
   accept_transaction(stx, peer.session_id());
 }
@@ -622,7 +621,7 @@ void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.txs_received += stxs.size();
     for (const ledger::SignedTransaction& stx : stxs) {
-      requested_tx_.erase(stx.tx.id());
+      requested_.erase(stx.tx.id());
     }
   }
   std::vector<AdmitRequest> requests(stxs.size());
@@ -645,52 +644,34 @@ void P2pNode::handle_ckpt_vote(Peer& peer, ByteSpan payload) {
   const finality::CheckpointVote& vote = msg.vote;
   peer.mark_known(vote.vote_id());
 
+  consensus::ChainCore::Effects fx;
+  std::uint64_t height = 0;
   bool relay = false;
-  bool forced = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!ckpt_.has_value()) return;  // overlay disabled: tolerated frame
+    if (core_.checkpoints() == nullptr) return;  // finality off: tolerated
     ++stats_.ckpt_votes_received;
     live_.ckpt_votes_received->inc();
-    const finality::VoteOutcome outcome = ckpt_->add_vote(vote);
-    switch (outcome) {
-      case finality::VoteOutcome::accepted:
-      case finality::VoteOutcome::quorum:
-        ++stats_.ckpt_votes_accepted;
-        live_.ckpt_votes_accepted->inc();
-        relay = true;
-        break;
-      case finality::VoteOutcome::duplicate:
-      case finality::VoteOutcome::stale:
-        break;  // benign gossip races, not protocol violations
-      default:
-        ++stats_.ckpt_votes_rejected;
-        live_.ckpt_votes_rejected->inc();
-        break;
+    fx = core_.add_vote(vote);
+    relay = *fx.vote == finality::VoteOutcome::accepted ||
+            *fx.vote == finality::VoteOutcome::quorum;
+    if (relay) {
+      ++stats_.ckpt_votes_accepted;
+      live_.ckpt_votes_accepted->inc();
+    } else if (*fx.vote != finality::VoteOutcome::duplicate &&
+               *fx.vote != finality::VoteOutcome::stale) {
+      // Duplicates and stale votes are benign gossip races; the rest are
+      // protocol violations (equivocation, unknown voter, bad signature).
+      ++stats_.ckpt_votes_rejected;
+      live_.ckpt_votes_rejected->inc();
     }
-    if (outcome == finality::VoteOutcome::quorum) {
-      ++stats_.ckpt_certs_formed;
-      live_.ckpt_certs->inc();
-      if (const finality::CheckpointCertificate* cert =
-              ckpt_->certificate(vote.height)) {
-        if (tree_.contains(cert->block)) {
-          forced = apply_certificate_locked(*cert);
-        } else {
-          // Quorum outran the block (gossip reorders freely): park the
-          // certificate and finalize when the block arrives.
-          pending_certs_.push_back(*cert);
-        }
-      }
-    }
+    absorb_locked(fx);
+    height = core_.head_height();
   }
   // Accepted votes flood onward (suppressed per peer by vote_id), so a vote
   // reaches the whole consortium even across a sparse topology.
   if (relay) broadcast_votes({vote}, peer.session_id());
-  if (forced) {
-    chain_version_.fetch_add(1, std::memory_order_release);
-    miner_cv_.notify_all();
-    if (head_listener_) head_listener_(*this);
-  }
+  publish(fx, height);
 }
 
 TxAdmit P2pNode::submit_transaction(const ledger::SignedTransaction& stx) {
@@ -766,13 +747,8 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
   // Stage 1 — stateless checks, no locks: the key registry is immutable
   // after construction.
   for (AdmitRequest* r : batch) {
-    const ledger::Transaction& tx = r->stx->tx;
-    if (tx.sender() >= config_.n_nodes) {
-      r->result = TxAdmit::unknown_sender;
-    } else if (config_.use_signatures) {
-      r->pub = registry_->lookup(tx.sender());
-      if (!r->pub.has_value()) r->result = TxAdmit::unknown_sender;
-    }
+    r->pub = registry_->lookup(r->stx->tx.sender());
+    if (!r->pub.has_value()) r->result = TxAdmit::unknown_sender;
   }
 
   // Stage 2 — signature verification, still outside the consensus lock.
@@ -781,7 +757,7 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
   std::vector<AdmitRequest*> checking;
   std::vector<crypto::BatchVerifyItem> items;
   for (AdmitRequest* r : batch) {
-    if (r->result != TxAdmit::accepted || !r->pub.has_value()) continue;
+    if (r->result != TxAdmit::accepted) continue;
     checking.push_back(r);
     items.push_back({*r->pub, r->stx->tx.id(), r->stx->signature});
   }
@@ -811,9 +787,10 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
         if (reconciler_.block_of(tx.id()).has_value()) {
           admit = TxAdmit::known_confirmed;
         } else {
-          const std::uint64_t next = state_.state_at(tree_, tracker_.head())
-                                         .account(tx.sender())
-                                         .next_nonce;
+          const std::uint64_t next =
+              state_.state_at(core_.tree(), core_.head())
+                  .account(tx.sender())
+                  .next_nonce;
           if (tx.nonce() < next) {
             admit = TxAdmit::stale_nonce;
           } else if (tx.nonce() >= next + config_.max_nonce_gap) {
@@ -847,7 +824,7 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
   }
 
   // Stage 4 — traces and one batched inventory announcement.
-  std::vector<std::pair<ledger::TxId, std::uint64_t>> accepted;
+  std::vector<std::pair<Hash32, std::uint64_t>> accepted;
   for (AdmitRequest* r : batch) {
     const ledger::Transaction& tx = r->stx->tx;
     if (r->result == TxAdmit::accepted) {
@@ -865,57 +842,36 @@ void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
              obs::Field::str("reason", std::string(to_string(r->result)))});
     }
   }
-  if (!accepted.empty()) announce_txs(accepted);
+  if (!accepted.empty()) announce(consensus::kP2pTxInv, accepted);
 }
 
-void P2pNode::announce_txs(
-    const std::vector<std::pair<ledger::TxId, std::uint64_t>>& accepted) {
+void P2pNode::announce(
+    std::uint32_t type,
+    const std::vector<std::pair<Hash32, std::uint64_t>>& items) {
   for (const auto& peer : peers_->ready_peers()) {
     InvMsg inv;
-    for (const auto& [id, source_session] : accepted) {
+    for (const auto& [id, source_session] : items) {
       if (peer->session_id() == source_session) continue;
       if (!peer->mark_known(id)) continue;  // peer already has / was offered it
       inv.hashes.push_back(id);
     }
-    if (!inv.hashes.empty()) {
-      peer->send_frame(consensus::kP2pTxInv, inv.encode());
-    }
+    if (!inv.hashes.empty()) peer->send_frame(type, inv.encode());
   }
 }
 
 // ---------------------------------------------------------------------------
-// Consensus core
+// Chain: the live-only half of every ChainCore call
 // ---------------------------------------------------------------------------
 
-bool P2pNode::validate_locked(const Block& block) {
-  ledger::ValidationContext ctx;
-  ctx.check_signature = config_.use_signatures;
-  ctx.check_pow = true;
-  ctx.check_body = true;
-  if (registry_ != nullptr) {
-    ctx.public_key = [this](ledger::NodeId id) { return registry_->lookup(id); };
-  }
-  ctx.expected_difficulty =
-      [this](ledger::NodeId producer,
-             const BlockHash& parent) -> std::optional<double> {
-    if (!tree_.contains(parent)) return std::nullopt;
-    return policy_->difficulty_for(tree_, parent, producer);
-  };
-  ctx.parent_height =
-      [this](const BlockHash& parent) -> std::optional<std::uint64_t> {
-    if (!tree_.contains(parent)) return std::nullopt;
-    return tree_.height(parent);
-  };
-  if (ledger::validate_block(block, ctx) != ledger::BlockCheck::ok) {
-    return false;
-  }
-  // Body replay against the parent state: every transaction must apply
-  // cleanly in order.  A spent nonce or drained balance here is a
-  // double-spend attempt smuggled into a block — reject the whole block.
-  // The replay runs on a copy-on-write overlay of the parent snapshot, and
-  // the touched-account delta is cached so materializing this block's state
-  // later costs a few account writes instead of a second full replay.
-  state::ScratchState scratch(state_.state_at(tree_, block.header().prev));
+bool P2pNode::replay_body_locked(const Block& block) {
+  // Every transaction must apply cleanly in order against the parent state.
+  // A spent nonce or drained balance here is a double-spend attempt smuggled
+  // into a block — reject the whole block.  The replay runs on a
+  // copy-on-write overlay of the parent snapshot, and the touched-account
+  // delta is cached so materializing this block's state later costs a few
+  // account writes instead of a second full replay.
+  state::ScratchState scratch(
+      state_.state_at(core_.tree(), block.header().prev));
   for (const ledger::Transaction& tx : block.transactions()) {
     if (!applies_cleanly(scratch, tx)) return false;
   }
@@ -926,291 +882,134 @@ bool P2pNode::validate_locked(const Block& block) {
 bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
   obs::live::ScopedTimer submit_timer(live_.block_submit);
   const BlockHash id = block->id();
-  std::vector<BlockHash> announce;
-  std::vector<finality::CheckpointVote> votes;
-  bool head_changed = false;
-  bool reorged = false;
-  std::uint64_t new_height = 0;
+  consensus::ChainCore::Effects fx;
+  std::uint64_t height = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const BlockHash old_head = tracker_.head();
     if (source_session != 0) {
       ++stats_.blocks_received;
       live_.blocks_received->inc();
     }
     requested_.erase(id);
-    if (tree_.contains(id)) {
-      if (source_session != 0) ++stats_.blocks_duplicate;
-      return false;
-    }
-
-    if (!tree_.contains(block->header().prev)) {
-      // Parent unknown: buffer until it arrives (validation needs the parent
-      // chain for the difficulty table), and start a locator round so the
-      // gap gets filled even if the parent's announcement never reaches us.
-      auto& waiting = pending_[block->header().prev];
-      for (const BlockPtr& w : waiting) {
-        if (w->id() == id) return false;
-      }
-      waiting.push_back(std::move(block));
-      // Request outside the lock (below) to keep lock scope tight.
-    } else {
-      if (!validate_locked(*block)) {
-        ++stats_.blocks_rejected;
-        live_.blocks_rejected->inc();
-        obs::live::log_warn("chain", "block rejected",
-                            {{"hash", short_hex(id)},
-                             {"height", block->header().height},
-                             {"producer", static_cast<std::uint64_t>(
-                                              block->header().producer)}});
-        return false;
-      }
-      // Insert the block plus every pending descendant it unblocks — one
-      // batch rooted at `id`, exactly what HeadTracker::on_insert wants.
-      const BlockHash batch_parent = block->header().prev;
-      std::size_t batch_size = 0;
-      std::vector<BlockPtr> ready{std::move(block)};
-      while (!ready.empty()) {
-        BlockPtr cur = std::move(ready.back());
-        ready.pop_back();
-        const BlockHash cur_id = cur->id();
-        // Inclusion stamps before the head update, so a confirm stamp from
-        // the reconciler (same mu_ hold) is always later.
-        for (const ledger::Transaction& tx : cur->transactions()) {
-          stage_tracker_.stamp(tx.id(), TxStage::included);
-        }
-        if (store_ != nullptr) store_->append(*cur);
-        tree_.insert(std::move(cur));
-        announce.push_back(cur_id);
-        ++batch_size;
-        const auto it = pending_.find(cur_id);
-        if (it != pending_.end()) {
-          std::vector<BlockPtr> waiting = std::move(it->second);
-          pending_.erase(it);
-          for (BlockPtr& w : waiting) {
-            if (tree_.contains(w->id())) continue;
-            if (!validate_locked(*w)) {
-              ++stats_.blocks_rejected;
-              continue;
-            }
-            ready.push_back(std::move(w));
-          }
-        }
-      }
-      const auto update = tracker_.on_insert(tree_, *rule_, id, batch_parent,
-                                             /*batch_is_leaf=*/batch_size == 1);
-      head_changed = update.head_changed;
-      reorged = update.reorg;
-      if (update.below_finalized) ++stats_.reorgs_refused_finality;
-      if (update.reorg) {
-        ++stats_.reorgs;
-        live_.reorgs->inc();
-      }
-      if (head_changed) live_.head_changes->inc();
-      if (head_changed) {
-        tree_.set_aggregate_floor(tracker_.anchor_height());
-        new_height = tracker_.head_height();
-        // Reconcile the pool with the new main chain: confirmed txs leave,
-        // reorg-abandoned ones return, permanently stale ones are purged.
-        const auto rec = reconciler_.on_head_change(
-            tree_, old_head, tracker_.head(), pool_,
-            state_.state_at(tree_, tracker_.head()));
-        stats_.txs_confirmed += rec.confirmed;
-        stats_.txs_returned += rec.returned;
-        stats_.txs_purged += rec.purged;
-        maybe_snapshot_locked();
-      }
-      // Finality overlay: an inserted block may be the one a parked quorum
-      // certificate was waiting for, and a head advance may cross checkpoint
-      // heights we have not voted on yet.
-      if (ckpt_.has_value()) {
-        if (drain_pending_certs_locked()) {
-          // A parked certificate force-switched the head (the certified
-          // branch had lost the local weight race until now).
-          head_changed = true;
-          reorged = true;
-          new_height = tracker_.head_height();
-        }
-        if (head_changed) maybe_vote_locked(votes);
-      }
-    }
+    fx = core_.add_block(std::move(block));
+    if (fx.duplicate && source_session != 0) ++stats_.blocks_duplicate;
+    absorb_locked(fx);
+    height = core_.head_height();
   }
 
-  if (announce.empty()) {
-    // Orphaned: chase the missing ancestry from whoever gave us the block.
-    if (source_session != 0) {
-      std::shared_ptr<Peer> source;
-      for (const auto& peer : peers_->ready_peers()) {
-        if (peer->session_id() == source_session) {
-          source = peer;
-          break;
-        }
-      }
-      if (source != nullptr) request_sync(*source);
+  if (fx.orphaned) {
+    // Chase the missing ancestry from whoever gave us the block, even if
+    // the parent's announcement never reaches us.
+    for (const auto& peer : peers_->ready_peers()) {
+      if (peer->session_id() == source_session) request_sync(*peer);
     }
-    return false;
   }
+  if (fx.inserted.empty()) return false;
 
   trace("block_accepted",
         {obs::Field::u64("node", config_.id),
          obs::Field::str("hash", short_hex(id)),
-         obs::Field::u64("batch", announce.size()),
+         obs::Field::u64("batch", fx.inserted.size()),
          obs::Field::boolean("mined", source_session == 0),
-         obs::Field::boolean("reorg", reorged)});
+         obs::Field::boolean("reorg", fx.reorg)});
+  publish(fx, height);
 
-  if (head_changed) {
-    chain_version_.fetch_add(1, std::memory_order_release);
-    miner_cv_.notify_all();
-    trace("head_changed", {obs::Field::u64("node", config_.id),
-                           obs::Field::u64("height", new_height),
-                           obs::Field::boolean("reorg", reorged)});
-    if (reorged) {
-      obs::live::log_info("chain", "reorg",
-                          {{"height", new_height}, {"hash", short_hex(id)}});
-    } else {
-      obs::live::log_debug("chain", "head changed",
-                           {{"height", new_height},
-                            {"hash", short_hex(id)},
-                            {"mined", source_session == 0}});
-    }
-    if (head_listener_) head_listener_(*this);
+  // Inventory-based announcement: the duplicate-suppression accounting
+  // net/gossip models with its per-node seen sets.
+  std::vector<std::pair<Hash32, std::uint64_t>> news;
+  for (const BlockPtr& b : fx.inserted) {
+    news.emplace_back(b->id(), source_session);
   }
-
-  // Our own checkpoint votes go to everyone (including the block's source).
-  broadcast_votes(votes, /*exclude_session=*/0);
-
-  // Inventory-based announcement: one inv per peer, restricted to hashes the
-  // peer is not already known to have (the duplicate-suppression accounting
-  // net/gossip models with its per-node seen sets).
-  for (const auto& peer : peers_->ready_peers()) {
-    if (peer->session_id() == source_session) continue;
-    InvMsg inv;
-    for (const BlockHash& h : announce) {
-      if (peer->mark_known(h)) inv.hashes.push_back(h);
-    }
-    if (!inv.hashes.empty()) {
-      peer->send_frame(consensus::kP2pInv, inv.encode());
-    }
-  }
+  announce(consensus::kP2pInv, news);
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint finality overlay
-// ---------------------------------------------------------------------------
+void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
+  for (const BlockPtr& block : fx.inserted) {
+    // Inclusion stamps before the reconcile below, so a confirm stamp from
+    // the reconciler (same mu_ hold) is always later.
+    for (const ledger::Transaction& tx : block->transactions()) {
+      stage_tracker_.stamp(tx.id(), TxStage::included);
+    }
+    if (store_ != nullptr) store_->append(*block);
+  }
+  for (const BlockPtr& block : fx.rejected) {
+    ++stats_.blocks_rejected;
+    live_.blocks_rejected->inc();
+    obs::live::log_warn(
+        "chain", "block rejected",
+        {{"hash", short_hex(block->id())},
+         {"height", block->header().height},
+         {"producer", static_cast<std::uint64_t>(block->header().producer)}});
+  }
+  if (fx.below_finalized) ++stats_.reorgs_refused_finality;
+  if (fx.reorg) {
+    ++stats_.reorgs;
+    live_.reorgs->inc();
+  }
+  if (fx.head_changed) live_.head_changes->inc();
+  stats_.ckpt_votes_sent += fx.votes.size();
+  live_.ckpt_votes_sent->inc(fx.votes.size());
+  stats_.ckpt_certs_formed += fx.certificates;
+  live_.ckpt_certs->inc(fx.certificates);
+  for (const finality::CheckpointCertificate& cert : fx.finalized) {
+    // Every downstream floor keys off the hard anchor from here on: state
+    // pins, pool confirmation immutability, snapshots.
+    state_.set_finalized_floor(cert.height);
+    reconciler_.set_finalized(cert.height, cert.block);
+    obs::live::log_info(
+        "finality", "checkpoint finalized",
+        {{"height", cert.height},
+         {"hash", short_hex(cert.block)},
+         {"votes", static_cast<std::uint64_t>(cert.voters.size())},
+         {"forced", fx.forced}});
+    trace("checkpoint_finalized",
+          {obs::Field::u64("node", config_.id),
+           obs::Field::u64("height", cert.height),
+           obs::Field::u64("votes", cert.voters.size()),
+           obs::Field::boolean("forced", fx.forced)});
+  }
+  if (fx.head_changed) {
+    // Reconcile the pool with the new main chain: confirmed txs leave,
+    // abandoned ones return (a forced finality switch included), permanently
+    // stale ones are purged.
+    const auto rec = reconciler_.on_head_change(
+        core_.tree(), fx.old_head, core_.head(), pool_,
+        state_.state_at(core_.tree(), core_.head()));
+    stats_.txs_confirmed += rec.confirmed;
+    stats_.txs_returned += rec.returned;
+    stats_.txs_purged += rec.purged;
+  }
+  if (fx.head_changed || !fx.finalized.empty()) maybe_snapshot_locked();
+}
+
+void P2pNode::publish(const consensus::ChainCore::Effects& fx,
+                      std::uint64_t head_height) {
+  if (fx.head_changed) {
+    chain_version_.fetch_add(1, std::memory_order_release);
+    miner_cv_.notify_all();
+    trace("head_changed", {obs::Field::u64("node", config_.id),
+                           obs::Field::u64("height", head_height),
+                           obs::Field::boolean("reorg", fx.reorg)});
+    if (fx.reorg) {
+      obs::live::log_info("chain", "reorg",
+                          {{"height", head_height}, {"forced", fx.forced}});
+    } else {
+      obs::live::log_debug("chain", "head changed", {{"height", head_height}});
+    }
+    if (head_listener_) head_listener_(*this);
+  }
+  // Our own checkpoint votes go to everyone (including the block's source).
+  broadcast_votes(fx.votes, /*exclude_session=*/0);
+}
 
 void P2pNode::broadcast_votes(
     const std::vector<finality::CheckpointVote>& votes,
     std::uint64_t exclude_session) {
   if (votes.empty()) return;
   for (const auto& peer : peers_->ready_peers()) {
-    if (peer->session_id() == exclude_session) continue;
-    for (const finality::CheckpointVote& vote : votes) {
-      if (!peer->mark_known(vote.vote_id())) continue;
-      if (!peer->send_frame(consensus::kP2pCkptVote,
-                            CkptVoteMsg{vote}.encode())) {
-        break;
-      }
-    }
+    if (peer->session_id() != exclude_session) send_votes(*peer, votes);
   }
-}
-
-void P2pNode::maybe_vote_locked(std::vector<finality::CheckpointVote>& out) {
-  if (!ckpt_.has_value() || !keypair_.has_value()) return;
-  const std::uint64_t interval = ckpt_->interval();
-  // Highest checkpoint height covered by the preferred path.
-  const std::uint64_t top = (tracker_.head_height() / interval) * interval;
-  for (std::uint64_t h = (last_voted_height_ / interval + 1) * interval;
-       h <= top; h += interval) {
-    last_voted_height_ = h;  // one vote per height, ever: never equivocate
-    if (h <= ckpt_->finalized_height()) continue;
-    const BlockHash* block = tracker_.path_block_at(h);
-    if (block == nullptr) continue;  // below the anchor: unreachable
-    const finality::CheckpointVote vote =
-        ckpt_->make_vote(h, *block, *keypair_, config_.id);
-    const finality::VoteOutcome outcome = ckpt_->add_vote(vote);
-    if (outcome != finality::VoteOutcome::accepted &&
-        outcome != finality::VoteOutcome::quorum) {
-      continue;
-    }
-    ++stats_.ckpt_votes_sent;
-    live_.ckpt_votes_sent->inc();
-    out.push_back(vote);
-    if (outcome == finality::VoteOutcome::quorum) {
-      ++stats_.ckpt_certs_formed;
-      live_.ckpt_certs->inc();
-      // Our vote is for a block on the preferred path, so applying the
-      // certificate can never force-switch the head here.
-      if (const finality::CheckpointCertificate* cert = ckpt_->certificate(h)) {
-        apply_certificate_locked(*cert);
-      }
-    }
-  }
-}
-
-bool P2pNode::apply_certificate_locked(
-    const finality::CheckpointCertificate& cert) {
-  // Defensive: a certificate whose claimed height disagrees with the tree
-  // would poison the floors below — refuse it (>2/3 honest weight means a
-  // formed certificate is consistent; this guards the invariant anyway).
-  if (!tree_.contains(cert.block) || tree_.height(cert.block) != cert.height) {
-    obs::live::log_warn("finality", "certificate inconsistent with tree",
-                        {{"height", cert.height},
-                         {"hash", short_hex(cert.block)}});
-    return false;
-  }
-  if (cert.height <= stats_.finalized_height) return false;  // monotone
-
-  const BlockHash old_head = tracker_.head();
-  const bool head_changed = tracker_.set_finalized(tree_, *rule_, cert.block);
-  stats_.finalized_height = cert.height;
-  // Every downstream floor keys off the hard anchor from here on: state pins,
-  // pool confirmation immutability, tree aggregate pruning, snapshots.
-  state_.set_finalized_floor(cert.height);
-  reconciler_.set_finalized(cert.height, cert.block);
-  tree_.set_aggregate_floor(tracker_.anchor_height());
-  if (head_changed) {
-    // Hard finality outranked the local weight race: reconcile the pool with
-    // the certified chain exactly as a reorg would.
-    ++stats_.reorgs;
-    live_.reorgs->inc();
-    live_.head_changes->inc();
-    const auto rec = reconciler_.on_head_change(
-        tree_, old_head, tracker_.head(), pool_,
-        state_.state_at(tree_, tracker_.head()));
-    stats_.txs_confirmed += rec.confirmed;
-    stats_.txs_returned += rec.returned;
-    stats_.txs_purged += rec.purged;
-  }
-  maybe_snapshot_locked();
-  obs::live::log_info(
-      "finality", "checkpoint finalized",
-      {{"height", cert.height},
-       {"hash", short_hex(cert.block)},
-       {"votes", static_cast<std::uint64_t>(cert.voters.size())},
-       {"forced", head_changed}});
-  trace("checkpoint_finalized",
-        {obs::Field::u64("node", config_.id),
-         obs::Field::u64("height", cert.height),
-         obs::Field::u64("votes", cert.voters.size()),
-         obs::Field::boolean("forced", head_changed)});
-  return head_changed;
-}
-
-bool P2pNode::drain_pending_certs_locked() {
-  bool forced = false;
-  auto it = pending_certs_.begin();
-  while (it != pending_certs_.end()) {
-    if (it->height <= stats_.finalized_height) {
-      it = pending_certs_.erase(it);  // superseded by a later checkpoint
-    } else if (tree_.contains(it->block)) {
-      forced = apply_certificate_locked(*it) || forced;
-      it = pending_certs_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return forced;
 }
 
 // ---------------------------------------------------------------------------
@@ -1232,18 +1031,20 @@ void P2pNode::mine_loop() {
     std::uint64_t version;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const BlockHash parent = tracker_.head();
-      header.height = tree_.height(parent) + 1;
+      const ledger::BlockTree& tree = core_.tree();
+      const BlockHash parent = core_.head();
+      header.height = core_.head_height() + 1;
       header.prev = parent;
       header.producer = config_.id;
-      header.epoch = policy_->epoch_for(tree_, parent);
-      header.difficulty = policy_->difficulty_for(tree_, parent, config_.id);
+      header.epoch = core_.policy().epoch_for(tree, parent);
+      header.difficulty =
+          core_.policy().difficulty_for(tree, parent, config_.id);
       // Fill the candidate body from the pool (§III: "pick transactions from
       // the transaction pool"), replaying each candidate against a
       // copy-on-write overlay of the parent state so the block carries no
       // double-spend and a sender's queued nonce chain fits into a single
       // block.
-      state::ScratchState scratch(state_.state_at(tree_, parent));
+      state::ScratchState scratch(state_.state_at(tree, parent));
       body = pool_.select(config_.max_block_txs,
                           [&scratch](const ledger::Transaction& tx) {
                             return applies_cleanly(scratch, tx);
@@ -1270,10 +1071,8 @@ void P2pNode::mine_loop() {
         if (nonce > UINT64_MAX - config_.mine_chunk) nonce = rng.next_u64();
         continue;
       }
-      crypto::Signature signature{};
-      if (keypair_.has_value()) signature = keypair_->sign(solved->hash());
-      auto block =
-          std::make_shared<const Block>(*solved, signature, std::move(body));
+      auto block = std::make_shared<const Block>(
+          *solved, keypair_.sign(solved->hash()), std::move(body));
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.blocks_produced;
@@ -1300,17 +1099,17 @@ void P2pNode::mine_loop() {
 
 BlockHash P2pNode::head() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tracker_.head();
+  return core_.head();
 }
 
 std::uint64_t P2pNode::head_height() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tracker_.head_height();
+  return core_.head_height();
 }
 
 std::uint64_t P2pNode::tree_blocks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tree_.subtree_size(tree_.genesis_hash());
+  return core_.tree().subtree_size(core_.tree().genesis_hash());
 }
 
 std::uint64_t P2pNode::store_blocks() const {
@@ -1320,12 +1119,15 @@ std::uint64_t P2pNode::store_blocks() const {
 
 bool P2pNode::contains(const BlockHash& id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tree_.contains(id);
+  return core_.tree().contains(id);
 }
 
 P2pNode::ChainStats P2pNode::chain_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  ChainStats stats = stats_;
+  stats.finalized_height = core_.finalized_height();
+  stats.requests_in_flight = requested_.size();
+  return stats;
 }
 
 double P2pNode::uptime_seconds() const {
@@ -1354,13 +1156,13 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
     if (block_hash.has_value()) {
       info.state = TxStatusInfo::State::confirmed;
       info.block = *block_hash;
-      info.block_height = tree_.height(*block_hash);
-      const std::uint64_t head_height = tracker_.head_height();
+      info.block_height = core_.tree().height(*block_hash);
+      const std::uint64_t head_height = core_.head_height();
       info.confirmations = head_height >= info.block_height
                                ? head_height - info.block_height + 1
                                : 0;
       for (const ledger::Transaction& tx :
-           tree_.block(*block_hash)->transactions()) {
+           core_.tree().block(*block_hash)->transactions()) {
         if (tx.id() == id) {
           info.tx = tx;
           break;
@@ -1380,14 +1182,14 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
 P2pNode::AccountInfo P2pNode::account_info(ledger::NodeId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const state::Account& account =
-      state_.state_at(tree_, tracker_.head()).account(id);
+      state_.state_at(core_.tree(), core_.head()).account(id);
   return AccountInfo{account.balance, account.next_nonce};
 }
 
 const Hash32& P2pNode::ensure_root_locked() const {
-  const ledger::BlockHash head = tracker_.head();
+  const ledger::BlockHash head = core_.head();
   if (root_valid_ && root_head_ == head) return root_cache_.root();
-  const state::LedgerState& state = state_.state_at(tree_, head);
+  const state::LedgerState& state = state_.state_at(core_.tree(), head);
   // Incremental path: if the previous root head is an ancestor within a
   // short parent walk and every block in between recorded a validation
   // delta, only the pages those deltas touched need re-hashing.  A reorg
@@ -1406,7 +1208,7 @@ const Hash32& P2pNode::ensure_root_locked() const {
       const state::StateDelta* delta = state_.delta(cursor);
       if (delta == nullptr) break;
       for (const auto& [id, account] : delta->accounts) touched.push_back(id);
-      const auto parent = tree_.parent(cursor);
+      const auto parent = core_.tree().parent(cursor);
       if (!parent.has_value()) break;
       cursor = *parent;
     }
@@ -1428,16 +1230,16 @@ Hash32 P2pNode::head_state_root() const {
 
 UInt128 P2pNode::total_supply() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return state_.state_at(tree_, tracker_.head()).total_supply();
+  return state_.state_at(core_.tree(), core_.head()).total_supply();
 }
 
 P2pNode::BalanceProof P2pNode::balance_proof(ledger::NodeId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   BalanceProof result;
-  result.head = tracker_.head();
-  result.height = tracker_.head_height();
+  result.head = core_.head();
+  result.height = core_.head_height();
   result.state_root = ensure_root_locked();
-  const state::LedgerState& state = state_.state_at(tree_, result.head);
+  const state::LedgerState& state = state_.state_at(core_.tree(), result.head);
   result.account = state.account(id);
   // The root cache already holds every page hash for the head, so proof
   // construction only encodes the one target page instead of re-hashing the
@@ -1456,15 +1258,15 @@ P2pNode::BalanceProof P2pNode::balance_proof(ledger::NodeId id) const {
 
 void P2pNode::maybe_snapshot_locked() {
   if (config_.snapshot_interval == 0 || config_.datadir.empty()) return;
-  const std::uint64_t anchor_height = tracker_.anchor_height();
+  const std::uint64_t anchor_height = core_.tracker().anchor_height();
   if (anchor_height < last_snapshot_height_ + config_.snapshot_interval) {
     return;
   }
-  const ledger::BlockHash anchor = tracker_.anchor();
+  const ledger::BlockHash anchor = core_.tracker().anchor();
   state::authstate::Snapshot snap;
   snap.height = anchor_height;
   snap.block = anchor;
-  snap.state = state_.state_at(tree_, anchor);
+  snap.state = state_.state_at(core_.tree(), anchor);
   if (!state::authstate::write_snapshot(config_.datadir / "state.snap",
                                         snap)) {
     obs::live::log_warn("chain", "snapshot write failed",
@@ -1473,7 +1275,7 @@ void P2pNode::maybe_snapshot_locked() {
   }
   // Pin the anchor state so the next snapshot replays only the interval
   // since this one, not the whole chain from the tree root.
-  state_.pin_anchor(tree_, anchor);
+  state_.pin_anchor(core_.tree(), anchor);
   last_snapshot_height_ = anchor_height;
   stats_.snapshot_height = anchor_height;
   ++stats_.snapshots_written;
@@ -1495,12 +1297,12 @@ void P2pNode::maybe_snapshot_locked() {
 std::optional<P2pNode::BlockInfo> P2pNode::block_info(
     const ledger::BlockHash& hash) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!tree_.contains(hash)) return std::nullopt;
+  if (!core_.tree().contains(hash)) return std::nullopt;
   BlockInfo info;
-  info.block = tree_.block(hash);
-  info.on_main_chain = tree_.is_ancestor(hash, tracker_.head());
+  info.block = core_.tree().block(hash);
+  info.on_main_chain = core_.tree().is_ancestor(hash, core_.head());
   if (info.on_main_chain) {
-    info.confirmations = tracker_.head_height() - tree_.height(hash) + 1;
+    info.confirmations = core_.head_height() - core_.tree().height(hash) + 1;
   }
   return info;
 }
@@ -1508,16 +1310,16 @@ std::optional<P2pNode::BlockInfo> P2pNode::block_info(
 std::optional<P2pNode::BlockInfo> P2pNode::block_info_at(
     std::uint64_t height) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t head_height = tracker_.head_height();
+  const std::uint64_t head_height = core_.head_height();
   if (height > head_height) return std::nullopt;
-  BlockHash cursor = tracker_.head();
+  BlockHash cursor = core_.head();
   for (std::uint64_t h = head_height; h > height; --h) {
-    const auto parent = tree_.parent(cursor);
+    const auto parent = core_.tree().parent(cursor);
     if (!parent.has_value()) return std::nullopt;
     cursor = *parent;
   }
   BlockInfo info;
-  info.block = tree_.block(cursor);
+  info.block = core_.tree().block(cursor);
   info.on_main_chain = true;
   info.confirmations = head_height - height + 1;
   return info;
@@ -1526,16 +1328,15 @@ std::optional<P2pNode::BlockInfo> P2pNode::block_info_at(
 P2pNode::FinalityInfo P2pNode::finality_info() const {
   std::lock_guard<std::mutex> lock(mu_);
   FinalityInfo info;
-  info.enabled = ckpt_.has_value();
-  info.head_height = tracker_.head_height();
-  if (!ckpt_.has_value()) return info;
-  info.interval = ckpt_->interval();
-  info.finalized_height = stats_.finalized_height;
-  info.lag = info.head_height > info.finalized_height
-                 ? info.head_height - info.finalized_height
-                 : 0;
+  const finality::CheckpointTracker* ckpt = core_.checkpoints();
+  info.enabled = ckpt != nullptr;
+  info.head_height = core_.head_height();
+  if (ckpt == nullptr) return info;
+  info.interval = ckpt->interval();
+  info.finalized_height = core_.finalized_height();
+  info.lag = info.head_height - info.finalized_height;
   if (const finality::CheckpointCertificate* cert =
-          ckpt_->certificate(stats_.finalized_height)) {
+          ckpt->certificate(info.finalized_height)) {
     info.finalized_block = cert->block;
     info.latest_votes = cert->voters.size();
   }
@@ -1545,8 +1346,9 @@ P2pNode::FinalityInfo P2pNode::finality_info() const {
 std::optional<finality::CheckpointCertificate> P2pNode::checkpoint_certificate(
     std::uint64_t height) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!ckpt_.has_value()) return std::nullopt;
-  const finality::CheckpointCertificate* cert = ckpt_->certificate(height);
+  const finality::CheckpointTracker* ckpt = core_.checkpoints();
+  if (ckpt == nullptr) return std::nullopt;
+  const finality::CheckpointCertificate* cert = ckpt->certificate(height);
   if (cert == nullptr) return std::nullopt;
   return *cert;
 }
@@ -1556,7 +1358,7 @@ std::uint64_t P2pNode::next_nonce_hint(ledger::NodeId sender) const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     state_next =
-        state_.state_at(tree_, tracker_.head()).account(sender).next_nonce;
+        state_.state_at(core_.tree(), core_.head()).account(sender).next_nonce;
   }
   return pool_.next_nonce_hint(sender, state_next);
 }

@@ -1,12 +1,13 @@
 // A consensus node on a real TCP network.
 //
-// P2pNode runs the same consensus stack as the simulated PowNode — BlockTree
-// + HeadTracker + ForkChoiceRule + DifficultyPolicy + the §III validation
-// pipeline — but over the socket transport (PeerManager) instead of the
-// discrete-event GossipNetwork, with real proof-of-work (RealMiner grinding
-// double-SHA-256 nonces on a dedicated thread) and a durable BlockStore
-// under the datadir so a restarted node replays its chain and re-syncs to
-// the network head.
+// P2pNode is the daemon adapter over consensus::ChainCore — the same block
+// acceptance, fork choice and checkpoint finality the simulated PowNode runs
+// — but over the socket transport (PeerManager) instead of the discrete-event
+// GossipNetwork, with real proof-of-work (RealMiner grinding double-SHA-256
+// nonces on a dedicated thread) and a durable BlockStore under the datadir so
+// a restarted node replays its chain and re-syncs to the network head.  The
+// node keeps what is live-only: store appends, stage stamps, the pool
+// reconciler, snapshots, state floors, relay and the live counters.
 //
 // Block dissemination is announcement-based: a new block is advertised to
 // every ready peer as a kP2pInv hash; peers that lack it answer kP2pGetData
@@ -15,12 +16,13 @@
 // pushes — the redundant-announce ratio is the same observable, measured on
 // a real wire.  Catch-up uses the locator protocol in p2p/sync.h.
 //
-// Threading: the consensus state (tree, tracker, store, orphan buffer) lives
-// behind one mutex, taken by reader threads delivering frames, by the miner
-// thread submitting solved blocks, and by observer queries.  The miner is
-// cancelled edge-triggered: every head change bumps an atomic chain version,
-// and the grinder re-checks it between nonce chunks (the real-clock analogue
-// of the simulator's memoryless mining restart).
+// Threading: the consensus state (the ChainCore, store, state and reconciler)
+// lives behind one mutex, taken by reader threads delivering frames, by the
+// miner thread submitting solved blocks, and by observer queries; every
+// ChainCore call happens under it.  The miner is cancelled edge-triggered:
+// every head change bumps an atomic chain version, and the grinder re-checks
+// it between nonce chunks (the real-clock analogue of the simulator's
+// memoryless mining restart).
 //
 // Transaction pipeline (the client-facing half, §III "pick transactions from
 // the transaction pool"): submit_transaction() — called by the RPC gateway
@@ -56,13 +58,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "consensus/difficulty.h"
-#include "consensus/forkchoice.h"
-#include "consensus/head_tracker.h"
-#include "consensus/node.h"  // KeyRegistry
-#include "finality/tracker.h"
+#include "consensus/chain_core.h"
 #include "ledger/block_store.h"
-#include "ledger/blocktree.h"
 #include "ledger/txpool.h"
 #include "obs/live/registry.h"
 #include "obs/live/stage_tracker.h"
@@ -73,6 +70,10 @@
 #include "state/pool_reconciler.h"
 
 namespace themis::p2p {
+
+/// How long a getdata stays "in flight" before the id is re-requested from
+/// the next announcer (the peer died, ignored us, or never had the object).
+inline constexpr std::int64_t kRequestRetryMs = 5000;
 
 /// Outcome of transaction admission (RPC submit or p2p relay).
 enum class TxAdmit {
@@ -119,14 +120,11 @@ struct P2pNodeConfig {
   /// cancellation, larger = less overhead.
   std::uint64_t mine_chunk = 2048;
 
-  bool use_signatures = true;
   std::uint64_t finality_depth = 16;
 
-  /// Checkpoint finality overlay (src/finality): every `checkpoint_interval`
-  /// heights the node signs and gossips a checkpoint vote; >2/3 of the
-  /// consortium weight hard-finalizes the prefix.  0 disables the overlay.
-  /// Requires use_signatures (votes are Schnorr signatures); with signatures
-  /// off the overlay stays off regardless of the interval.
+  /// Checkpoint finality (src/finality): every `checkpoint_interval` heights
+  /// the node signs and gossips a checkpoint vote; >2/3 of the consortium
+  /// weight hard-finalizes the prefix.  0 disables it.
   std::uint64_t checkpoint_interval = 16;
   /// Aggregation backend for formed certificates: "concat" or "half".
   std::string finality_backend = "concat";
@@ -161,7 +159,7 @@ struct P2pNodeConfig {
 
 class P2pNode {
  public:
-  /// `rule` and `policy` as in PowNode; defaults: GHOST + fixed difficulty.
+  /// `rule` and `policy` as in ChainCore; defaults: GHOST + fixed difficulty.
   /// (The daemon installs GEOST from src/core; the p2p library itself stays
   /// independent of the core layer.)
   P2pNode(P2pNodeConfig config,
@@ -243,7 +241,7 @@ class P2pNode {
     std::uint64_t blocks_pruned = 0;     ///< store records dropped by pruning
     bool restored_from_snapshot = false; ///< start() loaded a snapshot
 
-    // Checkpoint finality overlay.
+    // Checkpoint finality.
     std::uint64_t finalized_height = 0;     ///< highest certified checkpoint
     std::uint64_t ckpt_votes_sent = 0;      ///< our own votes broadcast
     std::uint64_t ckpt_votes_received = 0;  ///< vote frames from peers
@@ -264,6 +262,8 @@ class P2pNode {
     std::uint64_t txs_confirmed = 0;     ///< confirmed on the main chain
     std::uint64_t txs_returned = 0;      ///< reorg-abandoned, back in the pool
     std::uint64_t txs_purged = 0;        ///< dropped as permanently stale
+    /// Block and tx getdata requests awaiting their object.
+    std::uint64_t requests_in_flight = 0;
   };
   ChainStats chain_stats() const;
 
@@ -356,12 +356,15 @@ class P2pNode {
  private:
   void on_peer_ready(Peer& peer);
   void on_peer_frame(Peer& peer, std::uint32_t type, ByteSpan payload);
-  void handle_inv(Peer& peer, ByteSpan payload);
+  /// kP2pInv / kP2pTxInv: request every announced block (`txs` false) or
+  /// transaction (`txs` true) we neither hold nor already have in flight.
+  void handle_inv(Peer& peer, ByteSpan payload, bool txs);
   void handle_getdata(Peer& peer, ByteSpan payload);
-  void handle_block(Peer& peer, ByteSpan payload);
+  /// One kP2pBlock payload (also each block of a kP2pBlocks batch); true if
+  /// the tree grew.
+  bool handle_block(Peer& peer, ByteSpan payload);
   void handle_getblocks(Peer& peer, ByteSpan payload);
   void handle_blocks(Peer& peer, ByteSpan payload);
-  void handle_tx_inv(Peer& peer, ByteSpan payload);
   void handle_get_txdata(Peer& peer, ByteSpan payload);
   void handle_tx(Peer& peer, ByteSpan payload);
   void handle_tx_batch(Peer& peer, ByteSpan payload);
@@ -382,7 +385,7 @@ class P2pNode {
     const ledger::SignedTransaction* stx = nullptr;
     std::uint64_t source_session = 0;
     TxAdmit result = TxAdmit::accepted;
-    std::optional<crypto::PublicKey> pub;  ///< set when a signature check is due
+    std::optional<crypto::PublicKey> pub;  ///< the sender's key, if a member
     bool done = false;
   };
   /// Park `requests` in the combining queue and return once every one has
@@ -392,41 +395,36 @@ class P2pNode {
   /// Settle one drained batch: stateless checks, batched Schnorr
   /// verification, then stateful admission under a single mu_ hold.
   void process_admit_batch(const std::vector<AdmitRequest*>& batch);
-  /// Announce accepted pool transactions: one inventory frame per peer
-  /// covering the whole batch, excluding each transaction's source peer.
-  void announce_txs(
-      const std::vector<std::pair<ledger::TxId, std::uint64_t>>& accepted);
+  /// Announce (id, source session) pairs with one `type` inventory frame per
+  /// peer, skipping each id's source and ids the peer is known to have.
+  void announce(std::uint32_t type,
+                const std::vector<std::pair<Hash32, std::uint64_t>>& items);
 
-  /// Validate + insert a block (plus any orphans it unblocks), persist it,
-  /// update the head and announce news to peers.  `source_session` = 0 for
-  /// locally mined blocks.  Returns true if the tree grew.
+  /// Hand a block to the core (validation, orphans, head update,
+  /// finality), persist what it inserted, and announce news to peers.
+  /// `source_session` = 0 for locally mined blocks.  Returns true if the tree
+  /// grew.
   bool submit_block(ledger::BlockPtr block, std::uint64_t source_session);
   /// Ask `peer` for the range above our head (locator round).
   void request_sync(Peer& peer);
-  /// §III validation plus a body replay against the parent state (rejects
-  /// double-spends).  Non-const: state_at() caches snapshots.
-  bool validate_locked(const ledger::Block& block);
+  /// The core's body check: replay the block's transactions against the
+  /// parent state (rejects double-spends) and record the state delta.
+  bool replay_body_locked(const ledger::Block& block);
+  /// The live-only half of a core call, under mu_: store appends, stage
+  /// stamps, counters, state and reconciler floors, pool reconciliation,
+  /// snapshots.
+  void absorb_locked(const consensus::ChainCore::Effects& fx);
+  /// After a core call, outside mu_: wake the miner and fire the head
+  /// listener when the head moved, then broadcast our own checkpoint votes.
+  void publish(const consensus::ChainCore::Effects& fx,
+               std::uint64_t head_height);
   /// Bring root_cache_ up to the current head: incremental page re-hash when
   /// the head advanced over recorded deltas, full rebuild otherwise.
   const Hash32& ensure_root_locked() const;
   /// Snapshot (and optionally prune) once the anchor has advanced
   /// snapshot_interval blocks past the last snapshot.
   void maybe_snapshot_locked();
-  /// Sign checkpoint votes for every checkpoint height newly covered by the
-  /// preferred path (at most one vote per height, ever — re-voting a height
-  /// for a different block would be equivocation).  Signed votes are appended
-  /// to `out`; the caller broadcasts them after releasing mu_.
-  void maybe_vote_locked(std::vector<finality::CheckpointVote>& out);
-  /// Hard-finalize a certified checkpoint: head tracker floor (force-switch
-  /// if the certified block lost the local weight race), state pin floor,
-  /// reconciler immutability floor, aggregate floor, snapshot trigger.
-  /// Returns true when the head changed (forced switch).
-  bool apply_certificate_locked(const finality::CheckpointCertificate& cert);
-  /// Re-check certificates parked for blocks we had not seen yet.  Returns
-  /// true when applying one force-switched the head.
-  bool drain_pending_certs_locked();
-  /// Send votes to every ready peer (except `exclude_session`), suppressed
-  /// per peer by the known-inventory set keyed on vote_id().
+  /// Send votes to every ready peer except `exclude_session`.
   void broadcast_votes(const std::vector<finality::CheckpointVote>& votes,
                        std::uint64_t exclude_session);
   void mine_loop();
@@ -437,27 +435,22 @@ class P2pNode {
   void register_live_metrics();
 
   P2pNodeConfig config_;
-  std::shared_ptr<consensus::ForkChoiceRule> rule_;
-  std::shared_ptr<consensus::DifficultyPolicy> policy_;
-  std::shared_ptr<consensus::KeyRegistry> registry_;
-  std::optional<crypto::Keypair> keypair_;
+  /// The consortium keys (immutable: admission reads it without mu_).
+  std::shared_ptr<const consensus::KeyRegistry> registry_;
 
   std::unique_ptr<PeerManager> peers_;
 
   // --- consensus state, all behind mu_ ---------------------------------------
   mutable std::mutex mu_;
-  ledger::BlockTree tree_;
-  consensus::HeadTracker tracker_;
+  consensus::ChainCore core_;
+  /// Copy of the core's signing key for the miner thread (immutable).
+  const crypto::Keypair keypair_;
   std::unique_ptr<ledger::BlockStore> store_;
-  /// Blocks whose parent we have not validated yet, keyed by the parent id
-  /// (same buffering discipline as PowNode).
-  std::unordered_map<ledger::BlockHash, std::vector<ledger::BlockPtr>,
-                     Hash32Hasher>
-      pending_;
-  /// In-flight getdata requests (dedup across peers), steady-clock ms.
-  std::unordered_map<ledger::BlockHash, std::int64_t, Hash32Hasher> requested_;
-  /// In-flight tx getdata requests, same discipline as requested_.
-  std::unordered_map<ledger::TxId, std::int64_t, Hash32Hasher> requested_tx_;
+  /// In-flight getdata requests for blocks and transactions (dedup across
+  /// peers), steady-clock ms.  One table: both ids are SHA-256d digests of
+  /// distinct encodings, so they never collide.
+  std::unordered_map<Hash32, std::int64_t, Hash32Hasher> requested_;
+  std::int64_t requested_swept_ms_ = 0;  ///< last expiry sweep of requested_
   /// Ledger states along the tree (per-block snapshot cache; mutable so
   /// const observers can materialize snapshots — still guarded by mu_).
   mutable state::StateManager state_;
@@ -470,16 +463,6 @@ class P2pNode {
   mutable bool root_valid_ = false;
   /// Anchor height of the latest snapshot written or restored.
   std::uint64_t last_snapshot_height_ = 0;
-  /// Checkpoint finality overlay (engaged when checkpoint_interval > 0 and
-  /// signatures are on; guarded by mu_ like the rest of consensus).
-  std::optional<finality::CheckpointTracker> ckpt_;
-  /// Highest checkpoint height this node has signed a vote for (monotone —
-  /// the self-equivocation guard).
-  std::uint64_t last_voted_height_ = 0;
-  /// Certificates that reached quorum before their block arrived (votes for
-  /// unknown blocks are counted; the finalization itself waits for the
-  /// block).  Drained after every tree insert.
-  std::vector<finality::CheckpointCertificate> pending_certs_;
   ChainStats stats_;
 
   /// Pending transactions.  Internally synchronized; see the lock-order rule

@@ -82,6 +82,7 @@ PoxExperiment::PoxExperiment(PoxConfig config) : config_(std::move(config)) {
     nc.txs_per_block = config_.txs_per_block;
     nc.finality_depth = config_.finality_depth;
     nc.announce_bytes_per_tx = config_.announce_bytes_per_tx;
+    nc.checkpoint_interval = config_.checkpoint_interval;
     nc.rng_seed = seeder.next_u64();
 
     switch (config_.algorithm) {
@@ -268,8 +269,7 @@ void PoxExperiment::emit_trace_summary() {
                      {obs::Field::u64("height", block.header().height),
                       obs::Field::u64("producer", block.header().producer),
                       obs::Field::u64("epoch", block.header().epoch),
-                      obs::Field::str("hash",
-                                      to_hex(ByteSpan(chain[i].data(), 8)))});
+                      obs::Field::str("hash", short_hex(chain[i]))});
     }
     if (i > 1) {
       intervals.record(static_cast<double>(ts - prev_ts) / 1e9);

@@ -36,6 +36,9 @@ struct PoxConfig {
   /// Compact block relay (ordering over pre-disseminated transactions).
   double announce_bytes_per_tx = 32.0;
   std::uint64_t finality_depth = 64;
+  /// Checkpoint finality every k heights (0 = off; NodeConfig has the same
+  /// knob): every node runs the daemon's finality code on the gossip mesh.
+  std::uint64_t checkpoint_interval = 0;
   /// Fraction of nodes whose produced blocks are suppressed (§VII-A attacks).
   double vulnerable_ratio = 0.0;
   std::uint64_t seed = 1;

@@ -187,10 +187,10 @@ class StateManager {
   /// so the next snapshot replays only the blocks since the previous one
   /// instead of the whole chain.  Throws PreconditionError when `block` sits
   /// below the hard-finalized floor — an anchor below finality would let the
-  /// snapshot cursor regress onto a prefix the overlay already committed.
+  /// snapshot cursor regress onto a prefix finality already committed.
   void pin_anchor(const ledger::BlockTree& tree, const ledger::BlockHash& block);
 
-  /// Raise the hard-finality floor (monotone; from the checkpoint overlay).
+  /// Raise the hard-finality floor (monotone; from checkpoint finality).
   /// Anchor pins below this height are rejected from here on.
   void set_finalized_floor(std::uint64_t height) {
     if (height > finalized_floor_) finalized_floor_ = height;

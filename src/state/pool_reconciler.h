@@ -65,7 +65,7 @@ class PoolReconciler {
   /// Main-chain block containing `id`, if the transaction is confirmed.
   std::optional<ledger::BlockHash> block_of(const ledger::TxId& id) const;
 
-  /// Raise the hard-finality floor (monotone; from the checkpoint overlay).
+  /// Raise the hard-finality floor (monotone; from checkpoint finality).
   /// Confirmations in blocks on the finalized chain — ancestors (inclusive)
   /// of the certified checkpoint — are immutable: a head change can never
   /// un-confirm them.  HeadTracker already refuses reorgs that diverge below

@@ -104,6 +104,21 @@ TEST(Block, DecodeRejectsTruncation) {
   EXPECT_THROW(Block::decode(raw), DecodeError);
 }
 
+TEST(Block, DecodeRejectsHostileTxCountWithoutAllocating) {
+  // Header + signature + a declared count of 2^32 - 1 transactions and no
+  // bodies: the decoder must refuse before reserving for the claim.
+  const Block b(sample_header(), crypto::Signature{}, {});
+  Bytes raw = b.encode();
+  ASSERT_EQ(raw.size(), 180u);
+  std::fill(raw.end() - 4, raw.end(), 0xFF);
+  EXPECT_THROW(Block::decode(raw), DecodeError);
+  // A count one past what the payload holds is refused the same way.
+  const Transaction tx(1, 1, 0, bytes_of("a"));
+  Bytes one = Block(sample_header(), crypto::Signature{}, {tx}).encode();
+  one[one.size() - kCanonicalTxSize - 4] = 2;  // little-endian low byte
+  EXPECT_THROW(Block::decode(one), DecodeError);
+}
+
 TEST(SatisfiesTarget, BoundaryComparisons) {
   const UInt256 target = UInt256::from_hex("0fff") << 240;
   Hash32 below = (UInt256::from_hex("0ffe") << 240).to_be_bytes();

@@ -190,9 +190,10 @@ TEST(PowNode, HeadListenerFires) {
   PowNode b(env.sim, env.network, env.config_for(1, 1.0),
             std::make_shared<GhostRule>(), std::make_shared<FixedDifficulty>(5.0));
   std::uint64_t calls = 0;
-  a.set_head_listener([&](const PowNode& node) {
+  a.set_chain_listener([&](const PowNode& node, const ChainCore::Effects& fx) {
     ++calls;
     EXPECT_EQ(&node, &a);
+    EXPECT_TRUE(fx.head_changed);  // finality is off: only head moves fire
   });
   a.start();
   b.start();

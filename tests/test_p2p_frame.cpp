@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
 #include <thread>
 
 #include "common/serialize.h"
+#include "consensus/miner.h"
 #include "consensus/wire.h"
+#include "crypto/merkle.h"
 #include "crypto/schnorr.h"
+#include "crypto/sha256.h"
 #include "finality/checkpoint.h"
 #include "ledger/block.h"
 #include "ledger/transaction.h"
@@ -428,8 +432,120 @@ class LiveNodeTxWireTest : public ::testing::Test {
         state::make_transfer_tx(from, nonce, 0, state::Transfer{2, 1, {}}));
   }
 
+  /// Read and discard whatever the node sends for about `ms` (keeps its
+  /// writes to this raw peer from backing up).
+  static void drain(TcpSocket& s, int ms) {
+    std::uint8_t buf[65536];
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (s.recv_some(buf, sizeof(buf)) == 0) return;
+    }
+  }
+
+  /// A block on `parent` by consortium member 1, signed with its key.  With
+  /// `mine` the nonce is ground to the node's default difficulty (a valid
+  /// block); without, the header claims difficulty 1 — wrong for the node's
+  /// table, so validation rejects it before the proof-of-work check.
+  static ledger::BlockPtr member_block(const ledger::Block& parent, bool mine) {
+    ledger::BlockHeader h;
+    h.height = parent.height() + 1;
+    h.prev = parent.id();
+    h.producer = 1;
+    h.merkle_root = crypto::merkle_root({});
+    h.difficulty = mine ? P2pNodeConfig{}.difficulty : 1.0;
+    if (mine) {
+      for (std::uint64_t start = 0;; start += 1 << 16) {
+        if (auto solved = consensus::RealMiner::mine(h, start, 1 << 16)) {
+          h = *solved;
+          break;
+        }
+      }
+    }
+    return std::make_shared<const ledger::Block>(
+        h, crypto::Keypair::from_node_id(1).sign(h.hash()),
+        std::vector<ledger::Transaction>{});
+  }
+
   std::unique_ptr<P2pNode> node_;
 };
+
+TEST_F(LiveNodeTxWireTest, HostileBlockTxCountClosesConnectionNodeSurvives) {
+  TcpSocket s = dial_and_handshake();
+  // A 180-byte block frame declaring 2^32 - 1 transactions and carrying
+  // none: a decode error (connection closed), never an allocation.
+  Bytes raw = ledger::Block::genesis().encode();
+  ASSERT_EQ(raw.size(), 180u);
+  std::fill(raw.end() - 4, raw.end(), 0xFF);
+  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pBlock, raw)));
+  EXPECT_TRUE(closed_by_remote(s));
+
+  // The node kept serving: a fresh connection still moves traffic.
+  TcpSocket again = dial_and_handshake();
+  ASSERT_TRUE(again.send_all(
+      encode_frame(consensus::kP2pTx, signed_transfer(1, 1).encode())));
+  EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
+}
+
+TEST_F(LiveNodeTxWireTest, BogusInvsAgeOutOfTheRequestTable) {
+  TcpSocket s = dial_and_handshake();
+  s.set_timeouts(2000, 20);  // drain() polls; the whole test stays well
+                             // inside the node's 10 s pong timeout
+  // Announce 10 x kMaxInvHashes ids nobody will ever serve.
+  std::uint64_t serial = 0;
+  const auto bogus_inv = [&serial](std::size_t n) {
+    InvMsg inv;
+    for (std::size_t i = 0; i < n; ++i) {
+      Writer w;
+      w.u64(++serial);
+      inv.hashes.push_back(crypto::sha256(w.buffer()));
+    }
+    return inv;
+  };
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pInv,
+                                        bogus_inv(kMaxInvHashes).encode())));
+    drain(s, 20);
+  }
+  EXPECT_TRUE(wait_until([&] {
+    drain(s, 10);
+    return node_->chain_stats().requests_in_flight == 10 * kMaxInvHashes;
+  }));
+
+  // Past the retry window the next announcement sweeps the stale entries.
+  drain(s, static_cast<int>(kRequestRetryMs) + 200);
+  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pTxInv,
+                                      bogus_inv(1).encode())));
+  EXPECT_TRUE(wait_until([&] {
+    drain(s, 10);
+    return node_->chain_stats().requests_in_flight == 1;
+  }));
+}
+
+TEST_F(LiveNodeTxWireTest, RejectedOrphanCountedOnceInBothCounters) {
+  const ledger::BlockPtr parent =
+      member_block(ledger::Block::genesis(), /*mine=*/true);
+  const ledger::BlockPtr bad_child = member_block(*parent, /*mine=*/false);
+  TcpSocket s = dial_and_handshake();
+  // The invalid child arrives first and waits as an orphan; its parent
+  // unblocks it, and validation rejects it exactly once.
+  ASSERT_TRUE(s.send_all(
+      encode_frame(consensus::kP2pBlock, bad_child->encode())));
+  ASSERT_TRUE(
+      s.send_all(encode_frame(consensus::kP2pBlock, parent->encode())));
+  EXPECT_TRUE(wait_until([&] {
+    drain(s, 10);
+    return node_->contains(parent->id()) &&
+           node_->chain_stats().blocks_rejected == 1;
+  }));
+  EXPECT_FALSE(node_->contains(bad_child->id()));
+  if constexpr (obs::live::kTelemetryEnabled) {
+    EXPECT_EQ(node_->live_registry()
+                  .counter("themis_blocks_rejected_total", "")
+                  .get(),
+              node_->chain_stats().blocks_rejected);
+  }
+}
 
 TEST_F(LiveNodeTxWireTest, TruncatedTxFrameClosesConnectionNodeSurvives) {
   TcpSocket s = dial_and_handshake();

@@ -51,9 +51,8 @@ constexpr std::string_view kUsage =
     "  --difficulty=<d>      expected hashes per block (default 20000)\n"
     "  --fork-choice=<r>     geost | ghost | longest (default geost)\n"
     "  --no-mine             serve sync and relay blocks, do not mine\n"
-    "  --no-signatures       skip Schnorr signing/verification\n"
     "  --ckpt-interval=<k>   checkpoint finality every k heights (default 16;\n"
-    "                        0 disables the overlay; needs signatures on)\n"
+    "                        0 disables it)\n"
     "  --finality-backend=<b>  certificate aggregation: concat | half\n"
     "                        (default concat)\n"
     "  --rpc-port=<port>     serve JSON-RPC over HTTP (default: disabled;\n"
@@ -122,7 +121,6 @@ int main(int argc, char** argv) {
     config.difficulty = std::strtod(std::string(*v).c_str(), nullptr);
   }
   config.mine = !parser.flag("--no-mine");
-  config.use_signatures = !parser.flag("--no-signatures");
   config.checkpoint_interval =
       parser.value_u64("--ckpt-interval", config.checkpoint_interval);
   if (const auto v = parser.value("--finality-backend")) {
