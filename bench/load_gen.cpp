@@ -68,8 +68,7 @@ constexpr std::string_view kUsage =
     "                     \"require_all_confirmed\": true,\n"
     "                     \"require_stage_histograms\": true}\n"
     "                    (the last asserts every tx-lifecycle stage histogram\n"
-    "                    — verify/pool/inclusion/confirm/e2e — carries data;\n"
-    "                    fails under THEMIS_MIN_TELEMETRY builds by design)\n"
+    "                    — verify/pool/inclusion/confirm/e2e — carries data)\n"
     "  --quick           smaller run for CI (2 nodes, 2 clients, 40 txs)\n";
 
 /// One RPC endpoint ("host:port") to aim clients at.

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "net/event_queue.h"
+#include "oracles/naive_event_queue.h"
 #include "net/simulation.h"
 
 namespace {

@@ -46,6 +46,7 @@
 #include "rpc/json.h"
 #include "state/authstate/merkle_state.h"
 #include "state/authstate/snapshot.h"
+#include "state/chain_state.h"
 #include "state/ledger_state.h"
 #include "state/transfer.h"
 
@@ -237,21 +238,30 @@ int main(int argc, char** argv) {
               << "s (" << r.store_bytes_before / (1024 * 1024) << " MiB)\n";
   }
 
+  // Every restart runs the daemon's own path, ChainState::restore over the
+  // store (from the snapshot when the ChainState has one), timed up to the
+  // head state; the divergence check is untimed.
+  const auto restart = [&](state::ChainState& chain, ledger::BlockTree& tree,
+                           bool from_snapshot, const char* what) {
+    const bench::WallTimer timer;
+    const ledger::BlockStore store(store_path);
+    tree = chain.restore(store);
+    chain.state_at(tree, head);
+    const double seconds = timer.seconds();
+    if (chain.stats().restored_from_snapshot != from_snapshot ||
+        chain.state_at(tree, head).accounts() != head_state.accounts()) {
+      std::cerr << "error: " << what << " diverged\n";
+      std::exit(1);
+    }
+    return seconds;
+  };
+
   // --- Restart path A: full replay (cold: no index, state from genesis).
   fs::remove(fs::path(store_path.string() + ".idx"));
   {
-    const bench::WallTimer timer;
-    ledger::BlockStore store(store_path);  // full scan, index rebuilt
-    ledger::BlockTree tree;                // rooted at genesis
-    const std::size_t attached = store.replay_into(tree);
-    state::StateManager mgr(genesis_alloc);
-    const state::LedgerState& s = mgr.state_at(tree, head);
-    r.full_replay_s = timer.seconds();
-    if (attached != blocks || s.accounts() != head_state.accounts()) {
-      std::cerr << "error: full replay diverged (attached " << attached
-                << ")\n";
-      return 1;
-    }
+    state::ChainState chain(genesis_alloc);
+    ledger::BlockTree tree;
+    r.full_replay_s = restart(chain, tree, false, "full replay");
   }
   std::cerr << "[state_scale] full replay restart: " << r.full_replay_s
             << "s\n";
@@ -271,34 +281,15 @@ int main(int argc, char** argv) {
     r.snapshot_bytes = fs::file_size(snap_path);
   }
   {
-    const bench::WallTimer timer;
-    auto snap = state::authstate::read_snapshot(snap_path);
-    if (!snap) {
-      std::cerr << "error: snapshot read failed\n";
-      return 1;
-    }
-    ledger::BlockStore store(store_path);  // indexed open
-    auto root_block = store.read_by_id(snap->block);
-    if (!root_block) {
-      std::cerr << "error: snapshot block missing from store\n";
-      return 1;
-    }
-    ledger::BlockTree tree(
-        std::make_shared<const ledger::Block>(*std::move(root_block)));
-    state::StateManager mgr({});
-    mgr.reset_base(std::move(snap->state));
-    store.replay_into(tree, snap->height + 1);
-    const state::LedgerState& s = mgr.state_at(tree, head);
-    r.snapshot_restart_s = timer.seconds();
-    if (s.accounts() != head_state.accounts()) {
-      std::cerr << "error: snapshot restart diverged\n";
-      return 1;
-    }
+    state::ChainState chain({}, snap_path);
+    ledger::BlockTree tree;
+    r.snapshot_restart_s = restart(chain, tree, true, "snapshot restart");
   }
   std::cerr << "[state_scale] snapshot restart:    " << r.snapshot_restart_s
             << "s (speedup " << r.speedup_snapshot() << "x)\n";
 
-  // --- Restart path C: snapshot + pruned store.
+  // --- Restart path C: snapshot + pruned store.  The restarted state then
+  // serves the proof measurements below.
   {
     const bench::WallTimer timer;
     ledger::BlockStore store(store_path);
@@ -306,27 +297,9 @@ int main(int argc, char** argv) {
     r.prune_s = timer.seconds();
     r.store_bytes_after = store.valid_bytes();
   }
-  {
-    const bench::WallTimer timer;
-    auto snap = state::authstate::read_snapshot(snap_path);
-    ledger::BlockStore store(store_path);
-    auto root_block = store.read_by_id(snap->block);
-    if (!root_block) {
-      std::cerr << "error: snapshot block missing after prune\n";
-      return 1;
-    }
-    ledger::BlockTree tree(
-        std::make_shared<const ledger::Block>(*std::move(root_block)));
-    state::StateManager mgr({});
-    mgr.reset_base(std::move(snap->state));
-    store.replay_into(tree, snap->height + 1);
-    const state::LedgerState& s = mgr.state_at(tree, head);
-    r.pruned_restart_s = timer.seconds();
-    if (s.accounts() != head_state.accounts()) {
-      std::cerr << "error: pruned restart diverged\n";
-      return 1;
-    }
-  }
+  state::ChainState chain({}, snap_path);
+  ledger::BlockTree tree;
+  r.pruned_restart_s = restart(chain, tree, true, "pruned restart");
   std::cerr << "[state_scale] pruned restart:      " << r.pruned_restart_s
             << "s (speedup " << r.speedup_pruned() << "x, store "
             << r.store_bytes_before / (1024 * 1024) << " -> "
@@ -353,13 +326,12 @@ int main(int argc, char** argv) {
     r.balance_p99_us = percentile(us, 0.99);
   }
 
-  // --- Merkle root + proof generation/verification latency.
+  // --- Merkle root + proof generation/verification latency, through the
+  // node's ChainState::prove.
   {
     const bench::WallTimer timer;
-    state::authstate::RootCache cache;
-    cache.rebuild(head_state);
+    const Hash32 root = chain.root(tree, head);
     r.root_rebuild_s = timer.seconds();
-    const Hash32 root = cache.root();
 
     std::uniform_int_distribution<ledger::NodeId> pick(
         1, static_cast<ledger::NodeId>(accounts - 1));
@@ -369,14 +341,11 @@ int main(int argc, char** argv) {
     for (std::uint64_t i = 0; i < proofs; ++i) {
       const ledger::NodeId id = pick(rng);
       const auto t0 = std::chrono::steady_clock::now();
-      state::authstate::AccountProof proof;
-      proof.page = state::authstate::page_of(id);
-      proof.page_count = cache.page_count();
-      proof.page_bytes = state::authstate::encode_page(head_state, proof.page);
-      proof.steps = crypto::merkle_prove(cache.page_hashes(), proof.page);
+      const state::ChainState::Proof proof = chain.prove(tree, head, id);
       const auto t1 = std::chrono::steady_clock::now();
-      const bool ok = state::authstate::verify_account_proof(
-          root, id, head_state.account(id), proof);
+      const bool ok = proof.state_root == root &&
+                      state::authstate::verify_account_proof(
+                          root, id, head_state.account(id), proof.proof);
       const auto t2 = std::chrono::steady_clock::now();
       if (!ok) {
         std::cerr << "error: proof for account " << id << " did not verify\n";

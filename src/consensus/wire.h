@@ -27,9 +27,9 @@ enum MessageType : std::uint32_t {
   kP2pBlocks = 107,     // chain sync: batched range response
   kP2pTxInv = 108,      // transaction-id inventory announcement
   kP2pGetTxData = 109,  // request full transactions for inventory ids
-  kP2pTx = 110,         // one signed canonical transaction
-  kP2pTxBatch = 111,    // many signed transactions in one frame, so the
-                        // receiver can batch-verify admission in one pass
+  // 110: retired single-transaction frame (kP2pTxBatch serves every request).
+  kP2pTxBatch = 111,    // signed transactions in one frame, so the receiver
+                        // can batch-verify admission in one pass
   kP2pCkptVote = 112,   // one signed checkpoint finality vote (gossiped with
                         // the same per-peer known-inventory suppression)
 };

@@ -11,7 +11,7 @@ double subtree_equality_variance(const BlockTree& tree, const BlockHash& root,
                                  std::size_t n_nodes) {
   // The tree maintains exact per-producer counts incrementally and caches
   // the variance double; the value is bit-identical to the historical
-  // DFS + frequency_variance computation (ledger::NaiveTreeAggregates).
+  // DFS + frequency_variance computation (tests/oracles/naive_aggregates.h).
   return tree.subtree_equality_variance(root, n_nodes);
 }
 

@@ -19,7 +19,7 @@
 // Eq. 1 variance cached per entry and recomputed (allocation-free and
 // bit-identical to the original DFS arithmetic) only when the subtree
 // changed.  Aggregate queries are O(1); the retained DFS versions live in
-// ledger/naive_aggregates.h as the differential-testing oracle.
+// tests/oracles/naive_aggregates.h as the differential-testing oracle.
 //
 // On long chains even the O(depth) root-path walk dominates (every insert
 // touches thousands of finalized ancestors nobody will ever query again), so

@@ -19,9 +19,9 @@
 //    with a freelist — steady-state scheduling allocates nothing — and
 //    cancellation reclaims the slot eagerly (O(bucket) in the ring, O(1) in
 //    the far heap): no lazy-deletion garbage, pending() never drifts.
-//  * NaiveEventQueue — the original std::priority_queue + lazy-deletion
-//    live-set implementation, kept as the oracle for differential tests and
-//    as the microbenchmark baseline.
+//  * the original std::priority_queue + lazy-deletion live-set
+//    implementation, which lives in tests/oracles/naive_event_queue.h as
+//    the oracle for differential tests and the microbenchmark baseline.
 //
 // EventIds encode (generation << 32) | arena slot.  Generations start at 1
 // and skip 0 on wrap, so no valid id is ever 0 (callers use 0 as a "no event"
@@ -31,12 +31,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -340,64 +337,6 @@ class CalendarQueue {
   std::uint64_t migrations_ = 0;
   std::vector<Entry> scratch_;        ///< rebuild workspace (kept allocated)
   std::vector<std::int64_t> gap_scratch_;  ///< width-sampling workspace
-};
-
-/// The pre-calendar implementation: binary heap plus lazy-deletion live set.
-/// Kept verbatim as the differential-test oracle and benchmark baseline.
-class NaiveEventQueue {
- public:
-  EventId push(SimTime time, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    queue_.push(Event{time, id, std::move(fn)});
-    live_.insert(id);
-    return id;
-  }
-
-  bool cancel(EventId id) { return live_.erase(id) > 0; }
-
-  bool empty() const { return live_.empty(); }
-  std::size_t size() const { return live_.size(); }
-
-  SimTime peek_time() {
-    skim();
-    return queue_.top().time;
-  }
-
-  struct Fired {
-    SimTime time;
-    std::function<void()> fn;
-  };
-  Fired pop() {
-    skim();
-    // priority_queue::top() is const; moving out right before pop() is safe.
-    Event& top = const_cast<Event&>(queue_.top());
-    Fired fired{top.time, std::move(top.fn)};
-    live_.erase(top.id);
-    queue_.pop();
-    return fired;
-  }
-
- private:
-  struct Event {
-    SimTime time;
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.id > b.id;  // FIFO among equal timestamps
-    }
-  };
-
-  /// Drop cancelled entries sitting on top of the heap.
-  void skim() {
-    while (!queue_.empty() && !live_.contains(queue_.top().id)) queue_.pop();
-  }
-
-  EventId next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<EventId> live_;
 };
 
 }  // namespace themis::net

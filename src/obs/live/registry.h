@@ -22,11 +22,6 @@
 // Metric names follow Prometheus conventions ([a-zA-Z_:][a-zA-Z0-9_:]*) and
 // may carry a fixed label set appended as `name{label="value"}`; samples
 // sharing the name before '{' form one family in the exposition.
-//
-// Zero-cost-when-disabled: building with -DTHEMIS_MIN_TELEMETRY=ON compiles
-// every bump/stamp to nothing (if constexpr on kTelemetryEnabled), which is
-// the "compiled-min" baseline the BENCH_obs_overhead.json A/B measures the
-// full build against.
 #pragma once
 
 #include <atomic>
@@ -42,20 +37,10 @@
 
 namespace themis::obs::live {
 
-#ifdef THEMIS_MIN_TELEMETRY
-inline constexpr bool kTelemetryEnabled = false;
-#else
-inline constexpr bool kTelemetryEnabled = true;
-#endif
-
 /// One monotone counter on its own cache line.
 struct alignas(64) Counter {
   void inc(std::uint64_t n = 1) {
-    if constexpr (kTelemetryEnabled) {
-      value_.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t get() const { return value_.load(std::memory_order_relaxed); }
 
@@ -65,20 +50,8 @@ struct alignas(64) Counter {
 
 /// One instantaneous value (pool depth, ready peers, head height).
 struct alignas(64) Gauge {
-  void set(std::int64_t v) {
-    if constexpr (kTelemetryEnabled) {
-      value_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
-  }
-  void add(std::int64_t d) {
-    if constexpr (kTelemetryEnabled) {
-      value_.fetch_add(d, std::memory_order_relaxed);
-    } else {
-      (void)d;
-    }
-  }
+  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
+  void add(std::int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t get() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -110,12 +83,8 @@ class Histogram {
   }
 
   void record_ns(std::uint64_t ns) {
-    if constexpr (kTelemetryEnabled) {
-      counts_[bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
-      sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-    } else {
-      (void)ns;
-    }
+    counts_[bucket_index(ns)].fetch_add(1, std::memory_order_relaxed);
+    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
   struct Snapshot {

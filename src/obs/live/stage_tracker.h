@@ -23,7 +23,6 @@
 // them are wait-free.  The table is bounded — FIFO eviction per shard — so a
 // long-lived node cannot leak per-tx state; an evicted transaction simply
 // loses its per-tx breakdown (the aggregate histograms already absorbed it).
-// Compiled out entirely under THEMIS_MIN_TELEMETRY.
 #pragma once
 
 #include <array>

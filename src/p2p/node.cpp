@@ -7,10 +7,8 @@
 #include "consensus/miner.h"
 #include "consensus/wire.h"
 #include "crypto/merkle.h"
-#include "crypto/schnorr.h"
 #include "obs/live/log.h"
 #include "p2p/sync.h"
-#include "state/authstate/snapshot.h"
 
 namespace themis::p2p {
 
@@ -37,6 +35,17 @@ static_assert(consensus::ChainCore::kMaxOrphans >= 2 * kMaxSyncBlocks,
 /// Consecutive fully-duplicate sync batches tolerated per peer before we stop
 /// re-requesting (Peer::sync_stalls).
 constexpr std::uint32_t kMaxSyncStalls = 3;
+
+/// Nonces ground between chain-version checks: smaller cancels mining
+/// faster, larger costs less overhead.
+constexpr std::uint64_t kMineChunk = 2048;
+
+/// Transaction-pool capacity (oldest evicted beyond this).
+constexpr std::size_t kPoolCapacity = 1 << 20;
+
+/// Admission window for future nonces: a transaction this far beyond the
+/// sender's next expected nonce is rejected as junk.
+constexpr std::uint64_t kMaxNonceGap = 1024;
 
 std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -91,30 +100,7 @@ consensus::ChainCoreConfig core_config(const P2pNodeConfig& config) {
   return core;
 }
 
-/// Admission replay filter: a transaction belongs in a candidate block only
-/// if it applies cleanly on top of everything selected before it.
-bool applies_cleanly(state::ScratchState& scratch,
-                     const ledger::Transaction& tx) {
-  const state::TxOutcome outcome = scratch.apply(tx);
-  return outcome == state::TxOutcome::applied ||
-         outcome == state::TxOutcome::data_only;
-}
-
 }  // namespace
-
-std::string_view to_string(TxAdmit admit) {
-  switch (admit) {
-    case TxAdmit::accepted: return "accepted";
-    case TxAdmit::duplicate: return "duplicate";
-    case TxAdmit::known_confirmed: return "known_confirmed";
-    case TxAdmit::invalid: return "invalid";
-    case TxAdmit::bad_signature: return "bad_signature";
-    case TxAdmit::unknown_sender: return "unknown_sender";
-    case TxAdmit::stale_nonce: return "stale_nonce";
-    case TxAdmit::nonce_gap: return "nonce_gap";
-  }
-  return "unknown";
-}
 
 P2pNode::P2pNode(P2pNodeConfig config,
                  std::shared_ptr<consensus::ForkChoiceRule> rule,
@@ -129,12 +115,20 @@ P2pNode::P2pNode(P2pNodeConfig config,
                                     config_.difficulty),
             registry_),
       keypair_(*core_.keypair()),
-      state_(genesis_allocation(config_)),
-      pool_(config_.pool_capacity) {
+      state_(genesis_allocation(config_),
+             config_.datadir.empty() ? std::filesystem::path{}
+                                     : config_.datadir / "state.snap",
+             config_.snapshot_interval, config_.prune),
+      pool_(kPoolCapacity),
+      admission_(
+          registry_, live_registry_, stage_tracker_,
+          [this](const auto& batch) { admit_stateful(batch); },
+          [this](const auto& batch) { announce_admitted(batch); }) {
   expects(config_.n_nodes >= 1, "p2p node set must be non-empty");
   expects(config_.id < config_.n_nodes, "node id out of range");
-  core_.set_body_check(
-      [this](const Block& block) { return replay_body_locked(block); });
+  core_.set_body_check([this](const Block& block) {
+    return state_.replay_body(core_.tree(), block);
+  });
 
   PeerManagerConfig pm;
   pm.listen_port = config_.listen_port;
@@ -143,9 +137,7 @@ P2pNode::P2pNode(P2pNodeConfig config,
   pm.handshake.genesis = core_.tree().genesis_hash();
   pm.handshake.node_id = config_.id;
   pm.handshake.agent = config_.agent;
-  pm.dial_timeout_ms = config_.dial_timeout_ms;
   pm.ping_interval_ms = config_.ping_interval_ms;
-  pm.pong_timeout_ms = config_.pong_timeout_ms;
   pm.backoff_initial_ms = config_.backoff_initial_ms;
   pm.backoff_max_ms = config_.backoff_max_ms;
   pm.jitter_seed = config_.rng_seed ^ (0x9e3779b97f4a7c15ULL + config_.id);
@@ -157,24 +149,15 @@ P2pNode::P2pNode(P2pNodeConfig config,
         on_peer_frame(peer, type, payload);
       });
 
-  register_live_metrics();
   // Confirmation stamps ride the reconciler: it fires per newly-confirmed tx
   // under mu_, after the inclusion stamps of the same head change.
   reconciler_.set_confirm_hook([this](const ledger::TxId& id) {
     stage_tracker_.stamp(id, TxStage::confirmed);
   });
-}
 
-void P2pNode::register_live_metrics() {
+  // Every node-level live metric, registered once; the hot paths bump the
+  // cached pointers in live_, never look up by name.
   obs::live::Registry& r = live_registry_;
-  live_.txs_submitted = &r.counter(
-      "themis_tx_submitted_total", "Transaction admission attempts (RPC + wire relay).");
-  live_.txs_accepted = &r.counter(
-      "themis_tx_accepted_total", "Transactions admitted into the pool.");
-  live_.txs_rejected = &r.counter(
-      "themis_tx_rejected_total", "Transactions that failed an admission check.");
-  live_.txs_duplicate = &r.counter(
-      "themis_tx_duplicate_total", "Transactions already pending or confirmed.");
   live_.blocks_mined = &r.counter(
       "themis_blocks_mined_total", "Blocks mined by this node.");
   live_.blocks_received = &r.counter(
@@ -200,9 +183,6 @@ void P2pNode::register_live_metrics() {
   live_.ckpt_certs = &r.counter(
       "themis_finality_certificates_total",
       "Checkpoint quorums completed locally (certificates formed).");
-  live_.admit_batch = &r.histogram(
-      "themis_admit_batch_seconds",
-      "Latency of one combining-leader admission batch (all four stages).");
   live_.block_submit = &r.histogram(
       "themis_block_submit_seconds",
       "Latency of block validate + insert + head update + pool reconcile.");
@@ -259,50 +239,15 @@ bool P2pNode::start() {
   if (!config_.datadir.empty()) {
     std::filesystem::create_directories(config_.datadir);
     std::lock_guard<std::mutex> lock(mu_);
-    // Restart in O(snapshot + suffix), not O(history): when a verified state
-    // snapshot exists and its block is in the store, re-root the tree at the
-    // snapshot block, seed the StateManager base with the restored state,
-    // and replay only the records above the snapshot height.  Any snapshot
-    // defect (checksum, version, root mismatch, missing block) falls back to
-    // the full replay path.
-    const auto snap =
-        state::authstate::read_snapshot(config_.datadir / "state.snap");
     store_ =
         std::make_unique<ledger::BlockStore>(config_.datadir / "blocks.dat");
-    ledger::BlockTree tree;
-    std::uint64_t replay_from = 0;
-    if (snap.has_value()) {
-      if (auto root_block = store_->read_by_id(snap->block);
-          root_block.has_value()) {
-        tree = ledger::BlockTree(
-            std::make_shared<const Block>(*std::move(root_block)));
-        state_.reset_base(snap->state);
-        last_snapshot_height_ = snap->height;
-        stats_.snapshot_height = snap->height;
-        stats_.restored_from_snapshot = true;
-        replay_from = snap->height + 1;
-      } else {
-        obs::live::log_warn("chain",
-                            "snapshot block missing from store; full replay",
-                            {{"height", snap->height}});
-      }
-    }
-    stats_.store_replayed = store_->replay_into(tree, replay_from);
-    if (stats_.restored_from_snapshot) {
-      obs::live::log_info(
-          "chain", "restored from snapshot",
-          {{"height", snap->height},
-           {"accounts",
-            static_cast<std::uint64_t>(snap->state.accounts().size())},
-           {"replayed", stats_.store_replayed}});
-    }
-    core_.reset(std::move(tree));
+    core_.reset(state_.restore(*store_));
     // The confirmed-tx index covers the replayed main chain, so tx_status
     // and duplicate suppression survive a restart.
     reconciler_.rebuild(core_.tree(), core_.head());
   }
   trace("node_start", {obs::Field::u64("node", config_.id),
-                       obs::Field::u64("replayed", stats_.store_replayed),
+                       obs::Field::u64("replayed", state_.stats().store_replayed),
                        obs::Field::u64("height", core_.head_height())});
 
   if (!peers_->start()) {
@@ -349,9 +294,9 @@ std::int64_t P2pNode::wall_nanos() const {
 
 void P2pNode::trace(std::string_view event,
                     std::initializer_list<obs::Field> fields) {
-  if (obs_ == nullptr || !obs_->tracer.enabled()) return;
+  if (tracer_ == nullptr || !tracer_->enabled()) return;
   std::lock_guard<std::mutex> lock(trace_mu_);
-  obs_->tracer.emit(SimTime(wall_nanos()), event, fields);
+  tracer_->emit(SimTime(wall_nanos()), event, fields);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,9 +374,6 @@ void P2pNode::on_peer_frame(Peer& peer, std::uint32_t type, ByteSpan payload) {
     case consensus::kP2pGetTxData:
       handle_get_txdata(peer, payload);
       return;
-    case consensus::kP2pTx:
-      handle_tx(peer, payload);
-      return;
     case consensus::kP2pTxBatch:
       handle_tx_batch(peer, payload);
       return;
@@ -451,7 +393,8 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload, bool txs) {
   const std::int64_t now = steady_ms();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    (txs ? stats_.tx_invs_received : stats_.invs_received) += inv.hashes.size();
+    (txs ? stats_.tx_invs_received : stats_.invs_received) +=
+        inv.hashes.size();
     // Sweep at most once per retry window, so a table of live entries is not
     // rescanned on every announcement.
     if (requested_.size() > kMaxRequestsInFlight &&
@@ -523,8 +466,6 @@ void P2pNode::handle_getblocks(Peer& peer, ByteSpan payload) {
     for (const BlockPtr& block : range) {
       response.blocks.push_back(block->encode());
     }
-    ++stats_.sync_requests_served;
-    stats_.sync_blocks_served += range.size();
   }
   trace("sync_served", {obs::Field::u64("node", config_.id),
                         obs::Field::u64("remote", peer.remote().node_id),
@@ -594,21 +535,6 @@ void P2pNode::handle_get_txdata(Peer& peer, ByteSpan payload) {
   }
 }
 
-void P2pNode::handle_tx(Peer& peer, ByteSpan payload) {
-  // DecodeError from a malformed transaction propagates to the reader loop,
-  // which treats it as a protocol error and closes the connection (same
-  // discipline as malformed blocks).
-  const auto stx = ledger::SignedTransaction::decode(payload);
-  const ledger::TxId id = stx.tx.id();
-  peer.mark_known(id);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.txs_received;
-    requested_.erase(id);
-  }
-  accept_transaction(stx, peer.session_id());
-}
-
 void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
   const TxBatchMsg batch = TxBatchMsg::decode(payload);
   if (batch.txs.empty()) return;
@@ -616,6 +542,7 @@ void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
   stxs.reserve(batch.txs.size());
   for (const Bytes& raw : batch.txs) {
     stxs.push_back(ledger::SignedTransaction::decode(raw));
+    peer.mark_known(stxs.back().tx.id());
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -624,16 +551,8 @@ void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
       requested_.erase(stx.tx.id());
     }
   }
-  std::vector<AdmitRequest> requests(stxs.size());
-  std::vector<AdmitRequest*> pointers;
-  pointers.reserve(stxs.size());
-  for (std::size_t i = 0; i < stxs.size(); ++i) {
-    peer.mark_known(stxs[i].tx.id());
-    requests[i].stx = &stxs[i];
-    requests[i].source_session = peer.session_id();
-    pointers.push_back(&requests[i]);
-  }
-  enqueue_and_settle(pointers);
+  // The whole frame enters admission as one verification batch.
+  admission_.admit(stxs, peer.session_id());
 }
 
 void P2pNode::handle_ckpt_vote(Peer& peer, ByteSpan payload) {
@@ -650,19 +569,16 @@ void P2pNode::handle_ckpt_vote(Peer& peer, ByteSpan payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (core_.checkpoints() == nullptr) return;  // finality off: tolerated
-    ++stats_.ckpt_votes_received;
     live_.ckpt_votes_received->inc();
     fx = core_.add_vote(vote);
     relay = *fx.vote == finality::VoteOutcome::accepted ||
             *fx.vote == finality::VoteOutcome::quorum;
     if (relay) {
-      ++stats_.ckpt_votes_accepted;
       live_.ckpt_votes_accepted->inc();
     } else if (*fx.vote != finality::VoteOutcome::duplicate &&
                *fx.vote != finality::VoteOutcome::stale) {
       // Duplicates and stale votes are benign gossip races; the rest are
       // protocol violations (equivocation, unknown voter, bad signature).
-      ++stats_.ckpt_votes_rejected;
       live_.ckpt_votes_rejected->inc();
     }
     absorb_locked(fx);
@@ -675,157 +591,43 @@ void P2pNode::handle_ckpt_vote(Peer& peer, ByteSpan payload) {
 }
 
 TxAdmit P2pNode::submit_transaction(const ledger::SignedTransaction& stx) {
-  return accept_transaction(stx, /*source_session=*/0);
+  return admission_.admit({stx}, /*source_session=*/0).front();
 }
 
 std::vector<TxAdmit> P2pNode::submit_transactions(
     const std::vector<ledger::SignedTransaction>& stxs) {
-  std::vector<AdmitRequest> requests(stxs.size());
-  std::vector<AdmitRequest*> pointers;
-  pointers.reserve(stxs.size());
-  for (std::size_t i = 0; i < stxs.size(); ++i) {
-    requests[i].stx = &stxs[i];
-    pointers.push_back(&requests[i]);
-  }
-  if (!pointers.empty()) enqueue_and_settle(pointers);
-  std::vector<TxAdmit> verdicts;
-  verdicts.reserve(requests.size());
-  for (const AdmitRequest& r : requests) verdicts.push_back(r.result);
-  return verdicts;
+  return admission_.admit(stxs, /*source_session=*/0);
 }
 
-TxAdmit P2pNode::accept_transaction(const ledger::SignedTransaction& stx,
-                                    std::uint64_t source_session) {
-  AdmitRequest req;
-  req.stx = &stx;
-  req.source_session = source_session;
-  enqueue_and_settle({&req});
-  return req.result;
-}
-
-void P2pNode::enqueue_and_settle(const std::vector<AdmitRequest*>& requests) {
-  // Stamp before parking so the verify-stage latency includes combining-queue
-  // wait (tx.id() is cached on the transaction; no hashing here).
-  for (const AdmitRequest* r : requests) {
-    stage_tracker_.stamp(r->stx->tx.id(), TxStage::submitted);
-  }
-  std::unique_lock<std::mutex> qlock(admit_mu_);
-  for (AdmitRequest* r : requests) admit_queue_.push_back(r);
-  if (admit_leader_active_) {
-    // A leader is draining the queue; it will settle these requests too.
-    admit_cv_.wait(qlock, [&] {
-      return std::all_of(requests.begin(), requests.end(),
-                         [](const AdmitRequest* r) { return r->done; });
-    });
-    return;
-  }
-
-  // Become the combining leader: drain the queue in batches until it is
-  // empty.  The leader's own requests ride in the first batches; leadership
-  // is released only under admit_mu_ so no enqueuer can slip between the
-  // final empty-check and the release and wait forever.
-  admit_leader_active_ = true;
-  std::vector<AdmitRequest*> batch;
-  while (!admit_queue_.empty()) {
-    const std::size_t n =
-        std::min(admit_queue_.size(), std::max<std::size_t>(config_.admit_batch_max, 1));
-    batch.assign(admit_queue_.begin(),
-                 admit_queue_.begin() + static_cast<std::ptrdiff_t>(n));
-    admit_queue_.erase(admit_queue_.begin(),
-                       admit_queue_.begin() + static_cast<std::ptrdiff_t>(n));
-    qlock.unlock();
-    process_admit_batch(batch);
-    qlock.lock();
-    for (AdmitRequest* r : batch) r->done = true;
-    admit_cv_.notify_all();
-  }
-  admit_leader_active_ = false;
-}
-
-void P2pNode::process_admit_batch(const std::vector<AdmitRequest*>& batch) {
-  obs::live::ScopedTimer admit_timer(live_.admit_batch);
-  // Stage 1 — stateless checks, no locks: the key registry is immutable
-  // after construction.
-  for (AdmitRequest* r : batch) {
-    r->pub = registry_->lookup(r->stx->tx.sender());
-    if (!r->pub.has_value()) r->result = TxAdmit::unknown_sender;
-  }
-
-  // Stage 2 — signature verification, still outside the consensus lock.
-  // One random-linear-combination check covers the whole batch; if it fails,
-  // fall back to per-item verification so only the forged items are charged.
-  std::vector<AdmitRequest*> checking;
-  std::vector<crypto::BatchVerifyItem> items;
-  for (AdmitRequest* r : batch) {
+void P2pNode::admit_stateful(const std::vector<TxAdmission::Request*>& batch) {
+  // One consensus-lock acquisition settles the whole batch.
+  std::lock_guard<std::mutex> lock(mu_);
+  const state::LedgerState& head_state =
+      state_.state_at(core_.tree(), core_.head());
+  for (TxAdmission::Request* r : batch) {
     if (r->result != TxAdmit::accepted) continue;
-    checking.push_back(r);
-    items.push_back({*r->pub, r->stx->tx.id(), r->stx->signature});
-  }
-  if (!checking.empty() && !crypto::verify_batch(items)) {
-    for (std::size_t i = 0; i < checking.size(); ++i) {
-      if (!crypto::verify(items[i].pub, items[i].msg, items[i].sig)) {
-        checking[i]->result = TxAdmit::bad_signature;
-      }
+    const ledger::Transaction& tx = r->stx->tx;
+    const std::uint64_t next = head_state.account(tx.sender()).next_nonce;
+    if (reconciler_.block_of(tx.id()).has_value()) {
+      r->result = TxAdmit::known_confirmed;
+    } else if (tx.nonce() < next) {
+      r->result = TxAdmit::stale_nonce;
+    } else if (tx.nonce() >= next + kMaxNonceGap) {
+      r->result = TxAdmit::nonce_gap;
+    } else if (!pool_.add(*r->stx)) {
+      r->result = TxAdmit::duplicate;
+    } else {
+      // Under mu_ on purpose: the miner also includes under mu_, so the
+      // pooled stamp always precedes any inclusion stamp.
+      stage_tracker_.stamp(tx.id(), TxStage::pooled);
     }
   }
-  for (const AdmitRequest* r : batch) {
-    if (r->result == TxAdmit::accepted) {
-      stage_tracker_.stamp(r->stx->tx.id(), TxStage::verified);
-    }
-  }
+}
 
-  // Stage 3 — stateful admission: one consensus-lock acquisition settles the
-  // whole batch (confirmed-duplicate check, nonce window, pool insert,
-  // stats).
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (AdmitRequest* r : batch) {
-      ++stats_.txs_submitted;
-      TxAdmit& admit = r->result;
-      const ledger::Transaction& tx = r->stx->tx;
-      if (admit == TxAdmit::accepted) {
-        if (reconciler_.block_of(tx.id()).has_value()) {
-          admit = TxAdmit::known_confirmed;
-        } else {
-          const std::uint64_t next =
-              state_.state_at(core_.tree(), core_.head())
-                  .account(tx.sender())
-                  .next_nonce;
-          if (tx.nonce() < next) {
-            admit = TxAdmit::stale_nonce;
-          } else if (tx.nonce() >= next + config_.max_nonce_gap) {
-            admit = TxAdmit::nonce_gap;
-          } else if (!pool_.add(*r->stx)) {
-            admit = TxAdmit::duplicate;
-          } else {
-            // Under mu_ on purpose: the miner also includes under mu_, so
-            // the pooled stamp always precedes any inclusion stamp.
-            stage_tracker_.stamp(tx.id(), TxStage::pooled);
-          }
-        }
-      }
-      live_.txs_submitted->inc();
-      switch (admit) {
-        case TxAdmit::accepted:
-          ++stats_.txs_accepted;
-          live_.txs_accepted->inc();
-          break;
-        case TxAdmit::duplicate:
-        case TxAdmit::known_confirmed:
-          ++stats_.txs_duplicate;
-          live_.txs_duplicate->inc();
-          break;
-        default:
-          ++stats_.txs_rejected;
-          live_.txs_rejected->inc();
-          break;
-      }
-    }
-  }
-
-  // Stage 4 — traces and one batched inventory announcement.
+void P2pNode::announce_admitted(
+    const std::vector<TxAdmission::Request*>& batch) {
   std::vector<std::pair<Hash32, std::uint64_t>> accepted;
-  for (AdmitRequest* r : batch) {
+  for (const TxAdmission::Request* r : batch) {
     const ledger::Transaction& tx = r->stx->tx;
     if (r->result == TxAdmit::accepted) {
       trace("tx_accepted",
@@ -863,22 +665,6 @@ void P2pNode::announce(
 // Chain: the live-only half of every ChainCore call
 // ---------------------------------------------------------------------------
 
-bool P2pNode::replay_body_locked(const Block& block) {
-  // Every transaction must apply cleanly in order against the parent state.
-  // A spent nonce or drained balance here is a double-spend attempt smuggled
-  // into a block — reject the whole block.  The replay runs on a
-  // copy-on-write overlay of the parent snapshot, and the touched-account
-  // delta is cached so materializing this block's state later costs a few
-  // account writes instead of a second full replay.
-  state::ScratchState scratch(
-      state_.state_at(core_.tree(), block.header().prev));
-  for (const ledger::Transaction& tx : block.transactions()) {
-    if (!applies_cleanly(scratch, tx)) return false;
-  }
-  state_.record_delta(block.id(), scratch.take_delta());
-  return true;
-}
-
 bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
   obs::live::ScopedTimer submit_timer(live_.block_submit);
   const BlockHash id = block->id();
@@ -886,13 +672,9 @@ bool P2pNode::submit_block(BlockPtr block, std::uint64_t source_session) {
   std::uint64_t height = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (source_session != 0) {
-      ++stats_.blocks_received;
-      live_.blocks_received->inc();
-    }
+    if (source_session != 0) live_.blocks_received->inc();
     requested_.erase(id);
     fx = core_.add_block(std::move(block));
-    if (fx.duplicate && source_session != 0) ++stats_.blocks_duplicate;
     absorb_locked(fx);
     height = core_.head_height();
   }
@@ -934,7 +716,6 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
     if (store_ != nullptr) store_->append(*block);
   }
   for (const BlockPtr& block : fx.rejected) {
-    ++stats_.blocks_rejected;
     live_.blocks_rejected->inc();
     obs::live::log_warn(
         "chain", "block rejected",
@@ -943,14 +724,9 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
          {"producer", static_cast<std::uint64_t>(block->header().producer)}});
   }
   if (fx.below_finalized) ++stats_.reorgs_refused_finality;
-  if (fx.reorg) {
-    ++stats_.reorgs;
-    live_.reorgs->inc();
-  }
+  if (fx.reorg) live_.reorgs->inc();
   if (fx.head_changed) live_.head_changes->inc();
-  stats_.ckpt_votes_sent += fx.votes.size();
   live_.ckpt_votes_sent->inc(fx.votes.size());
-  stats_.ckpt_certs_formed += fx.certificates;
   live_.ckpt_certs->inc(fx.certificates);
   for (const finality::CheckpointCertificate& cert : fx.finalized) {
     // Every downstream floor keys off the hard anchor from here on: state
@@ -973,14 +749,13 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
     // Reconcile the pool with the new main chain: confirmed txs leave,
     // abandoned ones return (a forced finality switch included), permanently
     // stale ones are purged.
-    const auto rec = reconciler_.on_head_change(
-        core_.tree(), fx.old_head, core_.head(), pool_,
-        state_.state_at(core_.tree(), core_.head()));
-    stats_.txs_confirmed += rec.confirmed;
-    stats_.txs_returned += rec.returned;
-    stats_.txs_purged += rec.purged;
+    reconciler_.on_head_change(core_.tree(), fx.old_head, core_.head(), pool_,
+                               state_.state_at(core_.tree(), core_.head()));
   }
-  if (fx.head_changed || !fx.finalized.empty()) maybe_snapshot_locked();
+  if (fx.head_changed || !fx.finalized.empty()) {
+    state_.maybe_snapshot(core_.tree(), core_.tracker().anchor(),
+                          core_.tracker().anchor_height(), store_.get());
+  }
 }
 
 void P2pNode::publish(const consensus::ChainCore::Effects& fx,
@@ -1039,16 +814,8 @@ void P2pNode::mine_loop() {
       header.epoch = core_.policy().epoch_for(tree, parent);
       header.difficulty =
           core_.policy().difficulty_for(tree, parent, config_.id);
-      // Fill the candidate body from the pool (§III: "pick transactions from
-      // the transaction pool"), replaying each candidate against a
-      // copy-on-write overlay of the parent state so the block carries no
-      // double-spend and a sender's queued nonce chain fits into a single
-      // block.
-      state::ScratchState scratch(state_.state_at(tree, parent));
-      body = pool_.select(config_.max_block_txs,
-                          [&scratch](const ledger::Transaction& tx) {
-                            return applies_cleanly(scratch, tx);
-                          });
+      // §III: "pick transactions from the transaction pool".
+      body = state_.select_body(tree, parent, pool_, config_.max_block_txs);
       std::vector<ledger::TxId> tx_ids;
       tx_ids.reserve(body.size());
       for (const ledger::Transaction& tx : body) tx_ids.push_back(tx.id());
@@ -1065,18 +832,14 @@ void P2pNode::mine_loop() {
     // restarting the search loses nothing statistically) and stop requests.
     while (!stopping_.load() && mining_enabled_.load() &&
            chain_version_.load(std::memory_order_acquire) == version) {
-      const auto solved = RealMiner::mine(header, nonce, config_.mine_chunk);
+      const auto solved = RealMiner::mine(header, nonce, kMineChunk);
       if (!solved.has_value()) {
-        nonce += config_.mine_chunk;
-        if (nonce > UINT64_MAX - config_.mine_chunk) nonce = rng.next_u64();
+        nonce += kMineChunk;
+        if (nonce > UINT64_MAX - kMineChunk) nonce = rng.next_u64();
         continue;
       }
       auto block = std::make_shared<const Block>(
           *solved, keypair_.sign(solved->hash()), std::move(body));
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.blocks_produced;
-      }
       live_.blocks_mined->inc();
       obs::live::log_debug(
           "miner", "block mined",
@@ -1122,12 +885,44 @@ bool P2pNode::contains(const BlockHash& id) const {
   return core_.tree().contains(id);
 }
 
-P2pNode::ChainStats P2pNode::chain_stats() const {
+P2pNode::HeadInfo P2pNode::head_info() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ChainStats stats = stats_;
-  stats.finalized_height = core_.finalized_height();
-  stats.requests_in_flight = requested_.size();
-  return stats;
+  HeadInfo info;
+  info.hash = core_.head();
+  info.height = core_.head_height();
+  info.state_root = state_.root(core_.tree(), info.hash);
+  info.total_supply = state_.state_at(core_.tree(), info.hash).total_supply();
+  return info;
+}
+
+P2pNode::ChainStats P2pNode::chain_stats() const {
+  ChainStats s;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s = stats_;
+    static_cast<state::ChainState::Stats&>(s) = state_.stats();
+    const state::PoolReconciler::Stats& rec = reconciler_.totals();
+    s.txs_confirmed = rec.confirmed;
+    s.txs_returned = rec.returned;
+    s.txs_purged = rec.purged;
+    s.finalized_height = core_.finalized_height();
+    s.requests_in_flight = requested_.size();
+  }
+  const TxAdmission::Counts tx = admission_.counts();
+  s.txs_submitted = tx.submitted;
+  s.txs_accepted = tx.accepted;
+  s.txs_rejected = tx.rejected;
+  s.txs_duplicate = tx.duplicate;
+  s.blocks_produced = live_.blocks_mined->get();
+  s.blocks_received = live_.blocks_received->get();
+  s.blocks_rejected = live_.blocks_rejected->get();
+  s.reorgs = live_.reorgs->get();
+  s.ckpt_votes_sent = live_.ckpt_votes_sent->get();
+  s.ckpt_votes_received = live_.ckpt_votes_received->get();
+  s.ckpt_votes_accepted = live_.ckpt_votes_accepted->get();
+  s.ckpt_votes_rejected = live_.ckpt_votes_rejected->get();
+  s.ckpt_certs_formed = live_.ckpt_certs->get();
+  return s;
 }
 
 double P2pNode::uptime_seconds() const {
@@ -1140,36 +935,28 @@ bool P2pNode::ready() const {
          (config_.peers.empty() || peers_->ready_peer_count() > 0);
 }
 
-double P2pNode::redundant_announce_ratio() const {
-  const ChainStats s = chain_stats();
-  return s.invs_received == 0
-             ? 0.0
-             : static_cast<double>(s.invs_redundant) /
-                   static_cast<double>(s.invs_received);
-}
-
 P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
   TxStatusInfo info;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto block_hash = reconciler_.block_of(id);
-    if (block_hash.has_value()) {
-      info.state = TxStatusInfo::State::confirmed;
-      info.block = *block_hash;
-      info.block_height = core_.tree().height(*block_hash);
-      const std::uint64_t head_height = core_.head_height();
-      info.confirmations = head_height >= info.block_height
-                               ? head_height - info.block_height + 1
-                               : 0;
-      for (const ledger::Transaction& tx :
-           core_.tree().block(*block_hash)->transactions()) {
-        if (tx.id() == id) {
-          info.tx = tx;
-          break;
-        }
+  // One hold covers the index and the pool (lock order mu_ -> pool), so a
+  // transaction confirmed between the two lookups is never reported unknown.
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto block_hash = reconciler_.block_of(id);
+  if (block_hash.has_value()) {
+    info.state = TxStatusInfo::State::confirmed;
+    info.block = *block_hash;
+    info.block_height = core_.tree().height(*block_hash);
+    const std::uint64_t head_height = core_.head_height();
+    info.confirmations = head_height >= info.block_height
+                             ? head_height - info.block_height + 1
+                             : 0;
+    for (const ledger::Transaction& tx :
+         core_.tree().block(*block_hash)->transactions()) {
+      if (tx.id() == id) {
+        info.tx = tx;
+        break;
       }
-      return info;
     }
+    return info;
   }
   const auto pending = pool_.get(id);
   if (pending.has_value()) {
@@ -1181,51 +968,12 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
 
 P2pNode::AccountInfo P2pNode::account_info(ledger::NodeId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const state::Account& account =
-      state_.state_at(core_.tree(), core_.head()).account(id);
-  return AccountInfo{account.balance, account.next_nonce};
-}
-
-const Hash32& P2pNode::ensure_root_locked() const {
-  const ledger::BlockHash head = core_.head();
-  if (root_valid_ && root_head_ == head) return root_cache_.root();
-  const state::LedgerState& state = state_.state_at(core_.tree(), head);
-  // Incremental path: if the previous root head is an ancestor within a
-  // short parent walk and every block in between recorded a validation
-  // delta, only the pages those deltas touched need re-hashing.  A reorg
-  // (old head not an ancestor) or a missing delta falls back to a full
-  // rebuild, so the cache can never serve a stale root.
-  static constexpr std::size_t kMaxIncrementalWalk = 64;
-  bool incremental = false;
-  std::vector<ledger::NodeId> touched;
-  if (root_valid_) {
-    ledger::BlockHash cursor = head;
-    for (std::size_t steps = 0; steps <= kMaxIncrementalWalk; ++steps) {
-      if (cursor == root_head_) {
-        incremental = true;
-        break;
-      }
-      const state::StateDelta* delta = state_.delta(cursor);
-      if (delta == nullptr) break;
-      for (const auto& [id, account] : delta->accounts) touched.push_back(id);
-      const auto parent = core_.tree().parent(cursor);
-      if (!parent.has_value()) break;
-      cursor = *parent;
-    }
-  }
-  if (incremental) {
-    root_cache_.update(state, touched);
-  } else {
-    root_cache_.rebuild(state);
-  }
-  root_head_ = head;
-  root_valid_ = true;
-  return root_cache_.root();
+  return state_.state_at(core_.tree(), core_.head()).account(id);
 }
 
 Hash32 P2pNode::head_state_root() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ensure_root_locked();
+  return state_.root(core_.tree(), core_.head());
 }
 
 UInt128 P2pNode::total_supply() const {
@@ -1235,63 +983,8 @@ UInt128 P2pNode::total_supply() const {
 
 P2pNode::BalanceProof P2pNode::balance_proof(ledger::NodeId id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  BalanceProof result;
-  result.head = core_.head();
-  result.height = core_.head_height();
-  result.state_root = ensure_root_locked();
-  const state::LedgerState& state = state_.state_at(core_.tree(), result.head);
-  result.account = state.account(id);
-  // The root cache already holds every page hash for the head, so proof
-  // construction only encodes the one target page instead of re-hashing the
-  // whole state (prove_account's O(accounts) path).
-  const std::uint32_t page = state::authstate::page_of(id);
-  const std::uint32_t page_count = root_cache_.page_count();
-  result.proof.page = page;
-  result.proof.page_count = page_count;
-  if (page < page_count) {
-    result.available = true;
-    result.proof.page_bytes = state::authstate::encode_page(state, page);
-    result.proof.steps = crypto::merkle_prove(root_cache_.page_hashes(), page);
-  }
-  return result;
-}
-
-void P2pNode::maybe_snapshot_locked() {
-  if (config_.snapshot_interval == 0 || config_.datadir.empty()) return;
-  const std::uint64_t anchor_height = core_.tracker().anchor_height();
-  if (anchor_height < last_snapshot_height_ + config_.snapshot_interval) {
-    return;
-  }
-  const ledger::BlockHash anchor = core_.tracker().anchor();
-  state::authstate::Snapshot snap;
-  snap.height = anchor_height;
-  snap.block = anchor;
-  snap.state = state_.state_at(core_.tree(), anchor);
-  if (!state::authstate::write_snapshot(config_.datadir / "state.snap",
-                                        snap)) {
-    obs::live::log_warn("chain", "snapshot write failed",
-                        {{"height", anchor_height}});
-    return;
-  }
-  // Pin the anchor state so the next snapshot replays only the interval
-  // since this one, not the whole chain from the tree root.
-  state_.pin_anchor(core_.tree(), anchor);
-  last_snapshot_height_ = anchor_height;
-  stats_.snapshot_height = anchor_height;
-  ++stats_.snapshots_written;
-  obs::live::log_info(
-      "chain", "snapshot written",
-      {{"height", anchor_height},
-       {"accounts", static_cast<std::uint64_t>(snap.state.accounts().size())}});
-  if (config_.prune && store_ != nullptr) {
-    const std::size_t removed = store_->prune_below(anchor_height);
-    stats_.blocks_pruned += removed;
-    if (removed > 0) {
-      obs::live::log_info("chain", "pruned block store",
-                          {{"below", anchor_height},
-                           {"removed", static_cast<std::uint64_t>(removed)}});
-    }
-  }
+  return BalanceProof{state_.prove(core_.tree(), core_.head(), id),
+                      core_.head(), core_.head_height()};
 }
 
 std::optional<P2pNode::BlockInfo> P2pNode::block_info(
@@ -1354,84 +1047,7 @@ std::optional<finality::CheckpointCertificate> P2pNode::checkpoint_certificate(
 }
 
 std::uint64_t P2pNode::next_nonce_hint(ledger::NodeId sender) const {
-  std::uint64_t state_next = 1;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state_next =
-        state_.state_at(core_.tree(), core_.head()).account(sender).next_nonce;
-  }
-  return pool_.next_nonce_hint(sender, state_next);
-}
-
-void P2pNode::fill_observability() {
-  if (obs_ == nullptr) return;
-  const ChainStats chain = chain_stats();
-  const PeerManager::Stats transport = peers_->stats();
-  obs::Counters& counters = obs_->counters;
-
-  counters.counter("chain.height") = head_height();
-  counters.counter("chain.tree_blocks") = tree_blocks();
-  counters.counter("chain.store_blocks") = store_blocks();
-  counters.counter("chain.store_replayed") = chain.store_replayed;
-  counters.counter("consensus.blocks_produced") = chain.blocks_produced;
-  counters.counter("consensus.blocks_rejected") = chain.blocks_rejected;
-  counters.counter("consensus.reorgs") = chain.reorgs;
-
-  counters.counter("finality.height") = chain.finalized_height;
-  counters.counter("finality.votes_sent") = chain.ckpt_votes_sent;
-  counters.counter("finality.votes_received") = chain.ckpt_votes_received;
-  counters.counter("finality.votes_accepted") = chain.ckpt_votes_accepted;
-  counters.counter("finality.votes_rejected") = chain.ckpt_votes_rejected;
-  counters.counter("finality.certificates") = chain.ckpt_certs_formed;
-  counters.counter("finality.reorgs_refused") = chain.reorgs_refused_finality;
-
-  counters.counter("p2p.bytes_in") = transport.bytes_in;
-  counters.counter("p2p.bytes_out") = transport.bytes_out;
-  counters.counter("p2p.connections_accepted") = transport.connections_accepted;
-  counters.counter("p2p.dials_attempted") = transport.dials_attempted;
-  counters.counter("p2p.dials_failed") = transport.dials_failed;
-  counters.counter("p2p.reconnects") = transport.reconnects;
-  counters.counter("p2p.handshakes_rejected") = transport.handshakes_rejected;
-  counters.counter("p2p.protocol_errors") = transport.protocol_errors;
-  counters.counter("p2p.disconnects") = transport.disconnects;
-  counters.counter("p2p.pings_sent") = transport.pings_sent;
-  counters.counter("p2p.pongs_received") = transport.pongs_received;
-  counters.counter("p2p.ping_timeouts") = transport.ping_timeouts;
-
-  counters.counter("p2p.invs_received") = chain.invs_received;
-  counters.counter("p2p.invs_redundant") = chain.invs_redundant;
-  counters.counter("p2p.blocks_received") = chain.blocks_received;
-  counters.counter("p2p.blocks_duplicate") = chain.blocks_duplicate;
-  counters.counter("p2p.sync_requests_served") = chain.sync_requests_served;
-  counters.counter("p2p.sync_blocks_served") = chain.sync_blocks_served;
-  counters.counter("p2p.sync_rounds") = chain.sync_rounds;
-  obs_->counters.series("p2p.redundant_announce_ratio")
-      .push_back(redundant_announce_ratio());
-
-  counters.counter("tx.submitted") = chain.txs_submitted;
-  counters.counter("tx.accepted") = chain.txs_accepted;
-  counters.counter("tx.rejected") = chain.txs_rejected;
-  counters.counter("tx.duplicate") = chain.txs_duplicate;
-  counters.counter("tx.relayed") = chain.txs_relayed;
-  counters.counter("tx.received") = chain.txs_received;
-  counters.counter("tx.invs_received") = chain.tx_invs_received;
-  counters.counter("tx.invs_redundant") = chain.tx_invs_redundant;
-  counters.counter("tx.confirmed") = chain.txs_confirmed;
-  counters.counter("tx.returned") = chain.txs_returned;
-  counters.counter("tx.purged") = chain.txs_purged;
-  counters.counter("tx.pool_depth") = pool_.size();
-  counters.series("tx.pool_depth").push_back(static_cast<double>(pool_.size()));
-
-  // Per-peer traffic, attributed to the remote's consensus node id.
-  for (const auto& peer : peers_->ready_peers()) {
-    obs::LinkStat& link = counters.link(
-        static_cast<std::uint32_t>(config_.id),
-        static_cast<std::uint32_t>(peer->remote().node_id));
-    link.messages = peer->frames_in.load(std::memory_order_relaxed) +
-                    peer->frames_out.load(std::memory_order_relaxed);
-    link.bytes = peer->bytes_in.load(std::memory_order_relaxed) +
-                 peer->bytes_out.load(std::memory_order_relaxed);
-  }
+  return pool_.next_nonce_hint(sender, account_info(sender).next_nonce);
 }
 
 }  // namespace themis::p2p

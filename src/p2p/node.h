@@ -2,49 +2,31 @@
 //
 // P2pNode is the daemon adapter over consensus::ChainCore — the same block
 // acceptance, fork choice and checkpoint finality the simulated PowNode runs
-// — but over the socket transport (PeerManager) instead of the discrete-event
-// GossipNetwork, with real proof-of-work (RealMiner grinding double-SHA-256
-// nonces on a dedicated thread) and a durable BlockStore under the datadir so
-// a restarted node replays its chain and re-syncs to the network head.  The
-// node keeps what is live-only: store appends, stage stamps, the pool
-// reconciler, snapshots, state floors, relay and the live counters.
+// — over the socket transport (PeerManager), with real proof-of-work
+// (RealMiner on a dedicated thread) and a durable BlockStore under the
+// datadir.  Account state, roots, proofs and snapshots are ChainState's
+// (state/chain_state.h); signature batching is TxAdmission's
+// (p2p/admission.h).  The node keeps store appends, stage stamps, the pool
+// reconciler, relay and the live counters.
 //
-// Block dissemination is announcement-based: a new block is advertised to
-// every ready peer as a kP2pInv hash; peers that lack it answer kP2pGetData
-// and receive the kP2pBlock.  The per-peer known-inventory set suppresses
-// duplicate announcements the way net/gossip's seen-set drops duplicate
-// pushes — the redundant-announce ratio is the same observable, measured on
-// a real wire.  Catch-up uses the locator protocol in p2p/sync.h.
+// Relay is announcement-based: blocks go to every ready peer as a kP2pInv
+// hash and transactions as a kP2pTxInv id; peers that lack them answer
+// kP2pGetData / kP2pGetTxData and receive the kP2pBlock / one kP2pTxBatch.
+// The per-peer known-inventory set suppresses duplicate announcements the
+// way net/gossip's seen-set drops duplicate pushes.  Catch-up uses the
+// locator protocol in p2p/sync.h.
 //
-// Threading: the consensus state (the ChainCore, store, state and reconciler)
-// lives behind one mutex, taken by reader threads delivering frames, by the
-// miner thread submitting solved blocks, and by observer queries; every
-// ChainCore call happens under it.  The miner is cancelled edge-triggered:
-// every head change bumps an atomic chain version, and the grinder re-checks
-// it between nonce chunks (the real-clock analogue of the simulator's
-// memoryless mining restart).
-//
-// Transaction pipeline (the client-facing half, §III "pick transactions from
-// the transaction pool"): submit_transaction() — called by the RPC gateway
-// and by the kP2pTx handler — runs the admission checks (canonical form,
-// consortium signature, nonce against the head state), inserts into the
-// thread-safe TxPool, and announces the id to every ready peer as a
-// kP2pTxInv; peers that lack it answer kP2pGetTxData and receive the
-// kP2pTx — the same inventory-based duplicate suppression blocks use, over
-// the same per-peer known-set.  The miner fills candidate blocks from
-// TxPool::select() filtered by replay against a scratch copy of the parent
-// state; block validation replays bodies the same way (rejecting
-// double-spends); and every head change runs the PoolReconciler so confirmed
-// transactions leave the pool and reorg-abandoned ones return to it.
-// Lock order: the consensus mutex (mu_) before the pool's internal mutex,
-// or the pool's alone — never the reverse.
+// Threading: the ChainCore, store, ChainState and reconciler live behind one
+// mutex (mu_), taken by reader threads delivering frames, by the miner thread
+// and by observer queries.  The miner is cancelled edge-triggered: every
+// head change bumps an atomic chain version, re-checked between nonce chunks.
+// Lock order: mu_ before the pool's internal mutex, or the pool's alone.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
 #include <functional>
 #include <initializer_list>
@@ -63,10 +45,10 @@
 #include "ledger/txpool.h"
 #include "obs/live/registry.h"
 #include "obs/live/stage_tracker.h"
-#include "obs/observability.h"
+#include "obs/trace.h"
+#include "p2p/admission.h"
 #include "p2p/peer_manager.h"
-#include "state/authstate/merkle_state.h"
-#include "state/ledger_state.h"
+#include "state/chain_state.h"
 #include "state/pool_reconciler.h"
 
 namespace themis::p2p {
@@ -74,20 +56,6 @@ namespace themis::p2p {
 /// How long a getdata stays "in flight" before the id is re-requested from
 /// the next announcer (the peer died, ignored us, or never had the object).
 inline constexpr std::int64_t kRequestRetryMs = 5000;
-
-/// Outcome of transaction admission (RPC submit or p2p relay).
-enum class TxAdmit {
-  accepted,         ///< entered the pool and was announced to peers
-  duplicate,        ///< already pending in the pool
-  known_confirmed,  ///< already confirmed on the main chain
-  invalid,          ///< malformed canonical encoding
-  bad_signature,    ///< Schnorr admission signature failed to verify
-  unknown_sender,   ///< sender id outside the consortium registry
-  stale_nonce,      ///< nonce already consumed at the current head
-  nonce_gap,        ///< nonce too far beyond the sender's next expected
-};
-
-std::string_view to_string(TxAdmit admit);
 
 struct P2pNodeConfig {
   ledger::NodeId id = 0;
@@ -116,9 +84,6 @@ struct P2pNodeConfig {
   /// so expected hashes per block = difficulty (T_0 = T_max convention).
   double difficulty = 20000.0;
   bool mine = true;
-  /// Nonces ground between chain-version checks; smaller = faster mining
-  /// cancellation, larger = less overhead.
-  std::uint64_t mine_chunk = 2048;
 
   std::uint64_t finality_depth = 16;
 
@@ -138,21 +103,9 @@ struct P2pNodeConfig {
   /// Upper bound on transactions per mined block (512 B each on the wire;
   /// the default keeps a full block comfortably inside one frame).
   std::size_t max_block_txs = 256;
-  /// Transaction-pool capacity (oldest evicted beyond this).
-  std::size_t pool_capacity = 1 << 20;
-  /// Admission window for future nonces: a transaction whose nonce is this
-  /// far beyond the sender's next expected nonce is rejected as junk.
-  std::uint64_t max_nonce_gap = 1024;
-  /// Most transactions one admission batch settles: under submission bursts
-  /// the combining leader drains up to this many queued transactions, batch-
-  /// verifies their signatures, and admits them under a single consensus-lock
-  /// acquisition (see accept_transaction).
-  std::size_t admit_batch_max = 64;
 
   // Transport tuning, forwarded to PeerManagerConfig.
-  int dial_timeout_ms = 2000;
   int ping_interval_ms = 2000;
-  int pong_timeout_ms = 10000;
   int backoff_initial_ms = 200;
   int backoff_max_ms = 5000;
 };
@@ -179,12 +132,9 @@ class P2pNode {
   void set_mining(bool enabled);
   bool mining() const { return mining_enabled_.load(); }
 
-  /// Attach an observability bundle BEFORE start(); trace events are
-  /// buffered (thread-safe, wall-clock nanoseconds since start()) and
-  /// fill_observability() snapshots the counters on demand.
-  void set_observability(obs::Observability* obs) { obs_ = obs; }
-  /// Write p2p/chain counters and per-peer link traffic into the bundle.
-  void fill_observability();
+  /// Attach an event tracer BEFORE start() (themis-noded --trace); events
+  /// are buffered, thread-safe, keyed by wall-clock nanoseconds since start().
+  void set_tracer(obs::EventTracer* tracer) { tracer_ = tracer; }
 
   /// Invoked (on an internal thread) after every head change.
   void set_head_listener(std::function<void(const P2pNode&)> fn) {
@@ -192,15 +142,12 @@ class P2pNode {
   }
 
   // --- live telemetry --------------------------------------------------------
-  // Always-on (compiled to no-ops under THEMIS_MIN_TELEMETRY): the node owns
-  // the live registry and tx-lifecycle tracker; the RPC gateway registers its
-  // own families into the same registry so one scrape covers the whole node.
+  // The node owns the live registry and tx-lifecycle tracker; the RPC gateway
+  // registers its own families into the same registry so one scrape covers
+  // the whole node.
   obs::live::Registry& live_registry() { return live_registry_; }
   const obs::live::Registry& live_registry() const { return live_registry_; }
-  obs::live::StageTracker& stage_tracker() { return stage_tracker_; }
-  const obs::live::StageTracker& stage_tracker() const {
-    return stage_tracker_;
-  }
+  const obs::live::StageTracker& stage_tracker() const { return stage_tracker_; }
 
   /// Seconds since start() (0 before start).
   double uptime_seconds() const;
@@ -217,29 +164,29 @@ class P2pNode {
   std::uint64_t store_blocks() const;
   bool contains(const ledger::BlockHash& id) const;
 
+  struct HeadInfo {
+    ledger::BlockHash hash{};
+    std::uint64_t height = 0;
+    Hash32 state_root{};
+    UInt128 total_supply;
+  };
+  /// Head, height, state root and supply from one lock hold (get_head/status).
+  HeadInfo head_info() const;
+
   std::uint16_t listen_port() const { return peers_->listen_port(); }
   std::size_t ready_peer_count() const { return peers_->ready_peer_count(); }
   PeerManager::Stats transport_stats() const { return peers_->stats(); }
   const P2pNodeConfig& config() const { return config_; }
 
-  struct ChainStats {
+  /// The store_replayed and snapshot fields are ChainState's.
+  struct ChainStats : state::ChainState::Stats {
     std::uint64_t blocks_produced = 0;   ///< mined by this node
     std::uint64_t blocks_rejected = 0;   ///< failed §III validation
     std::uint64_t reorgs = 0;
     std::uint64_t invs_received = 0;
     std::uint64_t invs_redundant = 0;    ///< announced a block we already had
     std::uint64_t blocks_received = 0;   ///< full blocks over the wire
-    std::uint64_t blocks_duplicate = 0;  ///< received but already in the tree
-    std::uint64_t sync_requests_served = 0;
-    std::uint64_t sync_blocks_served = 0;
     std::uint64_t sync_rounds = 0;       ///< getblocks requests we issued
-    std::uint64_t store_replayed = 0;    ///< blocks recovered at start()
-
-    // Authenticated state / snapshots.
-    std::uint64_t snapshots_written = 0; ///< state snapshots persisted
-    std::uint64_t snapshot_height = 0;   ///< height of the latest snapshot
-    std::uint64_t blocks_pruned = 0;     ///< store records dropped by pruning
-    bool restored_from_snapshot = false; ///< start() loaded a snapshot
 
     // Checkpoint finality.
     std::uint64_t finalized_height = 0;     ///< highest certified checkpoint
@@ -265,23 +212,16 @@ class P2pNode {
     /// Block and tx getdata requests awaiting their object.
     std::uint64_t requests_in_flight = 0;
   };
+  /// Counts with a live-registry twin are read from that counter.
   ChainStats chain_stats() const;
-
-  /// duplicates announced to us / inv entries received (the wire analogue of
-  /// GossipNetwork::redundant_push_ratio).
-  double redundant_announce_ratio() const;
 
   // --- transaction pipeline --------------------------------------------------
 
-  /// Admit a transaction (RPC gateway entry point): stateless checks, then
-  /// signature against the consortium registry, then nonce against the head
-  /// state; on acceptance the id is announced to every ready peer.
+  /// Admit a transaction (RPC submit_tx); on acceptance its id is announced
+  /// to every ready peer.
   TxAdmit submit_transaction(const ledger::SignedTransaction& stx);
-
-  /// Admit many transactions in one combining-queue pass (batched RPC entry
-  /// point): the whole vector shares one Schnorr verification batch and one
-  /// stateful-admission lock hold.  Returns one verdict per transaction, in
-  /// order.
+  /// Admit many in one pass through TxAdmission (RPC submit_txs); one verdict
+  /// per transaction, in order.
   std::vector<TxAdmit> submit_transactions(
       const std::vector<ledger::SignedTransaction>& stxs);
 
@@ -295,10 +235,7 @@ class P2pNode {
   };
   TxStatusInfo tx_status(const ledger::TxId& id) const;
 
-  struct AccountInfo {
-    UInt128 balance;
-    std::uint64_t next_nonce = 1;
-  };
+  using AccountInfo = state::Account;
   /// Balance and next expected nonce at the current head.
   AccountInfo account_info(ledger::NodeId id) const;
 
@@ -309,11 +246,7 @@ class P2pNode {
   /// Sum of all balances at the head (decimal-exact over RPC).
   UInt128 total_supply() const;
 
-  struct BalanceProof {
-    bool available = false;  ///< false when the id lies past the committed range
-    state::Account account;  ///< claimed state the proof pins down
-    state::authstate::AccountProof proof;
-    Hash32 state_root{};
+  struct BalanceProof : state::ChainState::Proof {
     ledger::BlockHash head{};
     std::uint64_t height = 0;
   };
@@ -366,35 +299,15 @@ class P2pNode {
   void handle_getblocks(Peer& peer, ByteSpan payload);
   void handle_blocks(Peer& peer, ByteSpan payload);
   void handle_get_txdata(Peer& peer, ByteSpan payload);
-  void handle_tx(Peer& peer, ByteSpan payload);
   void handle_tx_batch(Peer& peer, ByteSpan payload);
   void handle_ckpt_vote(Peer& peer, ByteSpan payload);
 
-  /// Shared admission path for RPC submissions and wire-relayed transactions.
-  /// `source_session` = 0 for RPC (announce to everyone).
-  ///
-  /// Combining-leader batching: callers enqueue their transaction; the first
-  /// caller in becomes the leader and drains the queue in batches of up to
-  /// `admit_batch_max`, so concurrent submitters share one batched signature
-  /// verification and one consensus-lock acquisition instead of paying both
-  /// per transaction.
-  TxAdmit accept_transaction(const ledger::SignedTransaction& stx,
-                             std::uint64_t source_session);
-  /// One admission request parked in the combining queue.
-  struct AdmitRequest {
-    const ledger::SignedTransaction* stx = nullptr;
-    std::uint64_t source_session = 0;
-    TxAdmit result = TxAdmit::accepted;
-    std::optional<crypto::PublicKey> pub;  ///< the sender's key, if a member
-    bool done = false;
-  };
-  /// Park `requests` in the combining queue and return once every one has
-  /// been settled — becoming the leader if none is active.  This is how a
-  /// whole relayed kP2pTxBatch enters admission as one verification batch.
-  void enqueue_and_settle(const std::vector<AdmitRequest*>& requests);
-  /// Settle one drained batch: stateless checks, batched Schnorr
-  /// verification, then stateful admission under a single mu_ hold.
-  void process_admit_batch(const std::vector<AdmitRequest*>& batch);
+  /// TxAdmission's stateful stage, under mu_: confirmed check, nonce window
+  /// and pool insert for every request still `accepted`.
+  void admit_stateful(const std::vector<TxAdmission::Request*>& batch);
+  /// TxAdmission's publish stage, outside mu_: traces, then one batched
+  /// inventory announcement of the accepted ids.
+  void announce_admitted(const std::vector<TxAdmission::Request*>& batch);
   /// Announce (id, source session) pairs with one `type` inventory frame per
   /// peer, skipping each id's source and ids the peer is known to have.
   void announce(std::uint32_t type,
@@ -407,9 +320,6 @@ class P2pNode {
   bool submit_block(ledger::BlockPtr block, std::uint64_t source_session);
   /// Ask `peer` for the range above our head (locator round).
   void request_sync(Peer& peer);
-  /// The core's body check: replay the block's transactions against the
-  /// parent state (rejects double-spends) and record the state delta.
-  bool replay_body_locked(const ledger::Block& block);
   /// The live-only half of a core call, under mu_: store appends, stage
   /// stamps, counters, state and reconciler floors, pool reconciliation,
   /// snapshots.
@@ -418,27 +328,21 @@ class P2pNode {
   /// listener when the head moved, then broadcast our own checkpoint votes.
   void publish(const consensus::ChainCore::Effects& fx,
                std::uint64_t head_height);
-  /// Bring root_cache_ up to the current head: incremental page re-hash when
-  /// the head advanced over recorded deltas, full rebuild otherwise.
-  const Hash32& ensure_root_locked() const;
-  /// Snapshot (and optionally prune) once the anchor has advanced
-  /// snapshot_interval blocks past the last snapshot.
-  void maybe_snapshot_locked();
   /// Send votes to every ready peer except `exclude_session`.
   void broadcast_votes(const std::vector<finality::CheckpointVote>& votes,
                        std::uint64_t exclude_session);
   void mine_loop();
   void trace(std::string_view event, std::initializer_list<obs::Field> fields);
   std::int64_t wall_nanos() const;
-  /// Register every node-level live metric (called once from the ctor; the
-  /// hot paths bump the cached pointers in live_, never look up by name).
-  void register_live_metrics();
 
   P2pNodeConfig config_;
   /// The consortium keys (immutable: admission reads it without mu_).
   std::shared_ptr<const consensus::KeyRegistry> registry_;
 
   std::unique_ptr<PeerManager> peers_;
+
+  obs::live::Registry live_registry_;
+  obs::live::StageTracker stage_tracker_{live_registry_};
 
   // --- consensus state, all behind mu_ ---------------------------------------
   mutable std::mutex mu_;
@@ -451,32 +355,19 @@ class P2pNode {
   /// distinct encodings, so they never collide.
   std::unordered_map<Hash32, std::int64_t, Hash32Hasher> requested_;
   std::int64_t requested_swept_ms_ = 0;  ///< last expiry sweep of requested_
-  /// Ledger states along the tree (per-block snapshot cache; mutable so
-  /// const observers can materialize snapshots — still guarded by mu_).
-  mutable state::StateManager state_;
+  /// Account state, state root and snapshots (mutable so const observers can
+  /// materialize states and roots — still guarded by mu_).
+  mutable state::ChainState state_;
   /// Confirmed-tx index + pool/chain reconciliation across head changes.
   state::PoolReconciler reconciler_;
-  /// Lazily maintained authstate commitment for the current head (mutable:
-  /// const observers materialize it on demand — still guarded by mu_).
-  mutable state::authstate::RootCache root_cache_;
-  mutable ledger::BlockHash root_head_{};
-  mutable bool root_valid_ = false;
-  /// Anchor height of the latest snapshot written or restored.
-  std::uint64_t last_snapshot_height_ = 0;
+  /// Only the inventory, relay, sync and refused-reorg counts, which live
+  /// nowhere else; chain_stats() reads every other field from its one store.
   ChainStats stats_;
 
   /// Pending transactions.  Internally synchronized; see the lock-order rule
   /// in the header comment.
   ledger::TxPool pool_;
-
-  // --- combining-leader admission queue --------------------------------------
-  // admit_mu_ guards only the queue and the leader flag; it is never held
-  // while mu_ (or any crypto work) runs, so the order admit_mu_ -> mu_ can
-  // never invert.
-  std::mutex admit_mu_;
-  std::condition_variable admit_cv_;
-  std::deque<AdmitRequest*> admit_queue_;
-  bool admit_leader_active_ = false;
+  TxAdmission admission_;
 
   // --- miner -----------------------------------------------------------------
   std::thread miner_thread_;
@@ -489,19 +380,12 @@ class P2pNode {
 
   std::function<void(const P2pNode&)> head_listener_;
 
-  obs::Observability* obs_ = nullptr;
+  obs::EventTracer* tracer_ = nullptr;
   std::mutex trace_mu_;
   std::chrono::steady_clock::time_point start_time_;
 
-  // --- live telemetry --------------------------------------------------------
-  obs::live::Registry live_registry_;
-  obs::live::StageTracker stage_tracker_{live_registry_};
-  /// Cached metric pointers, registered once in register_live_metrics().
+  /// Cached metric pointers, registered once in the constructor.
   struct LiveCounters {
-    obs::live::Counter* txs_submitted = nullptr;
-    obs::live::Counter* txs_accepted = nullptr;
-    obs::live::Counter* txs_rejected = nullptr;
-    obs::live::Counter* txs_duplicate = nullptr;
     obs::live::Counter* blocks_mined = nullptr;
     obs::live::Counter* blocks_received = nullptr;
     obs::live::Counter* blocks_rejected = nullptr;
@@ -512,7 +396,6 @@ class P2pNode {
     obs::live::Counter* ckpt_votes_accepted = nullptr;
     obs::live::Counter* ckpt_votes_rejected = nullptr;
     obs::live::Counter* ckpt_certs = nullptr;
-    obs::live::Histogram* admit_batch = nullptr;
     obs::live::Histogram* block_submit = nullptr;
   } live_;
 };

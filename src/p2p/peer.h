@@ -70,8 +70,6 @@ class Peer {
   // --- per-peer traffic counters --------------------------------------------
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> frames_in{0};
-  std::atomic<std::uint64_t> frames_out{0};
 
   // --- inventory accounting --------------------------------------------------
   /// Record that the remote knows `id` (it announced it, or we sent it).

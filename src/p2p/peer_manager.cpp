@@ -143,7 +143,6 @@ void PeerManager::reader_loop(const std::shared_ptr<Peer>& peer) {
     peer->decoder().feed(ByteSpan(buf, static_cast<std::size_t>(n)));
     try {
       while (auto frame = peer->decoder().poll()) {
-        peer->frames_in.fetch_add(1, std::memory_order_relaxed);
         if (!handle_frame(*peer, *frame)) {
           peer->mark_dead();
           break;

@@ -82,6 +82,14 @@ Json tx_to_json(const ledger::Transaction& tx) {
   return out;
 }
 
+const char* state_name(p2p::P2pNode::TxStatusInfo::State state) {
+  switch (state) {
+    case p2p::P2pNode::TxStatusInfo::State::pending: return "pending";
+    case p2p::P2pNode::TxStatusInfo::State::confirmed: return "confirmed";
+    default: return "unknown";
+  }
+}
+
 Json block_to_json(const p2p::P2pNode::BlockInfo& info) {
   const ledger::Block& block = *info.block;
   Json out;
@@ -162,7 +170,7 @@ HttpResponse Gateway::handle(const HttpRequest& request) {
     if (request.target == "/status") {
       response.body = rpc_status().dump();
     } else if (request.target == "/metrics") {
-      response.body = rpc_metrics().dump();
+      response.body = metrics().dump();
     } else if (request.target == "/metrics.prom") {
       response.content_type = "text/plain; version=0.0.4; charset=utf-8";
       response.body = obs::live::render_prometheus(node_.live_registry());
@@ -234,7 +242,7 @@ Json Gateway::dispatch(const std::string& method, const Json& params) {
   if (method == "get_balance") return rpc_get_balance(params);
   if (method == "get_checkpoint") return rpc_get_checkpoint(params);
   if (method == "status") return rpc_status();
-  if (method == "metrics") return rpc_metrics();
+  if (method == "metrics") return metrics();
   fail(kMethodNotFound, "unknown method: " + method);
 }
 
@@ -349,19 +357,11 @@ Json Gateway::rpc_get_tx(const Json& params) {
   const ledger::TxId id = txid_param(params, "id");
   const auto status = node_.tx_status(id);
   Json out;
-  switch (status.state) {
-    case p2p::P2pNode::TxStatusInfo::State::unknown:
-      out.set("state", "unknown");
-      break;
-    case p2p::P2pNode::TxStatusInfo::State::pending:
-      out.set("state", "pending");
-      break;
-    case p2p::P2pNode::TxStatusInfo::State::confirmed:
-      out.set("state", "confirmed");
-      out.set("block", to_hex(*status.block));
-      out.set("block_height", status.block_height);
-      out.set("confirmations", status.confirmations);
-      break;
+  out.set("state", state_name(status.state));
+  if (status.block.has_value()) {
+    out.set("block", to_hex(*status.block));
+    out.set("block_height", status.block_height);
+    out.set("confirmations", status.confirmations);
   }
   if (status.tx.has_value()) out.set("tx", tx_to_json(*status.tx));
   // Per-tx lifecycle stamps while the stage tracker remembers the id:
@@ -401,18 +401,7 @@ Json Gateway::rpc_get_txs(const Json& params) {
     } catch (const std::exception&) {
       fail(kInvalidParams, "ids must be 64-char hex ids");
     }
-    const auto status = node_.tx_status(id);
-    switch (status.state) {
-      case p2p::P2pNode::TxStatusInfo::State::unknown:
-        states.push_back(Json("unknown"));
-        break;
-      case p2p::P2pNode::TxStatusInfo::State::pending:
-        states.push_back(Json("pending"));
-        break;
-      case p2p::P2pNode::TxStatusInfo::State::confirmed:
-        states.push_back(Json("confirmed"));
-        break;
-    }
+    states.push_back(Json(state_name(node_.tx_status(id).state)));
   }
   Json out;
   out.set("states", Json(std::move(states)));
@@ -433,10 +422,9 @@ Json Gateway::rpc_get_block(const Json& params) {
 }
 
 Json Gateway::rpc_get_head() {
-  Json out;
-  out.set("hash", to_hex(node_.head()));
-  out.set("height", node_.head_height());
-  return out;
+  const auto head = node_.head_info();
+  return Json::object({{"hash", Json(to_hex(head.hash))},
+                       {"height", Json(head.height)}});
 }
 
 Json Gateway::rpc_get_balance(const Json& params) {
@@ -511,17 +499,19 @@ Json Gateway::rpc_get_checkpoint(const Json& params) {
 
 Json Gateway::rpc_status() {
   const auto chain = node_.chain_stats();
+  // One head snapshot, so hash, height, root and supply belong together.
+  const auto head = node_.head_info();
   Json out;
   out.set("node", static_cast<std::uint64_t>(node_.config().id));
-  out.set("head", to_hex(node_.head()));
-  out.set("height", node_.head_height());
+  out.set("head", to_hex(head.hash));
+  out.set("height", head.height);
   out.set("peers", node_.ready_peer_count());
   out.set("pool_depth", node_.pool_depth());
   out.set("mining", node_.mining());
   out.set("tree_blocks", node_.tree_blocks());
   out.set("txs_confirmed", chain.txs_confirmed);
-  out.set("state_root", to_hex(node_.head_state_root()));
-  out.set("total_supply", node_.total_supply().to_decimal());
+  out.set("state_root", to_hex(head.state_root));
+  out.set("total_supply", head.total_supply.to_decimal());
   out.set("snapshot_height", chain.snapshot_height);
   out.set("snapshots_written", chain.snapshots_written);
   out.set("blocks_pruned", chain.blocks_pruned);
@@ -533,16 +523,23 @@ Json Gateway::rpc_status() {
   return out;
 }
 
-Json Gateway::rpc_metrics() {
+Json Gateway::metrics() const {
   const auto chain = node_.chain_stats();
   const auto transport = node_.transport_stats();
   Json out;
   out.set("chain", Json::object({
     {"height", Json(node_.head_height())},
     {"tree_blocks", Json(node_.tree_blocks())},
+    {"store_blocks", Json(node_.store_blocks())},
+    {"store_replayed", Json(chain.store_replayed)},
     {"blocks_produced", Json(chain.blocks_produced)},
+    {"blocks_received", Json(chain.blocks_received)},
     {"blocks_rejected", Json(chain.blocks_rejected)},
     {"reorgs", Json(chain.reorgs)},
+    {"snapshots_written", Json(chain.snapshots_written)},
+    {"snapshot_height", Json(chain.snapshot_height)},
+    {"blocks_pruned", Json(chain.blocks_pruned)},
+    {"restored_from_snapshot", Json(chain.restored_from_snapshot)},
   }));
   out.set("tx", Json::object({
     {"submitted", Json(chain.txs_submitted)},
@@ -554,12 +551,28 @@ Json Gateway::rpc_metrics() {
     {"confirmed", Json(chain.txs_confirmed)},
     {"returned", Json(chain.txs_returned)},
     {"purged", Json(chain.txs_purged)},
+    {"invs_received", Json(chain.tx_invs_received)},
+    {"invs_redundant", Json(chain.tx_invs_redundant)},
     {"pool_depth", Json(node_.pool_depth())},
   }));
   out.set("p2p", Json::object({
     {"bytes_in", Json(transport.bytes_in)},
     {"bytes_out", Json(transport.bytes_out)},
     {"peers", Json(node_.ready_peer_count())},
+    {"connections_accepted", Json(transport.connections_accepted)},
+    {"dials_attempted", Json(transport.dials_attempted)},
+    {"dials_failed", Json(transport.dials_failed)},
+    {"reconnects", Json(transport.reconnects)},
+    {"handshakes_rejected", Json(transport.handshakes_rejected)},
+    {"protocol_errors", Json(transport.protocol_errors)},
+    {"disconnects", Json(transport.disconnects)},
+    {"pings_sent", Json(transport.pings_sent)},
+    {"pongs_received", Json(transport.pongs_received)},
+    {"ping_timeouts", Json(transport.ping_timeouts)},
+    {"invs_received", Json(chain.invs_received)},
+    {"invs_redundant", Json(chain.invs_redundant)},
+    {"sync_rounds", Json(chain.sync_rounds)},
+    {"requests_in_flight", Json(chain.requests_in_flight)},
   }));
   const auto fin = node_.finality_info();
   out.set("finality", Json::object({
@@ -625,24 +638,6 @@ void Gateway::note_error(Method method) {
 
 Gateway::Stats Gateway::stats() const {
   return Stats{total_requests_->get(), total_errors_->get()};
-}
-
-std::map<std::string, std::uint64_t> Gateway::method_counts() const {
-  std::map<std::string, std::uint64_t> out;
-  for (const MethodMetrics& m : methods_) {
-    const std::uint64_t count = m.requests->get();
-    if (count > 0) out[m.name] = count;
-  }
-  return out;
-}
-
-void Gateway::fill_observability(obs::Observability& obs) const {
-  obs.counters.counter("rpc.requests") = total_requests_->get();
-  obs.counters.counter("rpc.errors") = total_errors_->get();
-  for (const MethodMetrics& m : methods_) {
-    const std::uint64_t count = m.requests->get();
-    if (count > 0) obs.counters.counter(std::string("rpc.method.") + m.name) = count;
-  }
 }
 
 }  // namespace themis::rpc

@@ -27,14 +27,13 @@
 //               epoch / backend / voters plus the raw hex encoding for
 //               offline verification (themis-cli checkpoint)
 //   status      {}                   -> node summary (head, peers, pool, ...)
-//   metrics     {}                   -> chain + transport + rpc + stage
-//                                       latency counters
+//   metrics     {}                   -> the /metrics document below
 //
 // Monitoring endpoints (GET):
 //   /status        — node summary (mirrors the status method)
-//   /metrics       — JSON metrics (chain/tx/p2p/rpc/stages), for tooling
-//                    that already speaks this shape (load_gen, themis-cli
-//                    watch)
+//   /metrics       — JSON metrics (chain/tx/p2p/finality/rpc/stages/health),
+//                    for tooling that already speaks this shape (load_gen,
+//                    themis-cli watch, themis-noded --report)
 //   /metrics.prom  — Prometheus text exposition 0.0.4 of the node's live
 //                    registry (counters, gauges, cumulative histograms)
 //   /health        — readiness probe: 200 when started and peer-connected
@@ -46,17 +45,14 @@
 // synchronized API.  Request accounting is mutex-free: per-method request /
 // error counters and latency histograms live in the node's live registry
 // (registered once at construction, bumped via cached pointers), so one
-// scrape of /metrics.prom covers the RPC layer too.  Under
-// THEMIS_MIN_TELEMETRY builds the bumps compile out and stats() reads zero.
+// scrape of /metrics.prom covers the RPC layer too.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "obs/live/registry.h"
-#include "obs/observability.h"
 #include "p2p/node.h"
 #include "rpc/http_server.h"
 #include "rpc/json.h"
@@ -76,12 +72,10 @@ class Gateway {
     std::uint64_t errors = 0;  ///< responses carrying a JSON-RPC error
   };
   Stats stats() const;
-  /// Per-method request counts (copy; keyed by method name; unknown methods
-  /// aggregate under "other").
-  std::map<std::string, std::uint64_t> method_counts() const;
 
-  /// Write rpc.* counters into an observability bundle.
-  void fill_observability(obs::Observability& obs) const;
+  /// The GET /metrics document (also themis-noded --report): ChainStats,
+  /// PeerManager::Stats, finality, rpc, tx-stage latencies, health.
+  Json metrics() const;
 
  private:
   /// Fixed method table: the hot path resolves the method name to a slot
@@ -126,7 +120,6 @@ class Gateway {
   Json rpc_get_balance(const Json& params);
   Json rpc_get_checkpoint(const Json& params);
   Json rpc_status();
-  Json rpc_metrics();
 
   p2p::P2pNode& node_;
   std::array<MethodMetrics, kMethodCount> methods_{};

@@ -1,4 +1,4 @@
-#include "ledger/naive_aggregates.h"
+#include "oracles/naive_aggregates.h"
 
 #include <algorithm>
 

@@ -9,7 +9,7 @@
 #include "consensus/forkchoice.h"
 #include "consensus/head_tracker.h"
 #include "core/geost.h"
-#include "ledger/naive_aggregates.h"
+#include "oracles/naive_aggregates.h"
 #include "tree_builder.h"
 
 namespace themis {

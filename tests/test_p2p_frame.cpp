@@ -376,7 +376,7 @@ TEST_F(LivePeerManagerTest, ValidHandshakeThenPingGetsPong) {
 // --- transaction-message robustness against a live node ----------------------
 //
 // Same hostile-client drill as above, but against a full P2pNode so the tx
-// handlers (kP2pTx / kP2pTxInv / kP2pGetTxData) are on the receiving end.
+// handlers (kP2pTxBatch / kP2pTxInv / kP2pGetTxData) are on the receiving end.
 
 class LiveNodeTxWireTest : public ::testing::Test {
  protected:
@@ -424,6 +424,13 @@ class LiveNodeTxWireTest : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     return done();
+  }
+
+  /// A kP2pTxBatch frame carrying the one encoded transaction `raw`.
+  static Bytes tx_frame(Bytes raw) {
+    TxBatchMsg batch;
+    batch.txs.push_back(std::move(raw));
+    return encode_frame(consensus::kP2pTxBatch, batch.encode());
   }
 
   static ledger::SignedTransaction signed_transfer(ledger::NodeId from,
@@ -483,7 +490,7 @@ TEST_F(LiveNodeTxWireTest, HostileBlockTxCountClosesConnectionNodeSurvives) {
   // The node kept serving: a fresh connection still moves traffic.
   TcpSocket again = dial_and_handshake();
   ASSERT_TRUE(again.send_all(
-      encode_frame(consensus::kP2pTx, signed_transfer(1, 1).encode())));
+      tx_frame(signed_transfer(1, 1).encode())));
   EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
 }
 
@@ -539,26 +546,23 @@ TEST_F(LiveNodeTxWireTest, RejectedOrphanCountedOnceInBothCounters) {
            node_->chain_stats().blocks_rejected == 1;
   }));
   EXPECT_FALSE(node_->contains(bad_child->id()));
-  if constexpr (obs::live::kTelemetryEnabled) {
-    EXPECT_EQ(node_->live_registry()
-                  .counter("themis_blocks_rejected_total", "")
-                  .get(),
-              node_->chain_stats().blocks_rejected);
-  }
+  EXPECT_EQ(node_->live_registry()
+                .counter("themis_blocks_rejected_total", "")
+                .get(),
+            node_->chain_stats().blocks_rejected);
 }
 
 TEST_F(LiveNodeTxWireTest, TruncatedTxFrameClosesConnectionNodeSurvives) {
   TcpSocket s = dial_and_handshake();
-  // A kP2pTx payload must be exactly kSignedTxSize bytes; feed it half.
-  ASSERT_TRUE(s.send_all(encode_frame(
-      consensus::kP2pTx, Bytes(ledger::kSignedTxSize / 2, 0xab))));
+  // A batch element must be exactly kSignedTxSize bytes; feed it half.
+  ASSERT_TRUE(s.send_all(tx_frame(Bytes(ledger::kSignedTxSize / 2, 0xab))));
   EXPECT_TRUE(closed_by_remote(s));
   EXPECT_EQ(node_->pool_depth(), 0u);
 
   // The node shrugged it off: a fresh well-behaved connection still works.
   TcpSocket again = dial_and_handshake();
   ASSERT_TRUE(again.send_all(
-      encode_frame(consensus::kP2pTx, signed_transfer(1, 1).encode())));
+      tx_frame(signed_transfer(1, 1).encode())));
   EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
 }
 
@@ -566,7 +570,7 @@ TEST_F(LiveNodeTxWireTest, CorruptSignatureTxIsRejectedNotPooled) {
   TcpSocket s = dial_and_handshake();
   Bytes raw = signed_transfer(1, 1).encode();
   raw.back() ^= 0x01;  // flip one signature bit; decode still succeeds
-  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pTx, raw)));
+  ASSERT_TRUE(s.send_all(tx_frame(raw)));
   // Rejection is silent (no close: the frame was well-formed); wait for the
   // admission path to count it.
   EXPECT_TRUE(wait_until(
@@ -577,7 +581,7 @@ TEST_F(LiveNodeTxWireTest, CorruptSignatureTxIsRejectedNotPooled) {
 TEST_F(LiveNodeTxWireTest, ValidTxOverWireEntersPool) {
   TcpSocket s = dial_and_handshake();
   const ledger::SignedTransaction stx = signed_transfer(1, 1);
-  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pTx, stx.encode())));
+  ASSERT_TRUE(s.send_all(tx_frame(stx.encode())));
   ASSERT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
   const auto status = node_->tx_status(stx.tx.id());
   EXPECT_EQ(status.state, P2pNode::TxStatusInfo::State::pending);
@@ -613,7 +617,7 @@ TEST_F(LiveNodeTxWireTest, TxInvTriggersGetTxData) {
   EXPECT_TRUE(got_request);
 
   // Answer it; the tx must land in the pool.
-  ASSERT_TRUE(s.send_all(encode_frame(consensus::kP2pTx, stx.encode())));
+  ASSERT_TRUE(s.send_all(tx_frame(stx.encode())));
   EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
 }
 
@@ -636,7 +640,7 @@ TEST_F(LiveNodeTxWireTest, TruncatedCkptVoteFrameClosesConnectionNodeSurvives) {
   // The node shrugged it off: a fresh connection still moves traffic.
   TcpSocket again = dial_and_handshake();
   ASSERT_TRUE(again.send_all(
-      encode_frame(consensus::kP2pTx, signed_transfer(1, 1).encode())));
+      tx_frame(signed_transfer(1, 1).encode())));
   EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
 }
 
@@ -657,7 +661,7 @@ TEST_F(LiveNodeTxWireTest, BadSignatureCkptVoteRejectedWithoutClose) {
 
   // Rejection is silent — the same connection still delivers a valid tx.
   ASSERT_TRUE(s.send_all(
-      encode_frame(consensus::kP2pTx, signed_transfer(1, 1).encode())));
+      tx_frame(signed_transfer(1, 1).encode())));
   EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
 }
 

@@ -27,6 +27,8 @@
 #include <vector>
 
 #include "finality/aggregation.h"
+#include "rpc/gateway.h"
+#include "rpc/json.h"
 #include "state/authstate/merkle_state.h"
 #include "state/transfer.h"
 
@@ -251,9 +253,8 @@ TEST_F(P2pIntegrationTest, FourNodesConvergeKillOneRestartAndRecover) {
 
   // Redundant-announce accounting is live on every node.
   for (P2pNode* node : live_nodes()) {
-    const double ratio = node->redundant_announce_ratio();
-    EXPECT_GE(ratio, 0.0);
-    EXPECT_LE(ratio, 1.0);
+    const auto stats = node->chain_stats();
+    EXPECT_LE(stats.invs_redundant, stats.invs_received);
   }
 }
 
@@ -588,20 +589,28 @@ TEST_F(P2pIntegrationTest, ReorgBelowFinalizedRefusedOnEveryNode) {
   EXPECT_TRUE(revived->contains(solo_head));  // branch kept, just dethroned
 }
 
+// themis-noded --report prints Gateway::metrics(), the GET /metrics document.
 TEST_F(P2pIntegrationTest, ObservabilityCountersAreFilled) {
-  obs::Observability obs;
   P2pNodeConfig config = base_config(0, 1);
   config.mine = true;
   P2pNode node(std::move(config));
-  node.set_observability(&obs);
+  rpc::Gateway gateway(node);
   ASSERT_TRUE(node.start());
   ASSERT_TRUE(wait_until([&] { return node.head_height() >= 2; }, 120s));
   node.stop();
-  node.fill_observability();
 
-  EXPECT_GE(obs.counters.counter("chain.height"), 2u);
-  EXPECT_GE(obs.counters.counter("consensus.blocks_produced"), 2u);
-  EXPECT_GE(obs.counters.counter("chain.store_blocks"), 2u);
+  const rpc::Json report = rpc::Json::parse(gateway.metrics().dump());
+  const rpc::Json& chain = report["chain"];
+  EXPECT_GE(chain["height"].as_u64(), 2u);
+  EXPECT_GE(chain["blocks_produced"].as_u64(), 2u);
+  EXPECT_GE(chain["store_blocks"].as_u64(), 2u);
+  EXPECT_EQ(chain["blocks_produced"].as_u64(),
+            node.chain_stats().blocks_produced);
+  for (const char* section : {"tx", "p2p", "finality", "rpc", "health"}) {
+    EXPECT_TRUE(report[section].is_object()) << section;
+  }
+  EXPECT_TRUE(report["p2p"].has("dials_attempted"));
+  EXPECT_TRUE(report["tx"].has("invs_received"));
 }
 
 }  // namespace

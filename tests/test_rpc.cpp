@@ -377,7 +377,7 @@ TEST_F(RpcGatewayTest, BatchSubmitReportsPerItemVerdicts) {
   gapped.set("sender", 5);
   gapped.set("to", 6);
   gapped.set("amount", 1);
-  gapped.set("nonce", 5000);  // beyond max_nonce_gap (1024)
+  gapped.set("nonce", 5000);  // beyond the 1024-nonce admission window
   specs.push_back(std::move(gapped));
   Json params;
   params.set("txs", Json(std::move(specs)));
@@ -515,10 +515,8 @@ TEST_F(RpcGatewayTest, PrometheusExpositionOverGet) {
   EXPECT_NE(text.find("# TYPE themis_pool_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE themis_tx_e2e_seconds histogram"),
             std::string::npos);
-  if (obs::live::kTelemetryEnabled) {
-    EXPECT_NE(text.find("themis_rpc_requests_total{method=\"get_head\"}"),
-              std::string::npos);
-  }
+  EXPECT_NE(text.find("themis_rpc_requests_total{method=\"get_head\"}"),
+            std::string::npos);
   EXPECT_EQ(text.back(), '\n');
 }
 
@@ -581,6 +579,56 @@ TEST(RpcHealthTransition, UnreadyUntilPeerAppears) {
 
   node.stop();
   peer.stop();
+}
+
+// status and get_head read the head once per reply: while blocks land
+// continuously, every reply's height belongs to its hash, and a balance proof
+// taken at the same head as a status reply carries the same state root (the
+// cross-check behind `themis-cli balance --prove`).
+TEST(RpcHeadSnapshot, StatusAndGetHeadNeverTearUnderMining) {
+  p2p::P2pNodeConfig config;
+  config.n_nodes = 1;
+  config.listen = false;
+  config.difficulty = 50.0;  // a block every few dozen hashes
+  p2p::P2pNode node(config);
+  Gateway gateway(node);
+  ASSERT_TRUE(node.start());
+  const auto call = [&gateway](const std::string& method, Json params) {
+    Json body;
+    body.set("jsonrpc", "2.0");
+    body.set("id", 1);
+    body.set("method", method);
+    body.set("params", std::move(params));
+    HttpRequest request;
+    request.method = "POST";
+    request.target = "/";
+    request.body = body.dump();
+    return Json::parse(gateway.handle(request).body)["result"];
+  };
+  const std::uint64_t start_height = node.head_height();
+  std::size_t same_head = 0;
+  for (int i = 0; i < 800; ++i) {
+    for (const auto& [method, key] :
+         {std::pair{"status", "head"}, std::pair{"get_head", "hash"}}) {
+      const Json reply = call(method, Json());
+      const auto block = node.block_info(hash_from_hex(reply[key].as_string()));
+      ASSERT_TRUE(block.has_value()) << method;
+      ASSERT_EQ(reply["height"].as_u64(), block->block->header().height)
+          << method;
+    }
+    Json params;
+    params.set("account", 0);
+    params.set("prove", true);
+    const Json proof = call("get_balance", std::move(params));
+    const Json status = call("status", Json());
+    if (status["head"] == proof["head"]) {
+      ++same_head;
+      EXPECT_EQ(status["state_root"], proof["state_root"]);
+    }
+  }
+  EXPECT_GT(node.head_height(), start_height) << "blocks must land meanwhile";
+  EXPECT_GT(same_head, 0u);
+  node.stop();
 }
 
 // Many clients hammering submit_tx at once: every admission must succeed

@@ -13,8 +13,8 @@
 // Every node is both server and client: it listens, dials its --peer list
 // with exponential backoff, and re-dials dropped peers, so start order does
 // not matter.  SIGINT/SIGTERM (or --run-for / --stop-at-height) stop the
-// node cleanly; --report and --trace expose the src/obs counters and the
-// JSONL event trace the simulator benches use.
+// node cleanly; --report prints the JSON document GET /metrics serves, and
+// --trace writes the JSONL event trace the simulator benches use.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -32,8 +32,7 @@
 #include "core/geost.h"
 #include "finality/aggregation.h"
 #include "obs/live/log.h"
-#include "obs/observability.h"
-#include "obs/report.h"
+#include "obs/trace.h"
 #include "p2p/node.h"
 #include "rpc/gateway.h"
 #include "rpc/http_server.h"
@@ -72,7 +71,7 @@ constexpr std::string_view kUsage =
     "  --log-level=<l>       debug | info | warn | error | off (default info)\n"
     "  --log-json            structured JSONL log records instead of text\n"
     "  --trace=<path>        write a JSONL event trace on exit\n"
-    "  --report[=<path>]     counters report on exit (stderr or file)\n";
+    "  --report[=<path>]     JSON /metrics document on exit (stderr or file)\n";
 
 std::atomic<bool> g_stop{false};
 
@@ -187,11 +186,11 @@ int main(int argc, char** argv) {
   logger.set_level(obs::live::log_level_from(log_level_name));
   logger.set_json(log_json);
 
-  obs::Observability obs;
-  obs.tracer.enable(!trace_path.empty());
+  obs::EventTracer tracer;
+  tracer.enable(!trace_path.empty());
 
   p2p::P2pNode node(config, rule);
-  node.set_observability(&obs);
+  node.set_tracer(&tracer);
   if (!node.start()) {
     std::cerr << "error: failed to bind listen port " << config.listen_port
               << "\n";
@@ -252,20 +251,19 @@ int main(int argc, char** argv) {
   }
 
   obs::live::log_info("noded", "stopping");
-  // Snapshot counters (including the per-peer link matrix) while the peers
-  // are still connected, then shut down — RPC first, so no handler races a
-  // stopping node.
-  node.fill_observability();
-  gateway.fill_observability(obs);
+  // Shut down RPC first, so no handler races a stopping node, and take the
+  // report while the peers are still connected.
   if (rpc_server != nullptr) rpc_server->stop();
+  const std::string report_json =
+      report ? gateway.metrics().dump() + "\n" : std::string();
   node.stop();
   status_line(node);
   if (!trace_path.empty()) {
-    if (obs.tracer.write_file(trace_path)) {
-      obs::live::log_info("noded", "trace written",
-                          {{"path", trace_path},
-                           {"events", static_cast<std::uint64_t>(
-                                          obs.tracer.size())}});
+    if (tracer.write_file(trace_path)) {
+      obs::live::log_info(
+          "noded", "trace written",
+          {{"path", trace_path},
+           {"events", static_cast<std::uint64_t>(tracer.size())}});
     } else {
       obs::live::log_error("noded", "trace write failed",
                            {{"path", trace_path}});
@@ -273,11 +271,11 @@ int main(int argc, char** argv) {
   }
   if (report) {
     if (report_path.empty()) {
-      obs::write_report(std::cerr, obs);
+      std::cerr << report_json;
     } else {
       std::ofstream out(report_path);
       if (out) {
-        obs::write_report(out, obs);
+        out << report_json;
         obs::live::log_info("noded", "report written",
                             {{"path", report_path}});
       } else {
