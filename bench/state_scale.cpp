@@ -1,8 +1,10 @@
 // Authenticated-state scale benchmark: restart paths and query latency at a
 // million-account ledger.  This is the headline driver for the authstate
 // layer: BENCH_state.json records how much faster a node restarts from a
-// state snapshot (+ pruned store) than from a full O(history) replay, plus
-// get_balance and Merkle-proof latency percentiles against the same state.
+// state snapshot (+ pruned store) than from a full O(history) replay,
+// get_balance and Merkle-proof latency percentiles against the same state,
+// and what each new head costs over the churn blocks (state_at, root
+// update, one proof), so per-head costs can be compared across --accounts.
 //
 // The chain is synthesized directly into a BlockStore (no PoW, no network):
 // account 0 is funded past 2^64 at genesis and fans out one transfer per new
@@ -95,6 +97,14 @@ struct Results {
   double proof_gen_p99_us = 0.0;
   double proof_verify_p50_us = 0.0;
   double proof_verify_p99_us = 0.0;
+  // Per-head costs over the churn blocks (microseconds).
+  std::uint64_t heads = 0;
+  double state_at_p50_us = 0.0;
+  double state_at_p99_us = 0.0;
+  double root_update_p50_us = 0.0;
+  double root_update_p99_us = 0.0;
+  double head_proof_p50_us = 0.0;
+  double head_proof_p99_us = 0.0;
 
   double speedup_snapshot() const {
     return snapshot_restart_s > 0 ? full_replay_s / snapshot_restart_s : 0.0;
@@ -104,17 +114,23 @@ struct Results {
   }
 };
 
+/// A state and the block it is the state after.
+struct StateAt {
+  state::LedgerState state;
+  ledger::BlockHash block{};
+};
+
 /// Synthesize the chain into `store`: creation blocks fan `txs_per_block`
 /// transfers from account 0 out to fresh accounts 1, 2, ...; churn blocks
 /// then move funds to random existing accounts.  Returns the head id and
-/// fills `head_state` / the state copy at `snapshot_height`.
+/// fills `head_state`, the state at `snapshot_height` and the state after
+/// the last creation block.
 ledger::BlockHash build_chain(ledger::BlockStore& store, std::uint64_t blocks,
                               std::uint64_t create_blocks,
                               std::uint64_t txs_per_block, std::uint64_t seed,
                               std::uint64_t snapshot_height,
-                              state::LedgerState& head_state,
-                              state::LedgerState& snap_state,
-                              ledger::BlockHash& snap_block) {
+                              state::LedgerState& head_state, StateAt& snap,
+                              StateAt& churn_base) {
   head_state.fund(0, kGenesisFund);
   ledger::BlockHash prev = ledger::Block::genesis().id();
   std::uint64_t nonce = 1;
@@ -157,10 +173,8 @@ ledger::BlockHash build_chain(ledger::BlockStore& store, std::uint64_t blocks,
     }
     store.append(block);
     prev = block.id();
-    if (h == snapshot_height) {
-      snap_state = head_state;
-      snap_block = block.id();
-    }
+    if (h == snapshot_height) snap = {head_state, block.id()};
+    if (h == create_blocks) churn_base = {head_state, block.id()};
   }
   return prev;
 }
@@ -223,14 +237,14 @@ int main(int argc, char** argv) {
 
   const std::map<ledger::NodeId, UInt128> genesis_alloc{{0, kGenesisFund}};
   state::LedgerState head_state;
-  state::LedgerState snap_state;
-  ledger::BlockHash snap_block{};
+  StateAt snap_at;
+  StateAt churn_base;
   ledger::BlockHash head{};
   {
     const bench::WallTimer timer;
     ledger::BlockStore store(store_path);
     head = build_chain(store, blocks, create_blocks, txs_per_block, seed,
-                       snapshot_height, head_state, snap_state, snap_block);
+                       snapshot_height, head_state, snap_at, churn_base);
     r.build_s = timer.seconds();
     r.store_bytes_before = store.valid_bytes();
     std::cerr << "[state_scale] built " << blocks << " blocks / "
@@ -249,7 +263,7 @@ int main(int argc, char** argv) {
     chain.state_at(tree, head);
     const double seconds = timer.seconds();
     if (chain.stats().restored_from_snapshot != from_snapshot ||
-        chain.state_at(tree, head).accounts() != head_state.accounts()) {
+        chain.state_at(tree, head) != head_state) {
       std::cerr << "error: " << what << " diverged\n";
       std::exit(1);
     }
@@ -271,8 +285,8 @@ int main(int argc, char** argv) {
     const bench::WallTimer timer;
     state::authstate::Snapshot snap;
     snap.height = snapshot_height;
-    snap.block = snap_block;
-    snap.state = snap_state;
+    snap.block = snap_at.block;
+    snap.state = std::move(snap_at.state);
     if (!state::authstate::write_snapshot(snap_path, snap)) {
       std::cerr << "error: snapshot write failed\n";
       return 1;
@@ -287,6 +301,73 @@ int main(int argc, char** argv) {
   }
   std::cerr << "[state_scale] snapshot restart:    " << r.snapshot_restart_s
             << "s (speedup " << r.speedup_snapshot() << "x)\n";
+
+  // --- Per-head costs over the churn blocks, in the order a node pays them
+  // for each new head: the body check records the block's delta (untimed),
+  // then state_at materializes the head, root() brings the Merkle tree to
+  // it, and one proof is served against it.  The ChainState restarts from
+  // the state after the last creation block, so the churn blocks are all
+  // it replays.
+  std::mt19937_64 rng(seed);
+  {
+    const fs::path base_path = dir / "churn_base.snap";
+    state::authstate::Snapshot base;
+    base.height = create_blocks;
+    base.block = churn_base.block;
+    base.state = std::move(churn_base.state);
+    if (!state::authstate::write_snapshot(base_path, base)) {
+      std::cerr << "error: snapshot write failed\n";
+      return 1;
+    }
+    base = {};
+    state::ChainState chain({}, base_path);
+    const ledger::BlockStore store(store_path);
+    const ledger::BlockTree tree = chain.restore(store);
+    std::vector<ledger::BlockHash> churn;
+    for (ledger::BlockHash b = head; b != churn_base.block; b = *tree.parent(b)) {
+      churn.push_back(b);
+    }
+    std::reverse(churn.begin(), churn.end());
+    chain.root(tree, churn_base.block);  // a restarted node's first root
+    std::uniform_int_distribution<ledger::NodeId> pick(
+        1, static_cast<ledger::NodeId>(accounts - 1));
+    std::vector<double> state_at_us, root_us, proof_us;
+    for (const ledger::BlockHash& b : churn) {
+      if (!chain.replay_body(tree, *tree.block(b))) {
+        std::cerr << "error: churn block failed the body check\n";
+        return 1;
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      chain.state_at(tree, b);
+      const auto t1 = std::chrono::steady_clock::now();
+      chain.root(tree, b);
+      const auto t2 = std::chrono::steady_clock::now();
+      const state::ChainState::Proof proof = chain.prove(tree, b, pick(rng));
+      const auto t3 = std::chrono::steady_clock::now();
+      if (!proof.available) {
+        std::cerr << "error: no proof at a churn head\n";
+        return 1;
+      }
+      state_at_us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+      root_us.push_back(std::chrono::duration<double, std::micro>(t2 - t1).count());
+      proof_us.push_back(std::chrono::duration<double, std::micro>(t3 - t2).count());
+    }
+    if (chain.root(tree, head) != state::authstate::state_root_of(head_state)) {
+      std::cerr << "error: per-head root diverged\n";
+      return 1;
+    }
+    r.heads = churn.size();
+    r.state_at_p50_us = percentile(state_at_us, 0.50);
+    r.state_at_p99_us = percentile(state_at_us, 0.99);
+    r.root_update_p50_us = percentile(root_us, 0.50);
+    r.root_update_p99_us = percentile(root_us, 0.99);
+    r.head_proof_p50_us = percentile(proof_us, 0.50);
+    r.head_proof_p99_us = percentile(proof_us, 0.99);
+  }
+  std::cerr << "[state_scale] per head over " << r.heads
+            << " churn blocks: state_at p50 " << r.state_at_p50_us
+            << " us, root update p50 " << r.root_update_p50_us
+            << " us, proof p50 " << r.head_proof_p50_us << " us\n";
 
   // --- Restart path C: snapshot + pruned store.  The restarted state then
   // serves the proof measurements below.
@@ -306,7 +387,6 @@ int main(int argc, char** argv) {
             << r.store_bytes_after / (1024 * 1024) << " MiB)\n";
 
   // --- get_balance latency over random ids against the head state.
-  std::mt19937_64 rng(seed);
   {
     std::uniform_int_distribution<ledger::NodeId> pick(
         0, static_cast<ledger::NodeId>(accounts - 1));
@@ -390,6 +470,15 @@ int main(int argc, char** argv) {
   t.add_row({"proof verify p50/p99 us",
              metrics::Table::num(r.proof_verify_p50_us, 1) + " / " +
                  metrics::Table::num(r.proof_verify_p99_us, 1)});
+  t.add_row({"per-head state_at p50/p99 us",
+             metrics::Table::num(r.state_at_p50_us, 1) + " / " +
+                 metrics::Table::num(r.state_at_p99_us, 1)});
+  t.add_row({"per-head root update p50/p99 us",
+             metrics::Table::num(r.root_update_p50_us, 1) + " / " +
+                 metrics::Table::num(r.root_update_p99_us, 1)});
+  t.add_row({"per-head proof p50/p99 us",
+             metrics::Table::num(r.head_proof_p50_us, 1) + " / " +
+                 metrics::Table::num(r.head_proof_p99_us, 1)});
   if (csv) {
     t.print_csv(std::cout);
   } else {
@@ -428,7 +517,14 @@ int main(int argc, char** argv) {
           << ", \"gen_p50_us\": " << r.proof_gen_p50_us
           << ", \"gen_p99_us\": " << r.proof_gen_p99_us
           << ", \"verify_p50_us\": " << r.proof_verify_p50_us
-          << ", \"verify_p99_us\": " << r.proof_verify_p99_us << "}\n}\n";
+          << ", \"verify_p99_us\": " << r.proof_verify_p99_us << "},\n"
+          << "  \"per_head\": {\"heads\": " << r.heads
+          << ", \"state_at_p50_us\": " << r.state_at_p50_us
+          << ", \"state_at_p99_us\": " << r.state_at_p99_us
+          << ", \"root_update_p50_us\": " << r.root_update_p50_us
+          << ", \"root_update_p99_us\": " << r.root_update_p99_us
+          << ", \"proof_p50_us\": " << r.head_proof_p50_us
+          << ", \"proof_p99_us\": " << r.head_proof_p99_us << "}\n}\n";
       std::cerr << "[state_scale] wrote " << json_path << "\n";
     }
   }

@@ -5,17 +5,13 @@
 
 namespace themis::crypto {
 
-namespace {
-
-Hash32 hash_pair(const Hash32& left, const Hash32& right) {
+Hash32 merkle_parent(const Hash32& left, const Hash32& right) {
   Sha256 ctx;
   ctx.update(ByteSpan(left.data(), left.size()));
   ctx.update(ByteSpan(right.data(), right.size()));
   const Hash32 once = ctx.finish();
   return sha256(ByteSpan(once.data(), once.size()));
 }
-
-}  // namespace
 
 Hash32 merkle_root(const std::vector<Hash32>& leaves) {
   if (leaves.empty()) return Hash32{};
@@ -25,7 +21,7 @@ Hash32 merkle_root(const std::vector<Hash32>& leaves) {
     std::vector<Hash32> next;
     next.reserve(level.size() / 2);
     for (std::size_t i = 0; i < level.size(); i += 2) {
-      next.push_back(hash_pair(level[i], level[i + 1]));
+      next.push_back(merkle_parent(level[i], level[i + 1]));
     }
     level = std::move(next);
   }
@@ -44,7 +40,7 @@ MerkleProof merkle_prove(const std::vector<Hash32>& leaves, std::size_t index) {
     std::vector<Hash32> next;
     next.reserve(level.size() / 2);
     for (std::size_t i = 0; i < level.size(); i += 2) {
-      next.push_back(hash_pair(level[i], level[i + 1]));
+      next.push_back(merkle_parent(level[i], level[i + 1]));
     }
     level = std::move(next);
     pos /= 2;
@@ -55,7 +51,8 @@ MerkleProof merkle_prove(const std::vector<Hash32>& leaves, std::size_t index) {
 bool merkle_verify(const Hash32& leaf, const MerkleProof& proof, const Hash32& root) {
   Hash32 acc = leaf;
   for (const MerkleStep& step : proof) {
-    acc = step.sibling_on_left ? hash_pair(step.sibling, acc) : hash_pair(acc, step.sibling);
+    acc = step.sibling_on_left ? merkle_parent(step.sibling, acc)
+                               : merkle_parent(acc, step.sibling);
   }
   return acc == root;
 }

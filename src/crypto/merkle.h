@@ -16,10 +16,16 @@ namespace themis::crypto {
 /// Merkle root of the given leaf hashes.
 Hash32 merkle_root(const std::vector<Hash32>& leaves);
 
+/// Interior node over two children: sha256d(left | right).  An odd level
+/// pairs its last node with itself.
+Hash32 merkle_parent(const Hash32& left, const Hash32& right);
+
 /// One step of an inclusion proof.
 struct MerkleStep {
   Hash32 sibling;
   bool sibling_on_left = false;
+
+  bool operator==(const MerkleStep&) const = default;
 };
 
 using MerkleProof = std::vector<MerkleStep>;

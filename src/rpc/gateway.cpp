@@ -8,6 +8,7 @@
 #include "common/serialize.h"
 #include "obs/live/prometheus.h"
 #include "obs/live/stage_tracker.h"
+#include "state/ledger_state.h"
 #include "state/transfer.h"
 
 namespace themis::rpc {
@@ -49,6 +50,20 @@ Json result_response(const Json& id, Json result) {
   response.set("id", id);
   response.set("result", std::move(result));
   return response;
+}
+
+/// Ids span 32 bits.
+constexpr std::uint64_t kIdSpace = std::uint64_t{1} << 32;
+
+/// Integer parameter `key` as an id below `limit`; rejected rather than
+/// narrowed, so 2^32 + 7 never names account 7.
+ledger::NodeId id_param(const Json& params, const std::string& key,
+                        std::uint64_t limit) {
+  const std::uint64_t id = params[key].as_u64();
+  if (id >= limit) {
+    fail(kInvalidParams, key + " must be below " + std::to_string(limit));
+  }
+  return static_cast<ledger::NodeId>(id);
 }
 
 ledger::TxId txid_param(const Json& params, const std::string& key) {
@@ -271,9 +286,9 @@ ledger::SignedTransaction Gateway::build_tx(const Json& spec) {
         (!spec["amount"].is_number() && !spec["amount"].is_string())) {
       fail(kInvalidParams, "need sender, to, amount (or raw)");
     }
-    const auto sender = static_cast<ledger::NodeId>(spec["sender"].as_u64());
+    const ledger::NodeId sender = id_param(spec, "sender", kIdSpace);
     state::Transfer transfer;
-    transfer.to = static_cast<ledger::NodeId>(spec["to"].as_u64());
+    transfer.to = id_param(spec, "to", state::kMaxAccounts);
     // Amounts above 2^64 - 1 do not fit a JSON number our codec accepts
     // exactly, so large amounts travel as decimal strings.  from_decimal is
     // strict: digits only, value < 2^128.
@@ -431,8 +446,7 @@ Json Gateway::rpc_get_balance(const Json& params) {
   if (!params["account"].is_number()) {
     fail(kInvalidParams, "need account (node id)");
   }
-  const auto account =
-      static_cast<ledger::NodeId>(params["account"].as_u64());
+  const ledger::NodeId account = id_param(params, "account", kIdSpace);
   Json out;
   out.set("account", static_cast<std::uint64_t>(account));
   // 128-bit balances travel as exact decimal strings: the JSON codec only

@@ -1,8 +1,8 @@
 #include "state/authstate/merkle_state.h"
 
 #include <algorithm>
-#include <set>
 
+#include "common/check.h"
 #include "common/serialize.h"
 #include "crypto/sha256.h"
 #include "ledger/light_client.h"
@@ -27,22 +27,18 @@ std::size_t proof_depth(std::uint32_t leaves) {
 }  // namespace
 
 Bytes encode_page(const LedgerState& state, std::uint32_t page) {
-  const auto& accounts = state.accounts();
-  const ledger::NodeId first = page * kAccountsPerPage;
-  Writer entries;
-  std::uint32_t count = 0;
-  for (auto it = accounts.lower_bound(first);
-       it != accounts.end() && page_of(it->first) == page; ++it) {
-    if (is_default(it->second)) continue;
-    entries.u32(it->first);
-    entries.u64(it->second.balance.lo());
-    entries.u64(it->second.balance.hi());
-    entries.u64(it->second.next_nonce);
-    ++count;
-  }
-  Writer w(8 + entries.size());
+  const AccountPage* accounts = state.page(page);
+  const std::uint32_t count = accounts == nullptr ? 0 : accounts->live;
+  Writer w(8 + std::size_t{count} * 28);
   w.varint(count);
-  w.raw(entries.buffer());
+  for (std::uint32_t i = 0; count > 0 && i < kAccountsPerPage; ++i) {
+    const Account& account = accounts->slots[i];
+    if (is_default(account)) continue;
+    w.u32(page * kAccountsPerPage + i);
+    w.u64(account.balance.lo());
+    w.u64(account.balance.hi());
+    w.u64(account.next_nonce);
+  }
   return w.take();
 }
 
@@ -54,16 +50,8 @@ Hash32 page_leaf_hash(std::uint32_t page, ByteSpan page_bytes) {
   return crypto::sha256d(w.buffer());
 }
 
-std::uint32_t page_count_of(const LedgerState& state) {
-  const auto& accounts = state.accounts();
-  for (auto it = accounts.rbegin(); it != accounts.rend(); ++it) {
-    if (!is_default(it->second)) return page_of(it->first) + 1;
-  }
-  return 0;
-}
-
 std::vector<Hash32> page_hashes_of(const LedgerState& state) {
-  const std::uint32_t count = page_count_of(state);
+  const std::uint32_t count = state.page_count();
   std::vector<Hash32> hashes;
   hashes.reserve(count);
   for (std::uint32_t p = 0; p < count; ++p) {
@@ -131,29 +119,83 @@ bool verify_account_proof(const Hash32& root, ledger::NodeId id,
 }
 
 void RootCache::rebuild(const LedgerState& state) {
-  pages_ = page_hashes_of(state);
-  root_ = crypto::merkle_root(pages_);
+  levels_.assign(1, {});
+  update_pages(state, {});
 }
 
 void RootCache::update(const LedgerState& state,
                        const std::vector<ledger::NodeId>& touched) {
-  const std::uint32_t old_count = page_count();
-  const std::uint32_t new_count = page_count_of(state);
-  pages_.resize(new_count);
+  std::vector<std::uint32_t> pages;
+  pages.reserve(touched.size());
+  for (const ledger::NodeId id : touched) pages.push_back(page_of(id));
+  update_pages(state, std::move(pages));
+}
 
-  std::set<std::uint32_t> dirty;
-  for (const ledger::NodeId id : touched) {
-    const std::uint32_t p = page_of(id);
-    if (p < new_count) dirty.insert(p);
-  }
+void RootCache::update_pages(const LedgerState& state,
+                             std::vector<std::uint32_t> dirty) {
+  const std::uint32_t count = state.page_count();
   // Pages newly inside the committed span need hashes even when untouched
   // (an id jump can commit empty pages in between).
-  for (std::uint32_t p = old_count; p < new_count; ++p) dirty.insert(p);
+  for (std::uint32_t p = page_count(); p < count; ++p) dirty.push_back(p);
+  std::erase_if(dirty, [count](std::uint32_t p) { return p >= count; });
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
+  std::size_t old_size = page_count();
+  levels_.front().resize(count);
   for (const std::uint32_t p : dirty) {
-    pages_[p] = page_leaf_hash(p, encode_page(state, p));
+    levels_.front()[p] = page_leaf_hash(p, encode_page(state, p));
   }
-  root_ = crypto::merkle_root(pages_);
+  // Climb one level at a time, re-hashing the parents of dirty nodes.  A
+  // level whose size changed also re-hashes every parent from the old end
+  // on: those pair different children (or duplicate a different last node).
+  std::size_t level = 0;
+  for (; levels_[level].size() > 1; ++level) {
+    if (level + 1 == levels_.size()) levels_.emplace_back();
+    const std::vector<Hash32>& below = levels_[level];
+    std::vector<Hash32>& above = levels_[level + 1];
+    const std::size_t n = below.size();
+    const std::size_t old_above = above.size();
+    above.resize((n + 1) / 2);
+    std::vector<std::uint32_t> parents;
+    parents.reserve(dirty.size() + 1);
+    for (const std::uint32_t i : dirty) {
+      if (parents.empty() || parents.back() != i / 2) parents.push_back(i / 2);
+    }
+    if (old_size != n) {
+      const auto from = static_cast<std::uint32_t>(std::min(old_size, n) / 2);
+      for (auto j = from; j < above.size(); ++j) parents.push_back(j);
+      std::sort(parents.begin(), parents.end());
+      parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
+    }
+    for (const std::uint32_t j : parents) {
+      const std::size_t right = 2 * std::size_t{j} + 1 < n ? 2 * j + 1 : 2 * j;
+      above[j] = crypto::merkle_parent(below[2 * j], below[right]);
+    }
+    dirty = std::move(parents);
+    old_size = old_above;
+  }
+  levels_.resize(level + 1);
+}
+
+const Hash32& RootCache::root() const {
+  static const Hash32 kEmptyRoot{};
+  return levels_.back().empty() ? kEmptyRoot : levels_.back().front();
+}
+
+crypto::MerkleProof RootCache::prove(std::uint32_t page) const {
+  expects(page < page_count(), "page past the committed span");
+  crypto::MerkleProof proof;
+  proof.reserve(levels_.size() - 1);
+  std::size_t pos = page;
+  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
+    const std::size_t sibling =
+        (pos ^ 1u) < levels_[level].size() ? (pos ^ 1u) : pos;
+    proof.push_back(
+        crypto::MerkleStep{levels_[level][sibling], sibling < pos});
+    pos /= 2;
+  }
+  return proof;
 }
 
 }  // namespace themis::state::authstate

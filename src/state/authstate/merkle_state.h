@@ -8,8 +8,10 @@
 // root is the *state root* a node reports alongside each head.
 //
 // Fixed ranges make the commitment incrementally maintainable: a block that
-// touches k accounts dirties at most k pages, so RootCache recomputes those
-// leaves plus one root pass instead of rehashing a million accounts.
+// touches k accounts dirties at most k pages, and RootCache, which stores
+// every level of the tree, re-hashes those leaves and their paths to the
+// root — O(k log P) — and reads a proof's path in O(log P).  The pages are
+// the ones LedgerState stores its accounts in.
 //
 // An AccountProof carries the full encoded page plus the Merkle path of its
 // leaf.  Verifiers decode the page (strictly: ordered, in-range, no default
@@ -30,13 +32,8 @@
 
 namespace themis::state::authstate {
 
-/// Accounts per Merkle page (fixed id ranges; must be a power of two).
-inline constexpr std::uint32_t kAccountsPerPage = 64;
-
-/// Page index covering account `id`.
-constexpr std::uint32_t page_of(ledger::NodeId id) {
-  return id / kAccountsPerPage;
-}
+using state::kAccountsPerPage;
+using state::page_of;
 
 /// Serialize page `page` of `state`: live accounts with id in
 /// [page*64, (page+1)*64), ascending, each as (id, balance lo, balance hi,
@@ -48,10 +45,6 @@ Bytes encode_page(const LedgerState& state, std::uint32_t page);
 /// forecloses cross-page replay (two empty pages hash differently, so an
 /// absence proof cannot be relocated to a page that actually has accounts).
 Hash32 page_leaf_hash(std::uint32_t page, ByteSpan page_bytes);
-
-/// Number of pages the commitment covers: enough to include the highest
-/// non-default account, 0 for an empty state.
-std::uint32_t page_count_of(const LedgerState& state);
 
 /// Hashes of all committed pages, in page order.
 std::vector<Hash32> page_hashes_of(const LedgerState& state);
@@ -84,27 +77,41 @@ std::optional<AccountProof> prove_account(const LedgerState& state,
 bool verify_account_proof(const Hash32& root, ledger::NodeId id,
                           const Account& claimed, const AccountProof& proof);
 
-/// Incrementally maintained page-hash vector + root for an advancing head.
-/// Not thread safe; callers serialize access (the consensus lock in P2pNode).
+/// Every level of the state's Merkle tree, kept up to date for an advancing
+/// head.  Not thread safe; callers serialize access (the consensus lock in
+/// P2pNode).
 class RootCache {
  public:
   /// Recompute everything from `state` (O(accounts)).
   void rebuild(const LedgerState& state);
 
-  /// Recompute only the pages containing `touched` ids against the
-  /// post-state (O(touched pages + page count), the per-block path).
+  /// Re-hash the pages containing `touched` ids against the post-state.
   void update(const LedgerState& state,
               const std::vector<ledger::NodeId>& touched);
 
-  const Hash32& root() const { return root_; }
+  /// Re-hash `pages` (any order, duplicates allowed) and every page the
+  /// committed span gained, then their paths to the root: O(dirty log P).
+  void update_pages(const LedgerState& state, std::vector<std::uint32_t> pages);
+
+  /// The state root (all zero for an empty state).
+  const Hash32& root() const;
   std::uint32_t page_count() const {
-    return static_cast<std::uint32_t>(pages_.size());
+    return static_cast<std::uint32_t>(levels_.front().size());
   }
-  const std::vector<Hash32>& page_hashes() const { return pages_; }
+  /// Leaf level: the hash of every committed page, in page order.
+  const std::vector<Hash32>& page_hashes() const { return levels_.front(); }
+
+  /// Merkle path of page `page` (< page_count()), read off the stored
+  /// levels: the steps crypto::merkle_prove(page_hashes(), page) returns.
+  crypto::MerkleProof prove(std::uint32_t page) const;
+
+  bool operator==(const RootCache&) const = default;
 
  private:
-  std::vector<Hash32> pages_;
-  Hash32 root_{};
+  /// levels_[0] holds the page hashes; levels_[k + 1][i] is the parent of
+  /// levels_[k][2i] and levels_[k][2i + 1] (or of levels_[k][2i] twice at an
+  /// odd end); the last level holds the root alone.
+  std::vector<std::vector<Hash32>> levels_ = std::vector<std::vector<Hash32>>(1);
 };
 
 }  // namespace themis::state::authstate

@@ -14,26 +14,21 @@ constexpr std::uint32_t kSnapshotMagic = 0x504e5354;  // "TSNP"
 }  // namespace
 
 Bytes encode_snapshot(const Snapshot& snapshot) {
-  const auto& accounts = snapshot.state.accounts();
-  Writer w(64 + accounts.size() * 28);
+  const std::size_t live = snapshot.state.live_accounts();
+  Writer w(64 + live * 28);
   w.u32(kSnapshotMagic);
   w.u32(kSnapshotVersion);
   w.u64(snapshot.height);
   w.hash(snapshot.block);
   w.hash(state_root_of(snapshot.state));
-  std::uint64_t live = 0;
-  for (const auto& [id, account] : accounts) {
-    if (account == Account{}) continue;
-    ++live;
-  }
   w.varint(live);
-  for (const auto& [id, account] : accounts) {
-    if (account == Account{}) continue;
-    w.u32(id);
-    w.u64(account.balance.lo());
-    w.u64(account.balance.hi());
-    w.u64(account.next_nonce);
-  }
+  snapshot.state.for_each_account(
+      [&w](ledger::NodeId id, const Account& account) {
+        w.u32(id);
+        w.u64(account.balance.lo());
+        w.u64(account.balance.hi());
+        w.u64(account.next_nonce);
+      });
   const Hash32 checksum = crypto::sha256d(w.buffer());
   w.hash(checksum);
   return w.take();
@@ -76,6 +71,7 @@ std::optional<Snapshot> decode_snapshot(ByteSpan data) {
     std::optional<ledger::NodeId> prev;
     for (std::uint64_t i = 0; i < count; ++i) {
       const ledger::NodeId id = r.u32();
+      if (id >= kMaxAccounts) return std::nullopt;
       if (prev.has_value() && id <= *prev) return std::nullopt;
       prev = id;
       Account account;
@@ -84,8 +80,6 @@ std::optional<Snapshot> decode_snapshot(ByteSpan data) {
       account.balance = UInt128(hi, lo);
       account.next_nonce = r.u64();
       if (account == Account{}) return std::nullopt;
-      // Ids are enforced strictly ascending above, so the hinted append is
-      // valid and keeps the million-account load linear.
       snap.state.put_back(id, account);
     }
     r.expect_done();

@@ -46,7 +46,8 @@ bool write_snapshot(const std::filesystem::path& path,
                     const Snapshot& snapshot);
 
 /// Decode; nullopt on any corruption (bad magic/version/checksum, trailing
-/// bytes, out-of-order accounts, or a state root mismatch).
+/// bytes, out-of-order accounts, an id at or above kMaxAccounts, or a state
+/// root mismatch).
 std::optional<Snapshot> decode_snapshot(ByteSpan data);
 
 /// Load and fully verify the snapshot at `path`; nullopt when missing or

@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "crypto/merkle.h"
 #include "obs/live/log.h"
 #include "state/authstate/snapshot.h"
 
@@ -52,7 +51,7 @@ ledger::BlockTree ChainState::restore(const ledger::BlockStore& store) {
         "chain", "restored from snapshot",
         {{"height", stats_.snapshot_height},
          {"accounts",
-          static_cast<std::uint64_t>(states_.base().accounts().size())},
+          static_cast<std::uint64_t>(states_.base().live_accounts())},
          {"replayed", stats_.store_replayed}});
   }
   return tree;
@@ -79,33 +78,10 @@ std::vector<ledger::Transaction> ChainState::select_body(
 
 const Hash32& ChainState::root(const ledger::BlockTree& tree,
                                const ledger::BlockHash& head) {
-  if (root_valid_ && root_head_ == head) return root_cache_.root();
+  if (root_head_ == head) return root_cache_.root();
   const LedgerState& state = states_.state_at(tree, head);
-  static constexpr std::size_t kMaxIncrementalWalk = 64;
-  bool incremental = false;
-  std::vector<ledger::NodeId> touched;
-  if (root_valid_) {
-    ledger::BlockHash cursor = head;
-    for (std::size_t steps = 0; steps <= kMaxIncrementalWalk; ++steps) {
-      if (cursor == root_head_) {
-        incremental = true;
-        break;
-      }
-      const StateDelta* delta = states_.delta(cursor);
-      if (delta == nullptr) break;
-      for (const auto& [id, account] : delta->accounts) touched.push_back(id);
-      const auto parent = tree.parent(cursor);
-      if (!parent.has_value()) break;
-      cursor = *parent;
-    }
-  }
-  if (incremental) {
-    root_cache_.update(state, touched);
-  } else {
-    root_cache_.rebuild(state);
-  }
+  root_cache_.update_pages(state, hashed_.sync_from(state));
   root_head_ = head;
-  root_valid_ = true;
   return root_cache_.root();
 }
 
@@ -114,15 +90,14 @@ ChainState::Proof ChainState::prove(const ledger::BlockTree& tree,
                                     ledger::NodeId id) {
   Proof result;
   result.state_root = root(tree, head);
-  const LedgerState& state = states_.state_at(tree, head);
-  result.account = state.account(id);
+  result.account = hashed_.account(id);
   const std::uint32_t page = authstate::page_of(id);
   result.proof.page = page;
   result.proof.page_count = root_cache_.page_count();
   if (page < result.proof.page_count) {
     result.available = true;
-    result.proof.page_bytes = authstate::encode_page(state, page);
-    result.proof.steps = crypto::merkle_prove(root_cache_.page_hashes(), page);
+    result.proof.page_bytes = authstate::encode_page(hashed_, page);
+    result.proof.steps = root_cache_.prove(page);
   }
   return result;
 }
@@ -148,7 +123,7 @@ void ChainState::maybe_snapshot(const ledger::BlockTree& tree,
   obs::live::log_info(
       "chain", "snapshot written",
       {{"height", anchor_height},
-       {"accounts", static_cast<std::uint64_t>(snap.state.accounts().size())}});
+       {"accounts", static_cast<std::uint64_t>(snap.state.live_accounts())}});
   if (prune_ && store != nullptr) {
     const std::size_t removed = store->prune_below(anchor_height);
     stats_.blocks_pruned += removed;

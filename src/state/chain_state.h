@@ -1,8 +1,8 @@
 // The account-state half of a live node (§III: "commit the resulting account
 // state"): the StateManager, the replay rule block validation and the miner
-// share, the incrementally maintained head state root, balance proofs from
-// its cached page hashes, and the snapshot policy (restore at start, then
-// write / pin / prune as the finalized anchor advances).
+// share, the incrementally maintained head state root, balance proofs read
+// off its stored Merkle levels, and the snapshot policy (restore at start,
+// then write / pin / prune as the finalized anchor advances).
 //
 // P2pNode calls it only under its consensus mutex; bench/state_scale drives
 // the same restore() and prove().  Not thread safe.
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/uint128.h"
@@ -62,8 +63,9 @@ class ChainState {
                                                const ledger::TxPool& pool,
                                                std::size_t max_txs);
 
-  /// Merkle state root at `head`: re-hashes only the pages the deltas since
-  /// the previous root touched, or rebuilds after a reorg or long jump.
+  /// Merkle state root at `head`: re-hashes only the pages whose page-table
+  /// entries differ from the state it last hashed — one block's dirty pages
+  /// on a step, both branches' on a reorg.
   const Hash32& root(const ledger::BlockTree& tree,
                      const ledger::BlockHash& head);
 
@@ -73,7 +75,8 @@ class ChainState {
     authstate::AccountProof proof;
     Hash32 state_root{};
   };
-  /// `id`'s account at `head`, proven against root(tree, head).
+  /// `id`'s account at `head`, proven against root(tree, head): one page
+  /// encode plus an O(log P) path read.
   Proof prove(const ledger::BlockTree& tree, const ledger::BlockHash& head,
               ledger::NodeId id);
 
@@ -97,8 +100,10 @@ class ChainState {
   Stats stats_;
 
   authstate::RootCache root_cache_;
-  ledger::BlockHash root_head_{};
-  bool root_valid_ = false;
+  /// The state root_cache_ last hashed, kept in step with sync_from, and
+  /// its block.
+  LedgerState hashed_;
+  std::optional<ledger::BlockHash> root_head_;
 };
 
 }  // namespace themis::state

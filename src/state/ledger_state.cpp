@@ -1,10 +1,52 @@
 #include "state/ledger_state.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/check.h"
 
 namespace themis::state {
+
+namespace {
+
+const Account kEmptyAccount{};
+
+bool is_default(const Account& account) { return account == kEmptyAccount; }
+
+/// The transition rule LedgerState and ScratchState share: `view` reads
+/// accounts with account(id) and writes whole post-images with put(id, ...).
+/// A failed transaction writes nothing.
+template <typename View>
+TxOutcome apply_to(View& view, const ledger::Transaction& tx) {
+  if (tx.sender() >= kMaxAccounts) return TxOutcome::unknown_sender;
+  Account sender = view.account(tx.sender());
+  if (tx.nonce() != sender.next_nonce) return TxOutcome::bad_nonce;
+
+  const std::optional<Transfer> transfer = transfer_of(tx);
+  if (!transfer.has_value()) {
+    ++sender.next_nonce;
+    view.put(tx.sender(), sender);
+    return TxOutcome::data_only;
+  }
+  // The cap also covers kNoNode.
+  if (transfer->to >= kMaxAccounts) return TxOutcome::unknown_recipient;
+  if (sender.balance < transfer->amount) return TxOutcome::insufficient_funds;
+  // Self-transfers are a no-op on balances; everyone else's credit must not
+  // wrap the 128-bit range.
+  if (transfer->to != tx.sender()) {
+    Account recipient = view.account(transfer->to);
+    if (recipient.balance.add_overflow(transfer->amount, recipient.balance)) {
+      return TxOutcome::overflow;
+    }
+    sender.balance -= transfer->amount;
+    view.put(transfer->to, recipient);
+  }
+  ++sender.next_nonce;
+  view.put(tx.sender(), sender);
+  return TxOutcome::applied;
+}
+
+}  // namespace
 
 std::string_view to_string(TxOutcome outcome) {
   switch (outcome) {
@@ -14,54 +56,57 @@ std::string_view to_string(TxOutcome outcome) {
     case TxOutcome::insufficient_funds: return "insufficient_funds";
     case TxOutcome::unknown_recipient: return "unknown_recipient";
     case TxOutcome::overflow: return "overflow";
+    case TxOutcome::unknown_sender: return "unknown_sender";
   }
   return "unknown";
 }
 
 void LedgerState::fund(ledger::NodeId account, const UInt128& amount) {
-  Account& acct = accounts_[account];
+  Account acct = this->account(account);
   const bool overflow = acct.balance.add_overflow(amount, acct.balance);
   expects(!overflow, "genesis funding overflows account balance");
+  put(account, acct);
 }
 
 const Account& LedgerState::account(ledger::NodeId id) const {
-  static const Account kEmpty{};
-  const auto it = accounts_.find(id);
-  return it == accounts_.end() ? kEmpty : it->second;
+  const AccountPage* p = page(page_of(id));
+  return p == nullptr ? kEmptyAccount : p->slots[id % kAccountsPerPage];
 }
 
 UInt128 LedgerState::total_supply() const {
   UInt128 total;
-  for (const auto& [id, acct] : accounts_) {
-    if (total.add_overflow(acct.balance, total)) return UInt128::max();
+  for (const auto& p : pages_) {
+    if (p == nullptr) continue;
+    for (const Account& acct : p->slots) {
+      if (total.add_overflow(acct.balance, total)) return UInt128::max();
+    }
   }
   return total;
 }
 
-TxOutcome LedgerState::apply(const ledger::Transaction& tx) {
-  Account& sender = accounts_[tx.sender()];
-  if (tx.nonce() != sender.next_nonce) return TxOutcome::bad_nonce;
+void LedgerState::put(ledger::NodeId id, const Account& account) {
+  expects(id < kMaxAccounts, "account id at or above kMaxAccounts");
+  const std::uint32_t p = page_of(id);
+  const std::uint32_t slot = id % kAccountsPerPage;
+  if (this->account(id) == account) return;  // no write, no clone
+  if (p >= pages_.size()) pages_.resize(p + 1);
+  std::shared_ptr<AccountPage>& entry = pages_[p];
+  if (entry == nullptr) {
+    entry = std::make_shared<AccountPage>();
+  } else if (entry.use_count() > 1) {
+    entry = std::make_shared<AccountPage>(*entry);  // shared: clone first
+  }
+  Account& current = entry->slots[slot];
+  entry->live -= is_default(current) ? 0 : 1;
+  entry->live += is_default(account) ? 0 : 1;
+  current = account;
+  if (entry->live > 0) return;
+  entry.reset();
+  while (!pages_.empty() && pages_.back() == nullptr) pages_.pop_back();
+}
 
-  const std::optional<Transfer> transfer = transfer_of(tx);
-  if (!transfer.has_value()) {
-    ++sender.next_nonce;
-    return TxOutcome::data_only;
-  }
-  if (transfer->to == ledger::kNoNode) return TxOutcome::unknown_recipient;
-  if (sender.balance < transfer->amount) return TxOutcome::insufficient_funds;
-  // Self-transfers are a no-op on balances; everyone else's credit must not
-  // wrap the 128-bit range.
-  if (transfer->to != tx.sender()) {
-    UInt128 credited;
-    if (accounts_[transfer->to].balance.add_overflow(transfer->amount,
-                                                     credited)) {
-      return TxOutcome::overflow;
-    }
-    accounts_[transfer->to].balance = credited;
-    sender.balance -= transfer->amount;
-  }
-  ++sender.next_nonce;
-  return TxOutcome::applied;
+TxOutcome LedgerState::apply(const ledger::Transaction& tx) {
+  return apply_to(*this, tx);
 }
 
 std::size_t LedgerState::apply_block(const ledger::Block& block) {
@@ -76,9 +121,37 @@ std::size_t LedgerState::apply_block(const ledger::Block& block) {
 }
 
 void LedgerState::apply_delta(const StateDelta& delta) {
-  for (const auto& [id, account] : delta.accounts) {
-    accounts_[id] = account;
+  for (const auto& [id, account] : delta.accounts) put(id, account);
+}
+
+std::vector<std::uint32_t> LedgerState::sync_from(const LedgerState& other) {
+  std::vector<std::uint32_t> out;
+  const std::uint32_t span = std::max(page_count(), other.page_count());
+  pages_.resize(span);
+  for (std::uint32_t p = 0; p < span; ++p) {
+    if (pages_[p].get() == other.page(p)) continue;
+    pages_[p] = p < other.page_count() ? other.pages_[p] : nullptr;
+    out.push_back(p);
   }
+  pages_.resize(other.page_count());
+  return out;
+}
+
+std::size_t LedgerState::live_accounts() const {
+  std::size_t live = 0;
+  for (const auto& p : pages_) live += p == nullptr ? 0 : p->live;
+  return live;
+}
+
+bool LedgerState::operator==(const LedgerState& other) const {
+  if (page_count() != other.page_count()) return false;
+  for (std::uint32_t p = 0; p < page_count(); ++p) {
+    const AccountPage* a = page(p);
+    const AccountPage* b = other.page(p);
+    if (a == b) continue;
+    if (a == nullptr || b == nullptr || a->slots != b->slots) return false;
+  }
+  return true;
 }
 
 const Account& ScratchState::account(ledger::NodeId id) const {
@@ -86,37 +159,12 @@ const Account& ScratchState::account(ledger::NodeId id) const {
   return it != overlay_.end() ? it->second : base_->account(id);
 }
 
-Account& ScratchState::touch(ledger::NodeId id) {
-  const auto it = overlay_.find(id);
-  if (it != overlay_.end()) return it->second;
-  return overlay_.emplace(id, base_->account(id)).first->second;
-}
-
 TxOutcome ScratchState::apply(const ledger::Transaction& tx) {
-  // Mirrors LedgerState::apply exactly (differentially tested); reads come
-  // through the overlay, writes land only in the overlay.
-  Account& sender = touch(tx.sender());
-  if (tx.nonce() != sender.next_nonce) return TxOutcome::bad_nonce;
-
-  const std::optional<Transfer> transfer = transfer_of(tx);
-  if (!transfer.has_value()) {
-    ++sender.next_nonce;
+  const TxOutcome outcome = apply_to(*this, tx);
+  if (outcome == TxOutcome::applied || outcome == TxOutcome::data_only) {
     ++applied_;
-    return TxOutcome::data_only;
   }
-  if (transfer->to == ledger::kNoNode) return TxOutcome::unknown_recipient;
-  if (sender.balance < transfer->amount) return TxOutcome::insufficient_funds;
-  if (transfer->to != tx.sender()) {
-    UInt128 credited;
-    if (touch(transfer->to).balance.add_overflow(transfer->amount, credited)) {
-      return TxOutcome::overflow;
-    }
-    touch(transfer->to).balance = credited;
-    sender.balance -= transfer->amount;
-  }
-  ++sender.next_nonce;
-  ++applied_;
-  return TxOutcome::applied;
+  return outcome;
 }
 
 StateDelta ScratchState::take_delta() {
@@ -174,9 +222,7 @@ const LedgerState& StateManager::state_at(const ledger::BlockTree& tree,
   }
   if (pinned_.has_value() && pinned_->first == block) return pinned_->second;
   // Walk up to the nearest cached ancestor (or the tree root), then replay
-  // down onto one working copy.  Only the requested block is cached: caching
-  // every intermediate would copy the full account map per block, which at a
-  // million accounts is unaffordable in both time and memory.
+  // down onto one working copy; only the requested block is cached.
   std::vector<ledger::BlockHash> pending;
   ledger::BlockHash cursor = block;
   while (!cache_.contains(cursor) &&

@@ -10,22 +10,29 @@
 // TxOutcome::overflow and changes nothing, so the ledger survives realistic
 // economic ranges without silent corruption.
 //
+// Accounts live in copy-on-write pages of 64 ids — the fixed ranges the
+// authstate commitment hashes into one Merkle leaf each.  Copying a state
+// copies its page table and shares every page; a write clones only the page
+// it lands in, and only while another state still shares it.  So a block's
+// state costs the pages its body touched, not the whole ledger.
+//
 // StateManager materializes the state at any block by replaying the main
-// chain.  Snapshots are cached per block with a bounded LRU (a full snapshot
-// of a million-account state is ~10^8 bytes — caching every block would make
-// memory O(chain length × accounts)); the common access pattern (validate
-// children of the current head, query the head) stays one delta application.
+// chain, caching per-block states in a bounded LRU; the common access
+// pattern (validate children of the current head, query the head) stays one
+// delta application on a cached parent.
 //
 // Validation-time delta caching: block validation replays the body once on a
 // ScratchState overlay and records the touched-account post-images as a
-// StateDelta.  When StateManager later needs that block's snapshot it applies
+// StateDelta.  When StateManager later needs that block's state it applies
 // the delta — a handful of account writes — instead of decoding and replaying
 // every transaction a second time.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -37,12 +44,33 @@
 
 namespace themis::state {
 
+/// Accounts per page: page p holds ids [p*64, (p+1)*64).  A power of two.
+inline constexpr std::uint32_t kAccountsPerPage = 64;
+
+/// Ids at or above this cap hold no account: a transfer to one fails as
+/// unknown_recipient, a transaction from one as unknown_sender, and a
+/// snapshot naming one is refused.  It bounds the page table, and the page
+/// span every root and proof hashes, at 65,536 pages.
+inline constexpr ledger::NodeId kMaxAccounts = ledger::NodeId{1} << 22;
+
+/// Page index covering account `id`.
+constexpr std::uint32_t page_of(ledger::NodeId id) {
+  return id / kAccountsPerPage;
+}
+
 struct Account {
   UInt128 balance;
   /// Highest transaction nonce seen from this account (0 = none yet).
   std::uint64_t next_nonce = 1;
 
   bool operator==(const Account&) const = default;
+};
+
+/// One page of accounts; slot i holds id page*64 + i.
+struct AccountPage {
+  std::array<Account, kAccountsPerPage> slots{};
+  /// Slots holding a non-default account.
+  std::uint32_t live = 0;
 };
 
 enum class TxOutcome {
@@ -52,6 +80,7 @@ enum class TxOutcome {
   insufficient_funds,
   unknown_recipient,
   overflow,         ///< recipient balance would exceed 2^128 - 1
+  unknown_sender,   ///< sender id at or above kMaxAccounts
 };
 
 std::string_view to_string(TxOutcome outcome);
@@ -79,19 +108,12 @@ class LedgerState {
   /// Saturates at UInt128::max() if genesis over-funded past 2^128 - 1.
   UInt128 total_supply() const;
 
-  /// All accounts, keyed by id.  The authstate layer iterates this to page
-  /// the state into Merkle leaves and to serialize snapshots.
-  const std::map<ledger::NodeId, Account>& accounts() const { return accounts_; }
+  /// Overwrite one account verbatim (snapshot restore path).  Throws
+  /// PreconditionError for an id at or above kMaxAccounts.
+  void put(ledger::NodeId id, const Account& account);
 
-  /// Overwrite one account verbatim (snapshot restore path).
-  void put(ledger::NodeId id, const Account& account) { accounts_[id] = account; }
-
-  /// Append an account whose id exceeds every existing one — the hinted
-  /// insertion makes an ascending bulk load (snapshot decode of a
-  /// million-account state) amortized O(1) per account instead of O(log n).
-  void put_back(ledger::NodeId id, const Account& account) {
-    accounts_.emplace_hint(accounts_.end(), id, account);
-  }
+  /// put() for an ascending bulk load (snapshot decode).
+  void put_back(ledger::NodeId id, const Account& account) { put(id, account); }
 
   /// Apply one transaction.  Strict nonce discipline: the transaction's nonce
   /// must equal the sender's next_nonce.  Failed transactions do not change
@@ -108,18 +130,52 @@ class LedgerState {
   /// without decoding or replaying any transaction.
   void apply_delta(const StateDelta& delta);
 
-  bool operator==(const LedgerState&) const = default;
+  /// Committed page span: one past the highest page holding a non-default
+  /// account, 0 for an empty state.
+  std::uint32_t page_count() const {
+    return static_cast<std::uint32_t>(pages_.size());
+  }
+  /// Page `p`, or nullptr when it holds only default accounts.
+  const AccountPage* page(std::uint32_t p) const {
+    return p < pages_.size() ? pages_[p].get() : nullptr;
+  }
+  /// Make this state equal to `other` by sharing `other`'s page wherever the
+  /// two page tables point at different pages, and return those pages.  A
+  /// page neither state wrote since they shared it is skipped, so one block
+  /// apart this is the block's dirty pages.  The comparison is exact because
+  /// this state keeps its pages alive: a differing pointer cannot be a freed
+  /// page's reused address, and a shared page is never written in place.
+  std::vector<std::uint32_t> sync_from(const LedgerState& other);
+
+  /// Non-default accounts.
+  std::size_t live_accounts() const;
+  /// Calls fn(id, account) for every non-default account, ascending.
+  template <typename Fn>
+  void for_each_account(Fn&& fn) const {
+    for (std::uint32_t p = 0; p < page_count(); ++p) {
+      if (pages_[p] == nullptr) continue;
+      for (std::uint32_t i = 0; i < kAccountsPerPage; ++i) {
+        const Account& account = pages_[p]->slots[i];
+        if (account != Account{}) fn(p * kAccountsPerPage + i, account);
+      }
+    }
+  }
+
+  /// Same accounts, whichever pages the two states share.
+  bool operator==(const LedgerState& other) const;
 
  private:
-  std::map<ledger::NodeId, Account> accounts_;
+  // Invariants: a page is null iff it holds only default accounts, and the
+  // last page is non-null.  A page is written in place only while this state
+  // is its sole owner; otherwise the write clones it first.
+  std::vector<std::shared_ptr<AccountPage>> pages_;
 };
 
-/// Copy-on-write overlay over a parent snapshot.  Where the old validation
-/// path copied the whole account map before replaying a body, a ScratchState
-/// starts empty and materializes only the accounts the body actually touches;
-/// take_delta() then hands those post-images to StateManager for caching.
+/// Overlay over a parent state: starts empty and holds only the accounts a
+/// body writes, so replaying a body never writes a page; take_delta() then
+/// hands those post-images to StateManager for caching.
 ///
-/// The base snapshot must outlive the scratch (both live under the consensus
+/// The base state must outlive the scratch (both live under the consensus
 /// lock in practice).
 class ScratchState {
  public:
@@ -131,6 +187,9 @@ class ScratchState {
   /// Same transition rules and outcomes as LedgerState::apply.
   TxOutcome apply(const ledger::Transaction& tx);
 
+  /// Overlay write (the transition rule's write half).
+  void put(ledger::NodeId id, const Account& account) { overlay_[id] = account; }
+
   /// Number of transactions that applied cleanly so far.
   std::size_t applied() const { return applied_; }
 
@@ -138,8 +197,6 @@ class ScratchState {
   StateDelta take_delta();
 
  private:
-  Account& touch(ledger::NodeId id);
-
   const LedgerState* base_;
   std::map<ledger::NodeId, Account> overlay_;
   std::size_t applied_ = 0;
@@ -147,8 +204,9 @@ class ScratchState {
 
 class StateManager {
  public:
-  /// Past this many cached per-block snapshots, the least-recently-used is
-  /// evicted and a later query for it falls back to replay from the base.
+  /// Past this many cached per-block states, the least-recently-used is
+  /// evicted and a later query for it replays from the nearest cached
+  /// ancestor (or the base).
   static constexpr std::size_t kDefaultMaxCached = 8;
 
   /// `genesis_allocation` funds accounts before any block executes.
@@ -156,7 +214,7 @@ class StateManager {
                         std::size_t max_cached = kDefaultMaxCached);
 
   /// State after executing the main chain from the tree's root to `block`
-  /// (inclusive).  Snapshots are cached per block hash (bounded LRU); blocks
+  /// (inclusive).  States are cached per block hash (bounded LRU); blocks
   /// with a recorded delta materialize by delta application instead of body
   /// replay.  The returned reference stays valid until the next state_at or
   /// reset_base call.
@@ -170,16 +228,10 @@ class StateManager {
   bool has_delta(const ledger::BlockHash& block) const {
     return deltas_.contains(block);
   }
-  /// The recorded delta for `block`, or nullptr.  The authstate RootCache
-  /// uses the touched-account list to re-hash only dirty Merkle pages.
-  const StateDelta* delta(const ledger::BlockHash& block) const {
-    const auto it = deltas_.find(block);
-    return it == deltas_.end() ? nullptr : &it->second;
-  }
 
   /// Replace the base state (snapshot-restore path: the tree is re-rooted at
   /// the snapshot block and `base` is the state *after* executing it).
-  /// Clears all cached snapshots, deltas, and the pinned anchor.
+  /// Clears all cached states, deltas, and the pinned anchor.
   void reset_base(LedgerState base);
 
   /// Pin the state at `block` so LRU churn cannot evict it (single slot; a

@@ -7,6 +7,7 @@
 
 #include "common/serialize.h"
 #include "crypto/sha256.h"
+#include "oracles/map_ledger_state.h"
 #include "state/authstate/merkle_state.h"
 #include "state/authstate/snapshot.h"
 
@@ -27,7 +28,7 @@ LedgerState small_state() {
 
 TEST(MerkleState, EmptyStateCommitsToZeroRoot) {
   LedgerState state;
-  EXPECT_EQ(page_count_of(state), 0u);
+  EXPECT_EQ(state.page_count(), 0u);
   EXPECT_EQ(state_root_of(state), Hash32{});
 }
 
@@ -39,10 +40,10 @@ TEST(MerkleState, PageOfPartitionsIdSpace) {
 }
 
 TEST(MerkleState, PageCountCoversHighestLiveAccount) {
-  EXPECT_EQ(page_count_of(small_state()), 4u);
+  EXPECT_EQ(small_state().page_count(), 4u);
   LedgerState one;
   one.fund(0, 1u);
-  EXPECT_EQ(page_count_of(one), 1u);
+  EXPECT_EQ(one.page_count(), 1u);
 }
 
 TEST(MerkleState, DefaultAccountsDoNotAffectTheRoot) {
@@ -220,12 +221,90 @@ TEST(MerkleState, VerifyRejectsNonCanonicalPageEncodings) {
   EXPECT_FALSE(verify_account_proof(root, 0, Account{}, bad));
 }
 
+/// ~5,000 accounts with id gaps, one balance past 2^64, empty interior
+/// pages 118..126 and a default-valued entry that must not be committed.
+LedgerState pinned_state() {
+  LedgerState state;
+  for (std::uint32_t i = 0; i < 5000; ++i) {
+    const ledger::NodeId id = i * 3 + (i >= 2500 ? 640 : 0);
+    state.put(id, Account{UInt128(1000 + std::uint64_t{id} * 7), 1 + id % 5});
+  }
+  state.put(64, Account{UInt128(3, 12345), 9});
+  state.put(65, Account{});
+  return state;
+}
+
+std::string proof_digest(const AccountProof& proof) {
+  Writer w;
+  w.u32(proof.page);
+  w.u32(proof.page_count);
+  w.bytes(proof.page_bytes);
+  for (const crypto::MerkleStep& step : proof.steps) {
+    w.hash(step.sibling);
+    w.u8(step.sibling_on_left ? 1 : 0);
+  }
+  return to_hex(crypto::sha256(w.buffer()));
+}
+
+// Known answers from the map-based state this commitment was first written
+// for: datadir snapshots and the roots clients hold depend on these bytes,
+// so any drift in page encoding, leaf preimage, odd-level duplication or
+// snapshot layout fails here.
+TEST(MerkleState, CommitmentMatchesPinnedValues) {
+  const LedgerState state = pinned_state();
+  EXPECT_EQ(state.page_count(), 245u);
+  EXPECT_EQ(to_hex(state_root_of(state)),
+            "5962468732b36eb86b0e5d73e62389966a7f04e1999f71f7f16337b8421fa015");
+  EXPECT_EQ(state.total_supply().to_decimal(), "55340232221407314693");
+
+  RootCache cache;
+  cache.rebuild(state);
+  EXPECT_EQ(cache.root(), state_root_of(state));
+  const std::pair<ledger::NodeId, const char*> pinned[] = {
+      {64, "547f908421ca667d4deaf64ba185a0228722e28672e02d247d9963ae6d3ed245"},
+      // Absence inside the empty interior page 118.
+      {7600, "1c0a9f22b425b97e963bbb489fd3d48e27665c3978b5980d3910af12ecf19509"},
+      {15637, "145f76fcb9690e69449ab05401c43386422c6355eaecedfbc238c95eaa9ddc38"},
+  };
+  for (const auto& [id, digest] : pinned) {
+    const auto proof = prove_account(state, id);
+    ASSERT_TRUE(proof.has_value()) << id;
+    EXPECT_EQ(proof_digest(*proof), digest) << id;
+    EXPECT_EQ(cache.prove(proof->page), proof->steps) << id;
+    EXPECT_TRUE(verify_account_proof(cache.root(), id, state.account(id), *proof));
+  }
+
+  Snapshot snap;
+  snap.height = 77;
+  snap.block.fill(0x5a);
+  snap.state = state;
+  const Bytes encoded = encode_snapshot(snap);
+  EXPECT_EQ(encoded.size(), 140142u);
+  EXPECT_EQ(to_hex(crypto::sha256(encoded)),
+            "4157aede0703bafdaf5c7fcb1a134e5efd0b0480afaae78ee2420086521c4291");
+}
+
+TEST(MerkleState, StoredLevelsProveEveryPageLikeMerkleProve) {
+  for (const std::uint32_t pages : {1u, 2u, 3u, 5u, 8u, 9u, 33u}) {
+    LedgerState state;
+    for (std::uint32_t p = 0; p < pages; p += 2) state.fund(p * 64 + 5, 1u);
+    state.fund((pages - 1) * 64, 1u);
+    RootCache cache;
+    cache.rebuild(state);
+    ASSERT_EQ(cache.page_count(), pages);
+    for (std::uint32_t p = 0; p < pages; ++p) {
+      EXPECT_EQ(cache.prove(p), crypto::merkle_prove(cache.page_hashes(), p))
+          << pages << " pages, page " << p;
+    }
+  }
+}
+
 TEST(RootCacheTest, RebuildMatchesStateRoot) {
   const LedgerState state = small_state();
   RootCache cache;
   cache.rebuild(state);
   EXPECT_EQ(cache.root(), state_root_of(state));
-  EXPECT_EQ(cache.page_count(), page_count_of(state));
+  EXPECT_EQ(cache.page_count(), state.page_count());
 }
 
 TEST(RootCacheTest, IncrementalUpdateMatchesRebuild) {
@@ -239,7 +318,7 @@ TEST(RootCacheTest, IncrementalUpdateMatchesRebuild) {
   state.fund(1000, 13u);
   cache.update(state, {0, 1000});
   EXPECT_EQ(cache.root(), state_root_of(state));
-  EXPECT_EQ(cache.page_count(), page_count_of(state));
+  EXPECT_EQ(cache.page_count(), state.page_count());
 
   // A long randomized walk: apply touches, compare against full recompute.
   std::mt19937 rng(77);
@@ -331,6 +410,49 @@ TEST_F(SnapshotTest, RootMismatchRejectedEvenWithValidChecksum) {
   const Hash32 checksum = crypto::sha256d(payload);
   std::copy(checksum.begin(), checksum.end(), data.end() - 32);
   EXPECT_FALSE(decode_snapshot(data).has_value());
+}
+
+TEST_F(SnapshotTest, IdAtOrAboveTheCapRejected) {
+  // A well-formed, checksummed snapshot whose root really commits to an
+  // account at kMaxAccounts: only the id cap stands between it and a page
+  // table of 65,537 pages.
+  oracle::MapLedgerState wide;
+  wide.fund(3, 10u);
+  wide.fund(kMaxAccounts, 10u);
+  Writer w;
+  w.u32(0x504e5354);  // "TSNP"
+  w.u32(kSnapshotVersion);
+  w.u64(42);
+  w.hash(Hash32{});
+  w.hash(oracle::state_root_of(wide));
+  w.varint(2);
+  for (const auto& [id, account] : wide.accounts()) {
+    w.u32(id);
+    w.u64(account.balance.lo());
+    w.u64(account.balance.hi());
+    w.u64(account.next_nonce);
+  }
+  w.hash(crypto::sha256d(w.buffer()));
+  EXPECT_FALSE(decode_snapshot(w.buffer()).has_value());
+
+  // The same layout just below the cap decodes.
+  oracle::MapLedgerState edge;
+  edge.fund(kMaxAccounts - 1, 10u);
+  Writer ok;
+  ok.u32(0x504e5354);
+  ok.u32(kSnapshotVersion);
+  ok.u64(42);
+  ok.hash(Hash32{});
+  ok.hash(oracle::state_root_of(edge));
+  ok.varint(1);
+  ok.u32(kMaxAccounts - 1);
+  ok.u64(10);
+  ok.u64(0);
+  ok.u64(1);
+  ok.hash(crypto::sha256d(ok.buffer()));
+  const auto decoded = decode_snapshot(ok.buffer());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->state.balance(kMaxAccounts - 1), 10u);
 }
 
 TEST_F(SnapshotTest, BadVersionRejected) {

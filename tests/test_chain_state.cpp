@@ -230,9 +230,17 @@ TEST_F(ChainStateTest, BodyCheckRejectsDoubleSpendAndRecordsDelta) {
 
   EXPECT_FALSE(chain.replay_body(tree, *bad));
   EXPECT_FALSE(chain.states().has_delta(bad->id()));
+  // One valid-looking 1-unit transfer past the account-id cap would commit
+  // 2^26 pages for every later root and proof; the body check refuses it.
+  const ledger::BlockPtr far = make_block(
+      tree, parent, {make_transfer_tx(1, 1, 2, Transfer{0xFFFFFFFE, 1, {}})}, 3);
+  EXPECT_FALSE(chain.replay_body(tree, *far));
+  EXPECT_FALSE(chain.states().has_delta(far->id()));
   ASSERT_TRUE(chain.replay_body(tree, *good));
   ASSERT_TRUE(chain.states().has_delta(good->id()));
-  EXPECT_EQ(chain.states().delta(good->id())->applied, 1u);
+  tree.insert(good);
+  EXPECT_EQ(chain.state_at(tree, good->id()).account(1).next_nonce, 2u);
+  EXPECT_EQ(chain.state_at(tree, good->id()).balance(2), 1'000'100u);
 }
 
 }  // namespace

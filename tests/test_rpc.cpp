@@ -251,6 +251,34 @@ TEST_F(RpcGatewayTest, HostileAmountStringsRejected) {
   EXPECT_EQ(node_->pool_depth(), 0u);
 }
 
+TEST_F(RpcGatewayTest, OutOfRangeIdsAreInvalidParams) {
+  const auto transfer = [](std::uint64_t sender, std::uint64_t to) {
+    Json params;
+    params.set("sender", sender);
+    params.set("to", to);
+    params.set("amount", 1);
+    return params;
+  };
+  // 2^32 + 7 must not wrap onto account 7, nor 2^32 + 1 onto sender 1.
+  EXPECT_EQ(error_code(call("submit_tx", transfer(1, 4294967303ULL))), -32602);
+  EXPECT_EQ(error_code(call("submit_tx", transfer(4294967297ULL, 2))), -32602);
+  // Recipients at or above the account cap hold no account.
+  EXPECT_EQ(error_code(call("submit_tx", transfer(1, state::kMaxAccounts))),
+            -32602);
+  EXPECT_EQ(error_code(call("submit_tx", transfer(1, 0xFFFFFFFEULL))), -32602);
+  EXPECT_EQ(node_->pool_depth(), 0u);
+  for (const bool prove : {false, true}) {
+    Json params;
+    params.set("account", std::uint64_t{4294967301});  // 2^32 + 5
+    params.set("prove", prove);
+    EXPECT_EQ(error_code(call("get_balance", std::move(params))), -32602);
+  }
+  // The last id below the cap is still a valid recipient.
+  const Json edge = call("submit_tx", transfer(1, state::kMaxAccounts - 1));
+  ASSERT_TRUE(edge.has("result")) << edge.dump();
+  EXPECT_EQ(edge["result"]["status"].as_string(), "accepted");
+}
+
 TEST_F(RpcGatewayTest, BalanceProofVerifiesAgainstHeadRoot) {
   Json params;
   params.set("account", 1);

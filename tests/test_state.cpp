@@ -119,6 +119,7 @@ TEST(LedgerState, ApplyBlockCountsSuccesses) {
 TEST(LedgerState, OutcomeNames) {
   EXPECT_EQ(to_string(TxOutcome::applied), "applied");
   EXPECT_EQ(to_string(TxOutcome::bad_nonce), "bad_nonce");
+  EXPECT_EQ(to_string(TxOutcome::unknown_sender), "unknown_sender");
 }
 
 TEST(StateManager, ReplaysMainChain) {
@@ -219,13 +220,23 @@ TEST(ScratchState, DifferentialAgainstDirectApply) {
       Transaction(1, 1, 0, bytes_of("note")),                     // data only
       make_transfer_tx(2, 1, 0, Transfer{ledger::kNoNode, 1, {}}),  // unknown to
       transfer_tx(1, 2, 0, 25),                                   // applied
+      transfer_tx(0, 2, kMaxAccounts, 1),        // past the id cap: unknown to
+      transfer_tx(0, 2, kMaxAccounts - 1, 1),    // last id below it: applied
+      transfer_tx(kMaxAccounts, 1, 0, 0),        // sender past the cap
+      transfer_tx(1, 3, 1, 5),                   // self-transfer: applied
   };
 
   LedgerState direct = base;
   ScratchState scratch(base);
+  std::vector<TxOutcome> outcomes;
   for (const Transaction& tx : txs) {
-    EXPECT_EQ(scratch.apply(tx), direct.apply(tx));
+    outcomes.push_back(direct.apply(tx));
+    EXPECT_EQ(scratch.apply(tx), outcomes.back());
   }
+  EXPECT_EQ(outcomes[6], TxOutcome::unknown_recipient);
+  EXPECT_EQ(outcomes[7], TxOutcome::applied);
+  EXPECT_EQ(outcomes[8], TxOutcome::unknown_sender);
+  EXPECT_EQ(direct.page_count(), page_of(kMaxAccounts - 1) + 1);
   LedgerState materialized = base;
   materialized.apply_delta(scratch.take_delta());
   EXPECT_EQ(materialized, direct);
