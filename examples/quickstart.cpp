@@ -61,9 +61,9 @@ int main() {
   // 3. A transaction pool fed by the members.
   ledger::TxPool pool;
   for (std::uint64_t i = 0; i < 64; ++i) {
-    pool.add(ledger::Transaction(static_cast<ledger::NodeId>(i % kMembers), i,
-                                 static_cast<std::int64_t>(i) * 100,
-                                 bytes_of("transfer #" + std::to_string(i))));
+    pool.add({ledger::Transaction(static_cast<ledger::NodeId>(i % kMembers), i,
+                                  static_cast<std::int64_t>(i) * 100,
+                                  bytes_of("transfer #" + std::to_string(i)))});
   }
   std::printf("transaction pool primed with %zu canonical 512-byte txs\n\n",
               pool.size());

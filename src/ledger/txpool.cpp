@@ -7,97 +7,37 @@
 
 namespace themis::ledger {
 
-namespace {
-
-/// Lock every shard mutex in index order (the pool-wide lock hierarchy).
-template <typename Shards>
-std::vector<std::unique_lock<std::mutex>> lock_all(Shards& shards) {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards.size());
-  for (auto& shard : shards) locks.emplace_back(shard.mu);
-  return locks;
-}
-
-}  // namespace
-
-TxPool::TxPool(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity), shards_(std::max<std::size_t>(shards, 1)) {
+TxPool::TxPool(std::size_t capacity) : capacity_(capacity) {
   expects(capacity > 0, "pool capacity must be positive");
-}
-
-TxPool::Shard& TxPool::shard_for(NodeId sender) {
-  // Multiplicative hash: consortium node ids are sequential, so raw modulo
-  // would stripe "neighbouring" senders onto the same shard under small
-  // shard counts.
-  const std::uint64_t mixed =
-      static_cast<std::uint64_t>(sender) * 0x9E3779B97F4A7C15ull;
-  return shards_[mixed % shards_.size()];
-}
-
-const TxPool::Shard& TxPool::shard_for(NodeId sender) const {
-  return const_cast<TxPool*>(this)->shard_for(sender);
 }
 
 bool TxPool::add(SignedTransaction stx) {
   const TxId id = stx.tx.id();
-  const NodeId sender = stx.tx.sender();
-  Shard& shard = shard_for(sender);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.by_id.contains(id)) return false;
+  if (by_id_.contains(id)) return false;
+  // Evict before inserting so the pool never exceeds capacity.
+  while (by_id_.size() >= capacity_) {
+    erase(by_id_.find(by_seq_.begin()->second));
+    if (evicted_counter_ != nullptr) evicted_counter_->inc();
   }
-  // Evict before inserting so the pool never exceeds capacity.  Eviction
-  // takes all shard locks, so it must run while we hold none.
-  while (size_.load(std::memory_order_relaxed) >= capacity_) {
-    if (!evict_global_oldest()) break;
-  }
-
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.by_id.contains(id)) return false;  // re-check after re-lock
-  const std::uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t nonce = stx.tx.nonce();
-  shard.by_id.emplace(id, Entry{std::move(stx), seq});
-  shard.by_sender[sender].emplace(nonce, id);
-  shard.by_seq.emplace(seq, id);
-  size_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t seq = next_seq_++;
+  by_sender_[stx.tx.sender()].emplace(stx.tx.nonce(), id);
+  by_seq_.emplace(seq, id);
+  by_id_.emplace(id, Entry{std::move(stx), seq});
   if (added_counter_ != nullptr) added_counter_->inc();
   return true;
 }
 
-bool TxPool::add(Transaction tx) {
-  SignedTransaction stx;
-  stx.tx = std::move(tx);
-  return add(std::move(stx));
-}
-
-bool TxPool::contains(const TxId& id) const {
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.by_id.contains(id)) return true;
-  }
-  return false;
-}
+bool TxPool::contains(const TxId& id) const { return by_id_.contains(id); }
 
 std::optional<SignedTransaction> TxPool::get(const TxId& id) const {
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.by_id.find(id);
-    if (it != shard.by_id.end()) return it->second.stx;
-  }
-  return std::nullopt;
+  const auto it = by_id_.find(id);
+  if (it == by_id_.end()) return std::nullopt;
+  return it->second.stx;
 }
-
-std::size_t TxPool::size() const {
-  return size_.load(std::memory_order_relaxed);
-}
-
-bool TxPool::empty() const { return size() == 0; }
 
 std::vector<Transaction> TxPool::select(
     std::size_t max_count,
     const std::function<bool(const Transaction&)>& admit) const {
-  const auto locks = lock_all(shards_);
-
   // One cursor per sender chain, heap-ordered by the arrival seq of the
   // chain's current head: senders interleave by arrival, but each sender's
   // transactions surface in nonce order so the ledger's strict-nonce rule can
@@ -105,24 +45,20 @@ std::vector<Transaction> TxPool::select(
   struct Cursor {
     std::multimap<std::uint64_t, TxId>::const_iterator it;
     std::multimap<std::uint64_t, TxId>::const_iterator end;
-    const Shard* shard;
   };
   std::vector<Cursor> cursors;
-  for (const Shard& shard : shards_) {
-    for (const auto& [sender, chain] : shard.by_sender) {
-      if (!chain.empty()) {
-        cursors.push_back(Cursor{chain.begin(), chain.end(), &shard});
-      }
-    }
+  cursors.reserve(by_sender_.size());
+  for (const auto& [sender, chain] : by_sender_) {
+    cursors.push_back(Cursor{chain.begin(), chain.end()});
   }
 
-  const auto seq_of = [](const Cursor& c) {
-    return c.shard->by_id.at(c.it->second).seq;
+  const auto entry_of = [this](const Cursor& c) -> const Entry& {
+    return by_id_.at(c.it->second);
   };
   // Min-heap of cursor indices by head seq ("priority"); a fee market would
-  // replace seq_of with a fee-per-byte key.
+  // replace the seq key with fee-per-byte.
   const auto heap_cmp = [&](std::size_t a, std::size_t b) {
-    return seq_of(cursors[a]) > seq_of(cursors[b]);
+    return entry_of(cursors[a]).seq > entry_of(cursors[b]).seq;
   };
   std::priority_queue<std::size_t, std::vector<std::size_t>,
                       decltype(heap_cmp)>
@@ -135,7 +71,7 @@ std::vector<Transaction> TxPool::select(
     const std::size_t idx = heap.top();
     heap.pop();
     Cursor& cur = cursors[idx];
-    const Transaction& tx = cur.shard->by_id.at(cur.it->second).stx.tx;
+    const Transaction& tx = entry_of(cur).stx.tx;
     if (!admit || admit(tx)) out.push_back(tx);
     ++cur.it;
     if (cur.it != cur.end) heap.push(idx);
@@ -144,68 +80,41 @@ std::vector<Transaction> TxPool::select(
 }
 
 void TxPool::remove(const std::vector<TxId>& ids) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const TxId& id : ids) {
-      const auto it = shard.by_id.find(id);
-      if (it == shard.by_id.end()) continue;
-      erase_locked(shard, id, it->second);
-    }
+  for (const TxId& id : ids) {
+    const auto it = by_id_.find(id);
+    if (it != by_id_.end()) erase(it);
   }
 }
 
 std::size_t TxPool::purge(
     const std::function<bool(const Transaction&)>& stale) {
   std::size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<TxId> doomed;
-    for (const auto& [id, entry] : shard.by_id) {
-      if (stale(entry.stx.tx)) doomed.push_back(id);
-    }
-    for (const TxId& id : doomed) {
-      erase_locked(shard, id, shard.by_id.at(id));
+  for (auto it = by_id_.begin(); it != by_id_.end();) {
+    if (stale(it->second.stx.tx)) {
+      it = erase(it);
       ++dropped;
+    } else {
+      ++it;
     }
   }
   return dropped;
 }
 
 std::vector<TxId> TxPool::ids(std::size_t max_count) const {
-  const auto locks = lock_all(shards_);
-  // K-way merge of the per-shard arrival indexes.
-  struct Cursor {
-    std::map<std::uint64_t, TxId>::const_iterator it;
-    std::map<std::uint64_t, TxId>::const_iterator end;
-  };
-  std::vector<Cursor> cursors;
-  for (const Shard& shard : shards_) {
-    if (!shard.by_seq.empty()) {
-      cursors.push_back(Cursor{shard.by_seq.begin(), shard.by_seq.end()});
-    }
-  }
   std::vector<TxId> out;
   out.reserve(std::min(max_count, size()));
-  while (out.size() < max_count) {
-    Cursor* best = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.it == c.end) continue;
-      if (best == nullptr || c.it->first < best->it->first) best = &c;
-    }
-    if (best == nullptr) break;
-    out.push_back(best->it->second);
-    ++best->it;
+  for (auto it = by_seq_.begin(); it != by_seq_.end() && out.size() < max_count;
+       ++it) {
+    out.push_back(it->second);
   }
   return out;
 }
 
 std::uint64_t TxPool::next_nonce_hint(NodeId sender,
                                       std::uint64_t state_next) const {
-  const Shard& shard = shard_for(sender);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto chain_it = shard.by_sender.find(sender);
+  const auto chain_it = by_sender_.find(sender);
   std::uint64_t next = state_next;
-  if (chain_it == shard.by_sender.end()) return next;
+  if (chain_it == by_sender_.end()) return next;
   // The chain is nonce-sorted: walk it from state_next, skipping pending
   // nonces until the first gap.
   for (auto it = chain_it->second.lower_bound(state_next);
@@ -219,53 +128,20 @@ std::uint64_t TxPool::next_nonce_hint(NodeId sender,
   return next;
 }
 
-void TxPool::clear() {
-  const auto locks = lock_all(shards_);
-  for (Shard& shard : shards_) {
-    shard.by_id.clear();
-    shard.by_sender.clear();
-    shard.by_seq.clear();
-  }
-  size_.store(0, std::memory_order_relaxed);
-}
-
-void TxPool::erase_locked(Shard& shard, const TxId& id, const Entry& entry) {
-  const NodeId sender = entry.stx.tx.sender();
-  const std::uint64_t nonce = entry.stx.tx.nonce();
-  const std::uint64_t seq = entry.seq;
-  const auto chain_it = shard.by_sender.find(sender);
-  if (chain_it != shard.by_sender.end()) {
-    auto [lo, hi] = chain_it->second.equal_range(nonce);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == id) {
-        chain_it->second.erase(it);
-        break;
-      }
-    }
-    if (chain_it->second.empty()) shard.by_sender.erase(chain_it);
-  }
-  shard.by_seq.erase(seq);
-  shard.by_id.erase(id);
-  size_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-bool TxPool::evict_global_oldest() {
-  const auto locks = lock_all(shards_);
-  Shard* oldest_shard = nullptr;
-  std::uint64_t oldest_seq = 0;
-  for (Shard& shard : shards_) {
-    if (shard.by_seq.empty()) continue;
-    const std::uint64_t head = shard.by_seq.begin()->first;
-    if (oldest_shard == nullptr || head < oldest_seq) {
-      oldest_shard = &shard;
-      oldest_seq = head;
+TxPool::ById::iterator TxPool::erase(ById::iterator it) {
+  const Transaction& tx = it->second.stx.tx;
+  const auto chain_it = by_sender_.find(tx.sender());
+  auto& chain = chain_it->second;
+  const auto [lo, hi] = chain.equal_range(tx.nonce());
+  for (auto c = lo; c != hi; ++c) {
+    if (c->second == it->first) {
+      chain.erase(c);
+      break;
     }
   }
-  if (oldest_shard == nullptr) return false;
-  const TxId id = oldest_shard->by_seq.begin()->second;
-  erase_locked(*oldest_shard, id, oldest_shard->by_id.at(id));
-  if (evicted_counter_ != nullptr) evicted_counter_->inc();
-  return true;
+  if (chain.empty()) by_sender_.erase(chain_it);
+  by_seq_.erase(it->second.seq);
+  return by_id_.erase(it);
 }
 
 }  // namespace themis::ledger

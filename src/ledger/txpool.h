@@ -1,20 +1,12 @@
-// Transaction pool, sharded by sender.
+// Transaction pool.
 //
 // Nodes pick transactions "from the transaction pool upon its preferences"
-// (§III) when building a candidate block.  This pool keeps a per-sender
-// nonce-ordered chain inside each shard plus a global arrival sequence, so
-// the default preference is: senders interleaved by arrival, each sender's
+// (§III) when building a candidate block.  This pool keeps one id index, a
+// per-sender nonce-ordered chain and a global arrival sequence, so the
+// default preference is: senders interleaved by arrival, each sender's
 // transactions in nonce order (the only order in which they can apply under
 // the strict-nonce ledger rules).  Entries are deduplicated by id and the
-// globally oldest entry is dropped once a capacity limit is hit.
-//
-// Sharding: the sender id hashes to one of kShards shards, each with its own
-// mutex.  The hot admission path (add) therefore only contends with other
-// writers of the same shard, not with the whole pool; a batch of N
-// transactions from N senders inserts on N independent locks.  Whole-pool
-// operations (select, ids, eviction, clear) take every shard lock in index
-// order — the same global-consistency guarantee the old single-mutex pool
-// gave, paid only on the cold paths.
+// oldest entry is dropped once a capacity limit is hit.
 //
 // Entries are SignedTransactions: the pool is the hand-off point between the
 // client-facing admission path (RPC / p2p relay, which verified the
@@ -28,17 +20,14 @@
 // fee-per-byte instead (transactions carry no fee field yet — see DESIGN.md
 // §11).
 //
-// Thread-safety: every method locks the shard(s) it touches.  select()'s
-// admission predicate runs under all shard locks, so it must not call back
-// into the pool (the callers' predicates only touch a caller-owned
-// ledger-state scratch view).
+// Not thread safe; callers serialize access (P2pNode touches its pool only
+// under its consensus mutex, the same hold that covers ChainState and the
+// PoolReconciler).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -50,11 +39,10 @@ namespace themis::ledger {
 
 class TxPool {
  public:
-  explicit TxPool(std::size_t capacity = 1 << 20, std::size_t shards = 16);
+  explicit TxPool(std::size_t capacity = 1 << 20);
 
   /// Attach live counters bumped on every successful insert / capacity
-  /// eviction (wait-free relaxed atomics; null = not tracked).  Install
-  /// before concurrent use; the counters must outlive the pool.
+  /// eviction (null = not tracked).  The counters must outlive the pool.
   void set_live_counters(obs::live::Counter* added,
                          obs::live::Counter* evicted) {
     added_counter_ = added;
@@ -64,15 +52,11 @@ class TxPool {
   /// Insert if not already known; returns false for duplicates.
   /// At capacity, the oldest pending transaction is evicted first.
   bool add(SignedTransaction stx);
-  /// Convenience for simulation/test paths that never relay: admit a bare
-  /// transaction with a zero signature.
-  bool add(Transaction tx);
 
   bool contains(const TxId& id) const;
   std::optional<SignedTransaction> get(const TxId& id) const;
-  std::size_t size() const;
-  bool empty() const;
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t size() const { return by_id_.size(); }
+  bool empty() const { return by_id_.empty(); }
 
   /// Peek at up to `max_count` transactions without removing them (used to
   /// build a candidate block; removal happens on confirmation).  Candidates
@@ -97,40 +81,29 @@ class TxPool {
   std::vector<TxId> ids(std::size_t max_count) const;
 
   /// Smallest nonce >= `state_next` not already pending from `sender`.
-  /// O(sender's chain) — only that sender's shard is locked.
+  /// O(sender's chain).
   std::uint64_t next_nonce_hint(NodeId sender, std::uint64_t state_next) const;
-
-  void clear();
 
  private:
   struct Entry {
     SignedTransaction stx;
-    std::uint64_t seq = 0;  // global arrival order
+    std::uint64_t seq = 0;  // arrival order
   };
+  using ById = std::unordered_map<TxId, Entry, Hash32Hasher>;
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<TxId, Entry, Hash32Hasher> by_id;
-    // Per-sender pending chain in nonce order.  A multimap because two
-    // distinct transactions may reuse a nonce (replacement / reorg returns);
-    // selection tries each and the ledger predicate rejects the losers.
-    std::unordered_map<NodeId, std::multimap<std::uint64_t, TxId>> by_sender;
-    // Arrival index: seq -> id, for FIFO merges and oldest-first eviction.
-    std::map<std::uint64_t, TxId> by_seq;
-  };
-
-  Shard& shard_for(NodeId sender);
-  const Shard& shard_for(NodeId sender) const;
-  /// Erase one entry from every shard index.  Caller holds the shard's lock.
-  void erase_locked(Shard& shard, const TxId& id, const Entry& entry);
-  /// Drop the globally oldest entry (locks all shards; caller holds none).
-  /// Returns false when the pool is empty.
-  bool evict_global_oldest();
+  /// Erase one entry from every index; returns the next id-index iterator.
+  ById::iterator erase(ById::iterator it);
 
   std::size_t capacity_;
-  std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::size_t> size_{0};
-  std::vector<Shard> shards_;
+  std::uint64_t next_seq_ = 0;
+  ById by_id_;
+  // Per-sender pending chain in nonce order.  A multimap because two
+  // distinct transactions may reuse a nonce (replacement / reorg returns);
+  // selection tries each and the ledger predicate rejects the losers.
+  std::unordered_map<NodeId, std::multimap<std::uint64_t, TxId>> by_sender_;
+  // Arrival index: seq -> id, for FIFO announcements and oldest-first
+  // eviction.
+  std::map<std::uint64_t, TxId> by_seq_;
   obs::live::Counter* added_counter_ = nullptr;
   obs::live::Counter* evicted_counter_ = nullptr;
 };

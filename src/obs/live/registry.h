@@ -3,7 +3,7 @@
 // The simulator's obs::Counters is a map-keyed, allocating registry driven by
 // exactly one thread per run.  The daemon's hot paths — the epoll reactor,
 // the combining admission leader, the miner, PeerManager reader threads and
-// the TxPool shards — are concurrent, so they get their own primitives:
+// the RPC workers — are concurrent, so they get their own primitives:
 //
 //   * Counter / Gauge: one cache-line-padded atomic each.  Bumps are a single
 //     relaxed fetch_add — wait-free, no false sharing between neighbours.
@@ -139,8 +139,8 @@ class Registry {
   Histogram& histogram(std::string_view name, std::string_view help);
 
   /// Scrape-time gauge: `fn` is evaluated on every snapshot (for values a
-  /// component already maintains atomically, e.g. TxPool::size()).  `fn`
-  /// must be safe to call from any thread for the registry's lifetime.
+  /// component already maintains, e.g. the ready-peer count).  `fn` must be
+  /// safe to call from any thread for the registry's lifetime.
   void gauge_fn(std::string_view name, std::string_view help,
                 std::function<double()> fn);
 

@@ -187,13 +187,13 @@ P2pNode::P2pNode(P2pNodeConfig config,
       "themis_block_submit_seconds",
       "Latency of block validate + insert + head update + pool reconcile.");
   pool_.set_live_counters(
-      &r.counter("themis_pool_added_total", "TxPool inserts (all shards)."),
+      &r.counter("themis_pool_added_total", "TxPool inserts."),
       &r.counter("themis_pool_evicted_total",
                  "TxPool capacity evictions (oldest first)."));
-  // Instantaneous values the components already maintain atomically are read
-  // at scrape time instead of being mirrored on the hot path.
+  // Instantaneous values the components already maintain are read at scrape
+  // time instead of being mirrored on the hot path.
   r.gauge_fn("themis_pool_depth", "Pending transactions in the TxPool.",
-             [this] { return static_cast<double>(pool_.size()); });
+             [this] { return static_cast<double>(pool_depth()); });
   r.gauge_fn("themis_ready_peers", "Handshake-complete peer connections.",
              [this] { return static_cast<double>(peers_->ready_peer_count()); });
   r.gauge_fn("themis_head_height", "Height of the fork-choice head.",
@@ -318,24 +318,25 @@ void P2pNode::on_peer_ready(Peer& peer) {
 
   // Offer our pending transactions (bounded to one inv frame); the peer
   // fetches whatever it lacks, so a fresh node inherits the mempool the same
-  // way it inherits the chain.
+  // way it inherits the chain.  Offer our retained checkpoint votes the same
+  // way: a freshly connected (or partition-healed) peer can be brought to
+  // quorum — and force-switched onto the certified chain — from the retained
+  // window alone.
+  std::vector<ledger::TxId> pending;
+  std::vector<finality::CheckpointVote> retained;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending = pool_.ids(kMaxInvHashes);
+    if (const auto* ckpt = core_.checkpoints()) {
+      retained = ckpt->retained_votes();
+    }
+  }
   InvMsg pool_inv;
-  for (const ledger::TxId& id : pool_.ids(kMaxInvHashes)) {
+  for (const ledger::TxId& id : pending) {
     if (peer.mark_known(id)) pool_inv.hashes.push_back(id);
   }
   if (!pool_inv.hashes.empty()) {
     peer.send_frame(consensus::kP2pTxInv, pool_inv.encode());
-  }
-
-  // Offer our retained checkpoint votes the same way: a freshly connected
-  // (or partition-healed) peer can be brought to quorum — and force-switched
-  // onto the certified chain — from the retained window alone.
-  std::vector<finality::CheckpointVote> retained;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const auto* ckpt = core_.checkpoints()) {
-      retained = ckpt->retained_votes();
-    }
   }
   send_votes(peer, retained);
 }
@@ -501,6 +502,15 @@ void P2pNode::handle_blocks(Peer& peer, ByteSpan payload) {
 
 void P2pNode::handle_get_txdata(Peer& peer, ByteSpan payload) {
   const InvMsg request = InvMsg::decode(payload);
+  // Copy under the lock; encode and send outside it.  Confirmed or evicted
+  // ids are silently skipped.
+  std::vector<ledger::SignedTransaction> found;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const ledger::TxId& id : request.hashes) {
+      if (auto stx = pool_.get(id)) found.push_back(std::move(*stx));
+    }
+  }
   // The whole requested set travels in one kP2pTxBatch frame (split only at
   // the frame ceiling), so the peer can admit it as a single batch with one
   // batched signature verification.
@@ -516,11 +526,9 @@ void P2pNode::handle_get_txdata(Peer& peer, ByteSpan payload) {
     batch_bytes = 0;
     return sent;
   };
-  for (const ledger::TxId& id : request.hashes) {
-    const auto stx = pool_.get(id);
-    if (!stx.has_value()) continue;  // confirmed or evicted: silently skip
-    peer.mark_known(id);
-    Bytes encoded = stx->encode();
+  for (const ledger::SignedTransaction& stx : found) {
+    peer.mark_known(stx.tx.id());
+    Bytes encoded = stx.encode();
     if (batch.txs.size() >= kMaxBatchTxs ||
         batch_bytes + encoded.size() > kBatchByteBudget) {
       if (!flush_batch()) break;
@@ -937,8 +945,8 @@ bool P2pNode::ready() const {
 
 P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
   TxStatusInfo info;
-  // One hold covers the index and the pool (lock order mu_ -> pool), so a
-  // transaction confirmed between the two lookups is never reported unknown.
+  // One hold covers the index and the pool, so a transaction confirmed
+  // between the two lookups is never reported unknown.
   std::lock_guard<std::mutex> lock(mu_);
   const auto block_hash = reconciler_.block_of(id);
   if (block_hash.has_value()) {
@@ -1046,8 +1054,16 @@ std::optional<finality::CheckpointCertificate> P2pNode::checkpoint_certificate(
   return *cert;
 }
 
+std::size_t P2pNode::pool_depth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pool_.size();
+}
+
 std::uint64_t P2pNode::next_nonce_hint(ledger::NodeId sender) const {
-  return pool_.next_nonce_hint(sender, account_info(sender).next_nonce);
+  std::lock_guard<std::mutex> lock(mu_);
+  return pool_.next_nonce_hint(
+      sender,
+      state_.state_at(core_.tree(), core_.head()).account(sender).next_nonce);
 }
 
 }  // namespace themis::p2p

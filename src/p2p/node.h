@@ -16,11 +16,12 @@
 // way net/gossip's seen-set drops duplicate pushes.  Catch-up uses the
 // locator protocol in p2p/sync.h.
 //
-// Threading: the ChainCore, store, ChainState and reconciler live behind one
-// mutex (mu_), taken by reader threads delivering frames, by the miner thread
-// and by observer queries.  The miner is cancelled edge-triggered: every
-// head change bumps an atomic chain version, re-checked between nonce chunks.
-// Lock order: mu_ before the pool's internal mutex, or the pool's alone.
+// Threading: the ChainCore, store, ChainState, reconciler and pool live
+// behind one mutex (mu_), taken by reader threads delivering frames, by the
+// miner thread, by TxAdmission's leader and by observer queries; no socket
+// send happens while it is held.  The miner is cancelled edge-triggered:
+// every head change bumps an atomic chain version, re-checked between nonce
+// chunks.
 #pragma once
 
 #include <atomic>
@@ -281,9 +282,12 @@ class P2pNode {
   std::optional<finality::CheckpointCertificate> checkpoint_certificate(
       std::uint64_t height) const;
 
-  std::size_t pool_depth() const { return pool_.size(); }
+  /// Pending transactions in the pool.
+  std::size_t pool_depth() const;
   /// Smallest usable nonce for `sender`: head-state next_nonce, skipping
-  /// nonces already pending in the pool (RPC auto-nonce).
+  /// nonces already pending in the pool (RPC auto-nonce).  One lock hold, so
+  /// a block confirming the sender's pending transactions cannot slip
+  /// between the two reads.
   std::uint64_t next_nonce_hint(ledger::NodeId sender) const;
 
  private:
@@ -363,10 +367,10 @@ class P2pNode {
   /// Only the inventory, relay, sync and refused-reorg counts, which live
   /// nowhere else; chain_stats() reads every other field from its one store.
   ChainStats stats_;
-
-  /// Pending transactions.  Internally synchronized; see the lock-order rule
-  /// in the header comment.
+  /// Pending transactions: written by TxAdmission's stateful stage and the
+  /// reconciler, read by the miner, relay and observers.
   ledger::TxPool pool_;
+
   TxAdmission admission_;
 
   // --- miner -----------------------------------------------------------------

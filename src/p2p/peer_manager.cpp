@@ -10,6 +10,15 @@ namespace themis::p2p {
 
 namespace {
 
+constexpr int kDialTimeoutMs = 2000;
+/// Bounds a blocking send_frame to a stalled peer.
+constexpr int kSendTimeoutMs = 10000;
+/// A pinged peer (or one still handshaking) that sends nothing for this long
+/// is dropped.
+constexpr int kPongTimeoutMs = 10000;
+/// Maintenance loop tick (dial/ping/reap cadence).
+constexpr int kTickMs = 50;
+
 std::int64_t steady_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -109,7 +118,7 @@ void PeerManager::adopt_socket(TcpSocket socket, bool outbound, int dial_index) 
   socket.set_nodelay(true);
   // The receive timeout is a periodic wakeup so readers notice shutdown even
   // if the remote end hangs without closing.
-  socket.set_timeouts(config_.send_timeout_ms, /*recv_ms=*/500);
+  socket.set_timeouts(kSendTimeoutMs, /*recv_ms=*/500);
 
   std::shared_ptr<Peer> peer;
   {
@@ -217,7 +226,7 @@ void PeerManager::maintenance_loop() {
   while (!stopping_.load()) {
     {
       std::unique_lock<std::mutex> lock(cv_mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(config_.tick_ms),
+      cv_.wait_for(lock, std::chrono::milliseconds(kTickMs),
                    [this] { return stopping_.load(); });
     }
     if (stopping_.load()) return;
@@ -240,7 +249,7 @@ void PeerManager::ping_and_reap(std::int64_t now_ms) {
       // A connection that never completes its handshake gets the pong
       // deadline too (slow-loris protection).
       if (now_ms - peer->last_recv_ms.load(std::memory_order_relaxed) >
-          config_.pong_timeout_ms) {
+          kPongTimeoutMs) {
         ping_timeouts_.fetch_add(1, std::memory_order_relaxed);
         peer->mark_dead();
       }
@@ -250,7 +259,7 @@ void PeerManager::ping_and_reap(std::int64_t now_ms) {
         peer->ping_nonce.load(std::memory_order_relaxed);
     if (outstanding != 0) {
       if (now_ms - peer->ping_sent_ms.load(std::memory_order_relaxed) >
-          config_.pong_timeout_ms) {
+          kPongTimeoutMs) {
         ping_timeouts_.fetch_add(1, std::memory_order_relaxed);
         peer->mark_dead();
       }
@@ -309,7 +318,7 @@ void PeerManager::dial_due_slots(std::int64_t now_ms) {
       reconnects_.fetch_add(1, std::memory_order_relaxed);
     }
     TcpSocket socket =
-        TcpSocket::connect(slot.host, slot.port, config_.dial_timeout_ms);
+        TcpSocket::connect(slot.host, slot.port, kDialTimeoutMs);
     if (!socket.valid()) {
       dials_failed_.fetch_add(1, std::memory_order_relaxed);
       // Exponential backoff, capped, with +/-25% jitter so a restarted

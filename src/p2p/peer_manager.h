@@ -53,17 +53,12 @@ struct PeerManagerConfig {
   /// connection time when one is installed.
   HandshakeMsg handshake;
 
-  int dial_timeout_ms = 2000;
-  int send_timeout_ms = 10000;
   /// Ping a peer quiet for this long; kill it if no pong (or any other
-  /// frame) arrives within pong_timeout_ms of the ping.
+  /// frame) arrives within 10 s of the ping.
   int ping_interval_ms = 2000;
-  int pong_timeout_ms = 10000;
   /// Redial backoff: initial * 2^attempts, capped, with +/-25% jitter.
   int backoff_initial_ms = 200;
   int backoff_max_ms = 5000;
-  /// Maintenance loop tick (dial/ping/reap cadence).
-  int tick_ms = 50;
   std::uint64_t jitter_seed = 1;
 };
 

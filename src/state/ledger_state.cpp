@@ -178,10 +178,7 @@ StateDelta ScratchState::take_delta() {
   return delta;
 }
 
-StateManager::StateManager(std::map<ledger::NodeId, UInt128> allocation,
-                           std::size_t max_cached)
-    : max_cached_(max_cached) {
-  expects(max_cached_ >= 1, "state cache must hold at least one snapshot");
+StateManager::StateManager(std::map<ledger::NodeId, UInt128> allocation) {
   for (const auto& [account, amount] : allocation) {
     base_state_.fund(account, amount);
   }
@@ -203,7 +200,7 @@ const LedgerState& StateManager::cache_put(const ledger::BlockHash& block,
   auto& entry = cache_[block];
   entry.state = std::move(state);
   entry.lru = lru_.begin();
-  while (cache_.size() > max_cached_) {
+  while (cache_.size() > kMaxCached) {
     cache_.erase(lru_.back());
     lru_.pop_back();
   }

@@ -204,14 +204,8 @@ class ScratchState {
 
 class StateManager {
  public:
-  /// Past this many cached per-block states, the least-recently-used is
-  /// evicted and a later query for it replays from the nearest cached
-  /// ancestor (or the base).
-  static constexpr std::size_t kDefaultMaxCached = 8;
-
   /// `genesis_allocation` funds accounts before any block executes.
-  explicit StateManager(std::map<ledger::NodeId, UInt128> genesis_allocation,
-                        std::size_t max_cached = kDefaultMaxCached);
+  explicit StateManager(std::map<ledger::NodeId, UInt128> genesis_allocation);
 
   /// State after executing the main chain from the tree's root to `block`
   /// (inclusive).  States are cached per block hash (bounded LRU); blocks
@@ -253,11 +247,13 @@ class StateManager {
   /// or the restored snapshot after reset_base).
   const LedgerState& base() const { return base_state_; }
 
-  std::size_t cached_snapshots() const { return cache_.size(); }
   std::size_t cached_deltas() const { return deltas_.size(); }
-  std::size_t max_cached() const { return max_cached_; }
 
  private:
+  /// Past this many cached per-block states, the least-recently-used is
+  /// evicted and a later query for it replays from the nearest cached
+  /// ancestor (or the base).
+  static constexpr std::size_t kMaxCached = 8;
   // Backstop against unbounded growth on very long runs: past this point the
   // delta cache resets and materialization falls back to body replay.
   static constexpr std::size_t kMaxDeltas = 1 << 16;
@@ -274,7 +270,6 @@ class StateManager {
   void cache_touch(CacheEntry& entry);
 
   LedgerState base_state_;
-  std::size_t max_cached_;
   std::unordered_map<ledger::BlockHash, CacheEntry, Hash32Hasher> cache_;
   std::list<ledger::BlockHash> lru_;  // front = most recently used
   std::unordered_map<ledger::BlockHash, StateDelta, Hash32Hasher> deltas_;

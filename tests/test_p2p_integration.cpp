@@ -374,14 +374,16 @@ TEST_F(P2pIntegrationTest, SnapshotPruneRestartServesVerifiedProofs) {
       240s))
       << "snapshot must be written once the anchor advances";
   node->set_mining(false);
-  const auto pre = node->chain_stats();
-  EXPECT_GE(pre.snapshot_height, 2u);
-  EXPECT_GT(pre.blocks_pruned, 0u);
   const UInt128 expected_balance(node->config().genesis_fund + 300);
   ASSERT_TRUE(wait_until(
       [&] { return node->account_info(1).balance == expected_balance; }, 60s));
 
+  // Read the stats only once stop() has joined the miner: a block solved
+  // while mining was being switched off can still land and write a snapshot.
   node->stop();
+  const auto pre = node->chain_stats();
+  EXPECT_GE(pre.snapshot_height, 2u);
+  EXPECT_GT(pre.blocks_pruned, 0u);
   nodes_[0].reset();
 
   // Restart from the same datadir: the snapshot re-roots the tree, so the

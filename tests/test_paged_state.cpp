@@ -234,8 +234,9 @@ TEST(PagedStateDifferential, StateManagerMatchesReplayOnBranchesGapsAndPins) {
       {0, UInt128(1, 0)}, {63, 500'000}, {64, 500'000}, {200, 500'000}};
   Rng rng(0x4D414E41ULL);
   ledger::BlockTree tree;
-  // A 3-state LRU: most queries land on evicted blocks and replay a gap.
-  StateManager manager(genesis, /*max_cached=*/3);
+  // The 8-state LRU holds a fraction of the 121 blocks, so most of the 250
+  // random queries below land on evicted blocks and replay a gap.
+  StateManager manager(genesis);
   std::vector<ledger::BlockHash> blocks{tree.genesis_hash()};
   for (std::uint64_t salt = 1; salt <= 120; ++salt) {
     // Mostly extend a recent block, sometimes fork off an old one.

@@ -609,6 +609,21 @@ TEST(RpcHealthTransition, UnreadyUntilPeerAppears) {
   peer.stop();
 }
 
+/// One JSON-RPC call straight through Gateway::handle (no HTTP transport);
+/// returns the whole reply.
+Json handle_call(Gateway& gateway, const std::string& method, Json params) {
+  Json body;
+  body.set("jsonrpc", "2.0");
+  body.set("id", 1);
+  body.set("method", method);
+  body.set("params", std::move(params));
+  HttpRequest request;
+  request.method = "POST";
+  request.target = "/";
+  request.body = body.dump();
+  return Json::parse(gateway.handle(request).body);
+}
+
 // status and get_head read the head once per reply: while blocks land
 // continuously, every reply's height belongs to its hash, and a balance proof
 // taken at the same head as a status reply carries the same state root (the
@@ -622,16 +637,7 @@ TEST(RpcHeadSnapshot, StatusAndGetHeadNeverTearUnderMining) {
   Gateway gateway(node);
   ASSERT_TRUE(node.start());
   const auto call = [&gateway](const std::string& method, Json params) {
-    Json body;
-    body.set("jsonrpc", "2.0");
-    body.set("id", 1);
-    body.set("method", method);
-    body.set("params", std::move(params));
-    HttpRequest request;
-    request.method = "POST";
-    request.target = "/";
-    request.body = body.dump();
-    return Json::parse(gateway.handle(request).body)["result"];
+    return handle_call(gateway, method, std::move(params))["result"];
   };
   const std::uint64_t start_height = node.head_height();
   std::size_t same_head = 0;
@@ -656,6 +662,50 @@ TEST(RpcHeadSnapshot, StatusAndGetHeadNeverTearUnderMining) {
   }
   EXPECT_GT(node.head_height(), start_height) << "blocks must land meanwhile";
   EXPECT_GT(same_head, 0u);
+  node.stop();
+}
+
+// Structured transfers without a "nonce" take the node's hint: the head
+// state's next nonce, skipping the sender's pending ones.  Blocks confirm
+// those pending transfers all the while; if the hint read the head and the
+// pool in two lock holds, a block landing between them would hand out a spent
+// nonce (stale_nonce).  Each thread owns one sender, so every hint must be
+// accepted.  Sixteen threads oversubscribe the cores, so submitters are often
+// preempted mid-call, which is what exposes a hint split across two holds.
+// Fewer than 1024 submits per sender keep the hint inside the admission nonce
+// window whatever the miner's lag.
+TEST(RpcAutoNonce, SubmissionsNeverGoStaleWhileBlocksConfirm) {
+  constexpr std::uint64_t kSenders = 16;
+  constexpr int kPerSender = 100;
+  p2p::P2pNodeConfig config;
+  config.n_nodes = kSenders;
+  config.listen = false;
+  config.difficulty = 50.0;  // a block every few dozen hashes
+  p2p::P2pNode node(config);
+  Gateway gateway(node);
+  ASSERT_TRUE(node.start());
+  const std::uint64_t start_height = node.head_height();
+
+  std::atomic<std::uint64_t> accepted{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t sender = 0; sender < kSenders; ++sender) {
+    threads.emplace_back([&gateway, &accepted, sender] {
+      for (int i = 0; i < kPerSender; ++i) {
+        Json params;
+        params.set("sender", sender);
+        params.set("to", (sender + 1) % kSenders);
+        params.set("amount", std::uint64_t{1});
+        const Json reply = handle_call(gateway, "submit_tx", std::move(params));
+        ASSERT_TRUE(reply.has("result"))
+            << "sender " << sender << " submit " << i << ": " << reply.dump();
+        ASSERT_EQ(reply["result"]["status"].as_string(), "accepted");
+        accepted.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(accepted.load(), kSenders * kPerSender);
+  EXPECT_GT(node.head_height(), start_height) << "blocks must land meanwhile";
   node.stop();
 }
 
