@@ -42,9 +42,11 @@ bool equal_ct(ByteSpan a, ByteSpan b);
 Bytes bytes_of(std::string_view s);
 
 /// Hasher for Hash32 keys in unordered containers.  The key is already a
-/// cryptographic digest, so folding a prefix is enough.
+/// cryptographic digest, so folding a prefix is enough.  noexcept matters:
+/// libstdc++ then recomputes the hash when it needs one instead of storing
+/// 8 bytes of it in every node.
 struct Hash32Hasher {
-  std::size_t operator()(const Hash32& id) const {
+  std::size_t operator()(const Hash32& id) const noexcept {
     std::size_t out = 0;
     for (std::size_t i = 0; i < sizeof(std::size_t); ++i) {
       out = (out << 8) | id[i];

@@ -1,5 +1,7 @@
 #include "consensus/chain_core.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace themis::consensus {
@@ -65,10 +67,28 @@ ChainCore::ChainCore(ChainCoreConfig config,
 
 void ChainCore::reset(ledger::BlockTree tree) {
   tree_ = std::move(tree);
+  tree_.set_body_loader(body_loader_);
+  released_height_ = 0;
   orphans_.clear();
   orphan_age_.clear();
   parked_.clear();
   tracker_.reset(tree_, *rule_, tree_.genesis_hash(), config_.finality_depth);
+}
+
+void ChainCore::set_body_loader(ledger::BlockTree::BodyLoader loader) {
+  body_loader_ = std::move(loader);
+  tree_.set_body_loader(body_loader_);
+}
+
+void ChainCore::release_bodies(const BlockHash& checkpoint) {
+  const std::uint64_t top = tree_.height(checkpoint);
+  std::optional<BlockHash> cursor = checkpoint;
+  for (std::uint64_t h = top; cursor.has_value() && h > released_height_;
+       --h) {
+    tree_.release_body(*cursor);
+    cursor = tree_.parent(*cursor);
+  }
+  released_height_ = std::max(released_height_, top);
 }
 
 ChainCore::Effects ChainCore::add_block(BlockPtr block) {

@@ -115,6 +115,13 @@ class ChainCore {
   /// Restart on `tree` (store replay, snapshot re-root).
   void reset(ledger::BlockTree tree);
   void set_body_check(BodyCheck check) { body_check_ = std::move(check); }
+  /// Where released bodies are read back from (kept across reset()).
+  void set_body_loader(ledger::BlockTree::BodyLoader loader);
+  /// Release the decoded bodies of hard-finalized `checkpoint` and its
+  /// ancestors; the owner's loader serves them from here on.  The finalized
+  /// chain only grows, so each call walks down only to the previous one's
+  /// height.
+  void release_bodies(const ledger::BlockHash& checkpoint);
   /// Simulator profiling of the HeadTracker update: wall-clock readings that
   /// only feed reports, never the chain.
   void set_profile(obs::ScopeStat* update_head) {
@@ -158,6 +165,8 @@ class ChainCore {
   std::optional<crypto::Keypair> keypair_;
   ledger::ValidationContext validation_;  ///< reads tree_ and policy_
   BodyCheck body_check_;
+  ledger::BlockTree::BodyLoader body_loader_;
+  std::uint64_t released_height_ = 0;  ///< bodies released at or below
 
   ledger::BlockTree tree_;
   HeadTracker tracker_;

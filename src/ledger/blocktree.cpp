@@ -81,6 +81,7 @@ BlockTree::BlockTree(BlockPtr genesis) {
   root.subtree_max_height = root_height;
   hot_.push_back(root);
   max_height_ = root_height;
+  bodies_resident_ = genesis->transactions().empty() ? 0 : 1;
   Cold c;
   c.block = std::move(genesis);
   c.id = genesis_hash_;
@@ -153,6 +154,7 @@ void BlockTree::attach(BlockPtr block, std::uint32_t parent,
 
   const std::uint64_t h = block->height();
   const NodeId producer = block->producer();
+  if (!block->transactions().empty()) ++bodies_resident_;
 
   Hot hot;
   hot.height = h;
@@ -191,6 +193,25 @@ void BlockTree::attach(BlockPtr block, std::uint32_t parent,
 BlockPtr BlockTree::block(const BlockHash& id) const {
   const auto it = index_.find(id);
   return it == index_.end() ? nullptr : cold_[it->second].block;
+}
+
+void BlockTree::release_body(const BlockHash& id) {
+  BlockPtr& block = cold_[index_of(id)].block;
+  if (block->transactions().empty()) return;
+  block = std::make_shared<const Block>(block->header(), block->signature(),
+                                        std::vector<Transaction>{});
+  --bodies_resident_;
+}
+
+BlockPtr BlockTree::body(const BlockHash& id) const {
+  BlockPtr held = block(id);
+  // A header that commits to more transactions than the entry holds is a
+  // released body (or, in the simulator, one never materialized).
+  if (held == nullptr ||
+      held->transactions().size() == held->header().tx_count) {
+    return held;
+  }
+  return body_loader_ ? body_loader_(id) : nullptr;
 }
 
 const std::vector<BlockHash>& BlockTree::children(const BlockHash& id) const {

@@ -46,6 +46,14 @@
 // their parent wait in an orphan buffer and are attached recursively once the
 // parent shows up.
 //
+// Where a block's transactions live is decided here too.  Fork choice,
+// difficulty and the equality statistics read headers only, so an owner with
+// a durable copy of the bodies (the live node's BlockStore) can
+// `release_body` an entry: the entry keeps a header-only block, the form the
+// simulator's blocks always take, and `body()` reads the transactions back
+// through the loader the owner installed.  Readers of transactions go through
+// `body()`; header readers keep `block()`.
+//
 // Thread-safety: the equality-statistics accessors cache through `mutable`
 // members, so even `const` BlockTree methods are NOT safe for concurrent
 // calls.  Trees are per-node, per-trial objects in the simulator; the
@@ -54,6 +62,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -85,8 +94,35 @@ class BlockTree {
   InsertResult insert(BlockPtr block);
 
   bool contains(const BlockHash& id) const { return index_.contains(id); }
+  /// The entry's block as held: header-only once its body was released.
   BlockPtr block(const BlockHash& id) const;
   const BlockHash& genesis_hash() const { return genesis_hash_; }
+
+  /// Reads a released body back: the full block, or nullptr when the owner
+  /// no longer has it.
+  using BodyLoader = std::function<BlockPtr(const BlockHash&)>;
+  void set_body_loader(BodyLoader loader) { body_loader_ = std::move(loader); }
+
+  /// Replace the entry's block with its header-only form (same header and
+  /// signature, no decoded transactions).  Id, parent, height, children,
+  /// receipt order and aggregates are untouched.  A no-op for an empty or
+  /// already released body.
+  void release_body(const BlockHash& id);
+
+  /// The block with its transactions: the resident one, else the loader's;
+  /// nullptr for an unknown id, or a released body with no loader or one the
+  /// loader cannot find.
+  BlockPtr body(const BlockHash& id) const;
+
+  /// Entries holding a non-empty decoded body.
+  std::size_t bodies_resident() const { return bodies_resident_; }
+
+  /// A 4-byte handle for `id`, stable for the tree's lifetime (its insertion
+  /// index), for indexes that would otherwise store a 32-byte hash.
+  std::uint32_t position(const BlockHash& id) const { return index_of(id); }
+  const BlockHash& id_at(std::uint32_t position) const {
+    return cold_.at(position).id;
+  }
 
   /// Children of a block in local receipt order ("the first received
   /// sub-tree" tie-break in GEOST/GHOST depends on this order).
@@ -244,6 +280,8 @@ class BlockTree {
   std::uint64_t max_height_ = 0;
   /// See set_aggregate_floor().  0 = maintain every entry (the default).
   std::uint64_t aggregate_floor_ = 0;
+  BodyLoader body_loader_;
+  std::size_t bodies_resident_ = 0;
 
   /// Tracked equality statistics; Hot::equality indexes into this (deque:
   /// references handed out by equality_stats stay valid across growth).

@@ -26,7 +26,8 @@ constexpr std::size_t kSyncBatchBytes = kMaxFramePayload / 2;
 
 /// In-flight getdata entries tolerated before handle_inv drops the ones past
 /// kRequestRetryMs — ids a peer announced but never serves (bogus, or
-/// confirmed before the getdata landed) would otherwise stay forever.
+/// evicted from its pool) would otherwise stay forever.  An id that confirms
+/// first leaves at once (the reconciler's confirm hook).
 constexpr std::size_t kMaxRequestsInFlight = 4 * kMaxInvHashes;
 
 static_assert(consensus::ChainCore::kMaxOrphans >= 2 * kMaxSyncBlocks,
@@ -150,9 +151,12 @@ P2pNode::P2pNode(P2pNodeConfig config,
       });
 
   // Confirmation stamps ride the reconciler: it fires per newly-confirmed tx
-  // under mu_, after the inclusion stamps of the same head change.
+  // under mu_, after the inclusion stamps of the same head change.  A getdata
+  // for the tx is moot from here on: the peer's pool no longer has it, and
+  // handle_inv never requests a confirmed id again.
   reconciler_.set_confirm_hook([this](const ledger::TxId& id) {
     stage_tracker_.stamp(id, TxStage::confirmed);
+    requested_.erase(id);
   });
 
   // Every node-level live metric, registered once; the hot paths bump the
@@ -194,6 +198,16 @@ P2pNode::P2pNode(P2pNodeConfig config,
   // time instead of being mirrored on the hot path.
   r.gauge_fn("themis_pool_depth", "Pending transactions in the TxPool.",
              [this] { return static_cast<double>(pool_depth()); });
+  r.gauge_fn("themis_block_bodies_resident",
+             "Block-tree entries holding a decoded body.", [this] {
+               std::lock_guard<std::mutex> lock(mu_);
+               return static_cast<double>(core_.tree().bodies_resident());
+             });
+  r.gauge_fn("themis_confirmed_tx_index_entries",
+             "Entries in the confirmed-transaction index.", [this] {
+               std::lock_guard<std::mutex> lock(mu_);
+               return static_cast<double>(reconciler_.indexed());
+             });
   r.gauge_fn("themis_ready_peers", "Handshake-complete peer connections.",
              [this] { return static_cast<double>(peers_->ready_peer_count()); });
   r.gauge_fn("themis_head_height", "Height of the fork-choice head.",
@@ -241,6 +255,13 @@ bool P2pNode::start() {
     std::lock_guard<std::mutex> lock(mu_);
     store_ =
         std::make_unique<ledger::BlockStore>(config_.datadir / "blocks.dat");
+    // Released bodies come back from the store (always under mu_: its
+    // reader is not thread-safe).
+    core_.set_body_loader([this](const BlockHash& id) -> BlockPtr {
+      auto block = store_->read_by_id(id);
+      if (!block.has_value()) return nullptr;
+      return std::make_shared<const Block>(*std::move(block));
+    });
     core_.reset(state_.restore(*store_));
     // The confirmed-tx index covers the replayed main chain, so tx_status
     // and duplicate suppression survive a restart.
@@ -406,8 +427,7 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload, bool txs) {
       requested_swept_ms_ = now;
     }
     for (const Hash32& h : inv.hashes) {
-      const bool known = txs ? pool_.contains(h) ||
-                                   reconciler_.block_of(h).has_value()
+      const bool known = txs ? pool_.contains(h) || reconciler_.confirmed(h)
                              : core_.tree().contains(h);
       if (known) {
         ++(txs ? stats_.tx_invs_redundant : stats_.invs_redundant);
@@ -432,17 +452,19 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload, bool txs) {
 
 void P2pNode::handle_getdata(Peer& peer, ByteSpan payload) {
   const InvMsg request = InvMsg::decode(payload);
-  std::vector<std::pair<BlockHash, Bytes>> found;
+  std::vector<BlockPtr> found;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const BlockHash& h : request.hashes) {
-      if (!core_.tree().contains(h)) continue;  // pruned/unknown: skip
-      found.emplace_back(h, core_.tree().block(h)->encode());
+      // Unknown, or released and pruned: skip.
+      if (BlockPtr block = core_.tree().body(h)) {
+        found.push_back(std::move(block));
+      }
     }
   }
-  for (const auto& [hash, encoding] : found) {
-    peer.mark_known(hash);
-    if (!peer.send_frame(consensus::kP2pBlock, encoding)) return;
+  for (const BlockPtr& block : found) {
+    peer.mark_known(block->id());
+    if (!peer.send_frame(consensus::kP2pBlock, block->encode())) return;
   }
 }
 
@@ -456,17 +478,18 @@ bool P2pNode::handle_block(Peer& peer, ByteSpan payload) {
 
 void P2pNode::handle_getblocks(Peer& peer, ByteSpan payload) {
   const GetBlocksMsg request = GetBlocksMsg::decode(payload);
-  BlocksMsg response;
+  std::vector<BlockPtr> range;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const std::size_t max_blocks =
         std::min<std::size_t>(request.max_blocks, kMaxSyncBlocks);
-    const auto range = serve_range(core_.tree(), core_.head(), request.locator,
-                                   max_blocks, kSyncBatchBytes);
-    response.blocks.reserve(range.size());
-    for (const BlockPtr& block : range) {
-      response.blocks.push_back(block->encode());
-    }
+    range = serve_range(core_.tree(), core_.head(), request.locator,
+                        max_blocks, kSyncBatchBytes);
+  }
+  BlocksMsg response;
+  response.blocks.reserve(range.size());
+  for (const BlockPtr& block : range) {
+    response.blocks.push_back(block->encode());
   }
   trace("sync_served", {obs::Field::u64("node", config_.id),
                         obs::Field::u64("remote", peer.remote().node_id),
@@ -616,7 +639,7 @@ void P2pNode::admit_stateful(const std::vector<TxAdmission::Request*>& batch) {
     if (r->result != TxAdmit::accepted) continue;
     const ledger::Transaction& tx = r->stx->tx;
     const std::uint64_t next = head_state.account(tx.sender()).next_nonce;
-    if (reconciler_.block_of(tx.id()).has_value()) {
+    if (reconciler_.confirmed(tx.id())) {
       r->result = TxAdmit::known_confirmed;
     } else if (tx.nonce() < next) {
       r->result = TxAdmit::stale_nonce;
@@ -738,8 +761,8 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
   live_.ckpt_certs->inc(fx.certificates);
   for (const finality::CheckpointCertificate& cert : fx.finalized) {
     // Every downstream floor keys off the hard anchor from here on: state
-    // pins, pool confirmation immutability, snapshots.
-    state_.set_finalized_floor(cert.height);
+    // walks and pins, pool confirmation immutability, snapshots.
+    state_.set_finalized_floor(core_.tree(), cert.block);
     reconciler_.set_finalized(cert.height, cert.block);
     obs::live::log_info(
         "finality", "checkpoint finalized",
@@ -763,6 +786,13 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
   if (fx.head_changed || !fx.finalized.empty()) {
     state_.maybe_snapshot(core_.tree(), core_.tracker().anchor(),
                           core_.tracker().anchor_height(), store_.get());
+  }
+  // Last: one call can move the head onto a block and finalize it, and the
+  // reconcile above must still see that block's body in memory.
+  if (store_ != nullptr) {
+    for (const finality::CheckpointCertificate& cert : fx.finalized) {
+      core_.release_bodies(cert.block);
+    }
   }
 }
 
@@ -915,6 +945,8 @@ P2pNode::ChainStats P2pNode::chain_stats() const {
     s.txs_purged = rec.purged;
     s.finalized_height = core_.finalized_height();
     s.requests_in_flight = requested_.size();
+    s.bodies_resident = core_.tree().bodies_resident();
+    s.txs_indexed = reconciler_.indexed();
   }
   const TxAdmission::Counts tx = admission_.counts();
   s.txs_submitted = tx.submitted;
@@ -948,7 +980,7 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
   // One hold covers the index and the pool, so a transaction confirmed
   // between the two lookups is never reported unknown.
   std::lock_guard<std::mutex> lock(mu_);
-  const auto block_hash = reconciler_.block_of(id);
+  const auto block_hash = reconciler_.block_of(core_.tree(), id);
   if (block_hash.has_value()) {
     info.state = TxStatusInfo::State::confirmed;
     info.block = *block_hash;
@@ -957,11 +989,14 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
     info.confirmations = head_height >= info.block_height
                              ? head_height - info.block_height + 1
                              : 0;
-    for (const ledger::Transaction& tx :
-         core_.tree().block(*block_hash)->transactions()) {
-      if (tx.id() == id) {
-        info.tx = tx;
-        break;
+    // A finalized body comes back from the store; a pruned one leaves the
+    // transaction itself unknown.
+    if (const BlockPtr body = core_.tree().body(*block_hash)) {
+      for (const ledger::Transaction& tx : body->transactions()) {
+        if (tx.id() == id) {
+          info.tx = tx;
+          break;
+        }
       }
     }
     return info;
@@ -972,6 +1007,20 @@ P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
     info.tx = pending->tx;
   }
   return info;
+}
+
+std::vector<P2pNode::TxStatusInfo::State> P2pNode::tx_states(
+    const std::vector<ledger::TxId>& ids) const {
+  using State = TxStatusInfo::State;
+  std::vector<State> states;
+  states.reserve(ids.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const ledger::TxId& id : ids) {
+    states.push_back(reconciler_.confirmed(id) ? State::confirmed
+                     : pool_.contains(id)      ? State::pending
+                                               : State::unknown);
+  }
+  return states;
 }
 
 P2pNode::AccountInfo P2pNode::account_info(ledger::NodeId id) const {
@@ -998,9 +1047,9 @@ P2pNode::BalanceProof P2pNode::balance_proof(ledger::NodeId id) const {
 std::optional<P2pNode::BlockInfo> P2pNode::block_info(
     const ledger::BlockHash& hash) const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!core_.tree().contains(hash)) return std::nullopt;
   BlockInfo info;
-  info.block = core_.tree().block(hash);
+  info.block = core_.tree().body(hash);
+  if (info.block == nullptr) return std::nullopt;
   info.on_main_chain = core_.tree().is_ancestor(hash, core_.head());
   if (info.on_main_chain) {
     info.confirmations = core_.head_height() - core_.tree().height(hash) + 1;
@@ -1020,7 +1069,8 @@ std::optional<P2pNode::BlockInfo> P2pNode::block_info_at(
     cursor = *parent;
   }
   BlockInfo info;
-  info.block = core_.tree().block(cursor);
+  info.block = core_.tree().body(cursor);
+  if (info.block == nullptr) return std::nullopt;
   info.on_main_chain = true;
   info.confirmations = head_height - height + 1;
   return info;

@@ -16,12 +16,18 @@
 // way net/gossip's seen-set drops duplicate pushes.  Catch-up uses the
 // locator protocol in p2p/sync.h.
 //
+// Resident history: with a datadir, each hard-finalized checkpoint releases
+// the decoded bodies of the finalized chain from the tree; the store keeps
+// them and the tree's body loader reads them back for get_block, get_tx,
+// getdata, sync and state replay.  Admission, relay, get_txs and the
+// reconciler read only memory.  A memory-only node keeps every body.
+//
 // Threading: the ChainCore, store, ChainState, reconciler and pool live
 // behind one mutex (mu_), taken by reader threads delivering frames, by the
 // miner thread, by TxAdmission's leader and by observer queries; no socket
-// send happens while it is held.  The miner is cancelled edge-triggered:
-// every head change bumps an atomic chain version, re-checked between nonce
-// chunks.
+// send happens while it is held, and store reads happen only under it.  The
+// miner is cancelled edge-triggered: every head change bumps an atomic chain
+// version, re-checked between nonce chunks.
 #pragma once
 
 #include <atomic>
@@ -212,6 +218,10 @@ class P2pNode {
     std::uint64_t txs_purged = 0;        ///< dropped as permanently stale
     /// Block and tx getdata requests awaiting their object.
     std::uint64_t requests_in_flight = 0;
+
+    // Resident history.
+    std::uint64_t bodies_resident = 0;  ///< tree entries with a decoded body
+    std::uint64_t txs_indexed = 0;      ///< confirmed-tx index entries
   };
   /// Counts with a live-registry twin are read from that counter.
   ChainStats chain_stats() const;
@@ -235,6 +245,10 @@ class P2pNode {
     std::uint64_t confirmations = 0;  ///< head_height - block_height + 1
   };
   TxStatusInfo tx_status(const ledger::TxId& id) const;
+  /// tx_status(id).state for every id, from the confirmed-tx index and the
+  /// pool in one lock hold, with no body read (RPC get_txs).
+  std::vector<TxStatusInfo::State> tx_states(
+      const std::vector<ledger::TxId>& ids) const;
 
   using AccountInfo = state::Account;
   /// Balance and next expected nonce at the current head.
@@ -255,10 +269,13 @@ class P2pNode {
   BalanceProof balance_proof(ledger::NodeId id) const;
 
   struct BlockInfo {
+    /// With its body, read back from the store if it was released.
     ledger::BlockPtr block;
     bool on_main_chain = false;
     std::uint64_t confirmations = 0;  ///< 0 when off the main chain
   };
+  /// nullopt for an unknown block, or a released one whose store record was
+  /// pruned.
   std::optional<BlockInfo> block_info(const ledger::BlockHash& hash) const;
   /// Main-chain block at `height` (walks the head chain).
   std::optional<BlockInfo> block_info_at(std::uint64_t height) const;

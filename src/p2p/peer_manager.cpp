@@ -79,7 +79,16 @@ void PeerManager::stop() {
   }
   for (auto& peer : snapshot) peer->mark_dead();
   if (maintenance_thread_.joinable()) maintenance_thread_.join();
+  // A dial in flight when the snapshot was taken may have adopted one more
+  // peer; with both adopting threads joined, this second look is final.  An
+  // unjoined reader would outlive its Peer's std::thread and terminate.
+  {
+    std::lock_guard<std::mutex> lock(peers_mu_);
+    snapshot.clear();
+    for (auto& [id, peer] : peers_) snapshot.push_back(peer);
+  }
   for (auto& peer : snapshot) {
+    peer->mark_dead();
     if (peer->reader.joinable()) peer->reader.join();
   }
   {
@@ -123,12 +132,8 @@ void PeerManager::adopt_socket(TcpSocket socket, bool outbound, int dial_index) 
   std::shared_ptr<Peer> peer;
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
-    const std::uint64_t id = next_session_id_++;
-    peer = std::make_shared<Peer>(id, std::move(socket), outbound, dial_index);
-    peers_.emplace(id, peer);
-    if (dial_index >= 0) {
-      dial_slots_[static_cast<std::size_t>(dial_index)].session_id = id;
-    }
+    peer = std::make_shared<Peer>(next_session_id_++, std::move(socket),
+                                  outbound, dial_index);
   }
   peer->last_recv_ms.store(steady_now_ms(), std::memory_order_relaxed);
 
@@ -137,7 +142,16 @@ void PeerManager::adopt_socket(TcpSocket socket, bool outbound, int dial_index) 
   if (!peer->send_frame(consensus::kP2pHandshake, our_handshake())) {
     peer->mark_dead();
   }
+  // Publish only with its reader running: the reaper joins what it finds in
+  // peers_, and a dead peer it erased before its reader existed would be
+  // destroyed by that reader, with its own std::thread still joinable.
+  std::lock_guard<std::mutex> lock(peers_mu_);
   peer->reader = std::thread([this, peer] { reader_loop(peer); });
+  peers_.emplace(peer->session_id(), peer);
+  if (dial_index >= 0) {
+    dial_slots_[static_cast<std::size_t>(dial_index)].session_id =
+        peer->session_id();
+  }
 }
 
 void PeerManager::reader_loop(const std::shared_ptr<Peer>& peer) {

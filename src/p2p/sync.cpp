@@ -51,7 +51,8 @@ std::vector<BlockPtr> serve_range(const BlockTree& tree, const BlockHash& head,
   std::size_t bytes = 0;
   for (std::size_t i = start + 1; i < chain.size() && out.size() < max_blocks;
        ++i) {
-    BlockPtr block = tree.block(chain[i]);
+    BlockPtr block = tree.body(chain[i]);
+    if (block == nullptr) break;  // released and pruned: nothing past it
     bytes += block->size_bytes();
     out.push_back(std::move(block));
     if (bytes >= max_bytes) break;

@@ -33,9 +33,11 @@ std::vector<ledger::BlockHash> build_locator(const ledger::BlockTree& tree,
 /// Serve a range request: find the newest locator hash that sits on OUR main
 /// chain (genesis matches every honest locator, so a fork point always
 /// exists) and return up to `max_blocks` blocks after it, in chain order,
-/// stopping early once `max_bytes` of encodings are queued.  Locator entries
-/// we have never seen, or that sit on a side branch of ours, are skipped —
-/// the requester's chain past the fork point is exactly what sync replaces.
+/// stopping early once `max_bytes` of encodings are queued, or before a
+/// block whose body the tree cannot produce (released, then pruned).
+/// Locator entries we have never seen, or that sit on a side branch of ours,
+/// are skipped — the requester's chain past the fork point is exactly what
+/// sync replaces.
 std::vector<ledger::BlockPtr> serve_range(const ledger::BlockTree& tree,
                                           const ledger::BlockHash& head,
                                           const std::vector<ledger::BlockHash>& locator,

@@ -406,17 +406,21 @@ Json Gateway::rpc_get_txs(const Json& params) {
   if (ids.size() > kMaxStatusIds) {
     fail(kInvalidParams, "at most 4096 ids per get_txs call");
   }
-  Json::Array states;
-  states.reserve(ids.size());
+  std::vector<ledger::TxId> parsed;
+  parsed.reserve(ids.size());
   for (const Json& raw : ids) {
-    ledger::TxId id{};
     if (!raw.is_string()) fail(kInvalidParams, "ids must be hex strings");
     try {
-      id = hash_from_hex(raw.as_string());
+      parsed.push_back(hash_from_hex(raw.as_string()));
     } catch (const std::exception&) {
       fail(kInvalidParams, "ids must be 64-char hex ids");
     }
-    states.push_back(Json(state_name(node_.tx_status(id).state)));
+  }
+  // One consensus-lock hold answers the whole sweep.
+  Json::Array states;
+  states.reserve(parsed.size());
+  for (const auto state : node_.tx_states(parsed)) {
+    states.push_back(Json(state_name(state)));
   }
   Json out;
   out.set("states", Json(std::move(states)));
@@ -545,6 +549,7 @@ Json Gateway::metrics() const {
     {"height", Json(node_.head_height())},
     {"tree_blocks", Json(node_.tree_blocks())},
     {"store_blocks", Json(node_.store_blocks())},
+    {"bodies_resident", Json(chain.bodies_resident)},
     {"store_replayed", Json(chain.store_replayed)},
     {"blocks_produced", Json(chain.blocks_produced)},
     {"blocks_received", Json(chain.blocks_received)},
@@ -565,6 +570,7 @@ Json Gateway::metrics() const {
     {"confirmed", Json(chain.txs_confirmed)},
     {"returned", Json(chain.txs_returned)},
     {"purged", Json(chain.txs_purged)},
+    {"indexed", Json(chain.txs_indexed)},
     {"invs_received", Json(chain.tx_invs_received)},
     {"invs_redundant", Json(chain.tx_invs_redundant)},
     {"pool_depth", Json(node_.pool_depth())},

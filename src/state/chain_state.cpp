@@ -59,7 +59,13 @@ ledger::BlockTree ChainState::restore(const ledger::BlockStore& store) {
 
 bool ChainState::replay_body(const ledger::BlockTree& tree,
                              const ledger::Block& block) {
-  ScratchState scratch(states_.state_at(tree, block.header().prev));
+  const LedgerState* parent = nullptr;
+  try {
+    parent = &states_.state_at(tree, block.header().prev);
+  } catch (const BodyUnavailable&) {
+    return false;
+  }
+  ScratchState scratch(*parent);
   for (const ledger::Transaction& tx : block.transactions()) {
     if (!applies_cleanly(scratch, tx)) return false;
   }

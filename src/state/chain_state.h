@@ -54,6 +54,7 @@ class ChainState {
 
   /// The body check: every transaction applies cleanly, in order, on the
   /// parent state (else a double-spend); records the touched-account delta.
+  /// Fails when the parent state needs a body that is gone.
   bool replay_body(const ledger::BlockTree& tree, const ledger::Block& block);
 
   /// The miner's body on `parent`: up to `max_txs` pool transactions that
@@ -80,9 +81,11 @@ class ChainState {
   Proof prove(const ledger::BlockTree& tree, const ledger::BlockHash& head,
               ledger::NodeId id);
 
-  /// Checkpoint finality reached `height`; anchors are never pinned below it.
-  void set_finalized_floor(std::uint64_t height) {
-    states_.set_finalized_floor(height);
+  /// Checkpoint finality reached `block`: its state becomes the floor walks
+  /// stop at, and anchors are never pinned below it.
+  void set_finalized_floor(const ledger::BlockTree& tree,
+                           const ledger::BlockHash& block) {
+    states_.set_finalized_floor(tree, block);
   }
 
   /// Once `anchor` is an interval past the last snapshot: write its state,

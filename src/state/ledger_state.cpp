@@ -207,6 +207,12 @@ const LedgerState& StateManager::cache_put(const ledger::BlockHash& block,
   return cache_.at(block).state;
 }
 
+const LedgerState* StateManager::held(const ledger::BlockHash& block) const {
+  if (pinned_.has_value() && pinned_->first == block) return &pinned_->second;
+  if (floor_.has_value() && floor_->first == block) return &floor_->second;
+  return nullptr;
+}
+
 const LedgerState& StateManager::state_at(const ledger::BlockTree& tree,
                                           const ledger::BlockHash& block) {
   expects(tree.contains(block), "block not in tree");
@@ -217,13 +223,12 @@ const LedgerState& StateManager::state_at(const ledger::BlockTree& tree,
       return it->second.state;
     }
   }
-  if (pinned_.has_value() && pinned_->first == block) return pinned_->second;
-  // Walk up to the nearest cached ancestor (or the tree root), then replay
-  // down onto one working copy; only the requested block is cached.
+  if (const LedgerState* state = held(block)) return *state;
+  // Walk up to the nearest cached or held ancestor (or the tree root), then
+  // replay down onto one working copy; only the requested block is cached.
   std::vector<ledger::BlockHash> pending;
   ledger::BlockHash cursor = block;
-  while (!cache_.contains(cursor) &&
-         !(pinned_.has_value() && pinned_->first == cursor) &&
+  while (!cache_.contains(cursor) && held(cursor) == nullptr &&
          cursor != tree.genesis_hash()) {
     pending.push_back(cursor);
     const auto parent = tree.parent(cursor);
@@ -238,8 +243,8 @@ const LedgerState& StateManager::state_at(const ledger::BlockTree& tree,
   const LedgerState* start = &base_state_;
   if (const auto it = cache_.find(cursor); it != cache_.end()) {
     start = &it->second.state;
-  } else if (pinned_.has_value() && pinned_->first == cursor) {
-    start = &pinned_->second;
+  } else if (const LedgerState* state = held(cursor)) {
+    start = state;
   }
   LedgerState state = *start;
   for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
@@ -248,16 +253,17 @@ const LedgerState& StateManager::state_at(const ledger::BlockTree& tree,
     const auto delta_it = deltas_.find(*it);
     if (delta_it != deltas_.end()) {
       state.apply_delta(delta_it->second);
-    } else {
-      state.apply_block(*tree.block(*it));
+      continue;
     }
+    const ledger::BlockPtr body = tree.body(*it);
+    if (body == nullptr) throw BodyUnavailable("block body unavailable");
+    state.apply_block(*body);
   }
   return cache_put(block, std::move(state));
 }
 
 void StateManager::record_delta(const ledger::BlockHash& block,
                                 StateDelta delta) {
-  if (deltas_.size() >= kMaxDeltas) deltas_.clear();
   deltas_.insert_or_assign(block, std::move(delta));
 }
 
@@ -267,6 +273,21 @@ void StateManager::reset_base(LedgerState base) {
   lru_.clear();
   deltas_.clear();
   pinned_.reset();
+  floor_.reset();
+}
+
+void StateManager::set_finalized_floor(const ledger::BlockTree& tree,
+                                       const ledger::BlockHash& block) {
+  const std::uint64_t height = tree.height(block);
+  if (height <= finalized_floor_) return;
+  LedgerState state = state_at(tree, block);
+  floor_.emplace(block, std::move(state));
+  finalized_floor_ = height;
+  // Walks from above the floor now stop at it.  A branch forking below it,
+  // which fork choice refuses anyway, replays bodies instead.
+  std::erase_if(deltas_, [&](const auto& entry) {
+    return !tree.contains(entry.first) || tree.height(entry.first) <= height;
+  });
 }
 
 void StateManager::pin_anchor(const ledger::BlockTree& tree,

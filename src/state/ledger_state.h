@@ -19,7 +19,9 @@
 // StateManager materializes the state at any block by replaying the main
 // chain, caching per-block states in a bounded LRU; the common access
 // pattern (validate children of the current head, query the head) stays one
-// delta application on a cached parent.
+// delta application on a cached parent.  The hard-finalized checkpoint's
+// state is kept as a floor: walks from anything above it stop there, and the
+// deltas at or below it are dropped as it rises.
 //
 // Validation-time delta caching: block validation replays the body once on a
 // ScratchState overlay and records the touched-account post-images as a
@@ -34,6 +36,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -202,6 +205,12 @@ class ScratchState {
   std::size_t applied_ = 0;
 };
 
+/// A replay needed a body the tree can no longer produce.
+class BodyUnavailable : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 class StateManager {
  public:
   /// `genesis_allocation` funds accounts before any block executes.
@@ -210,8 +219,10 @@ class StateManager {
   /// State after executing the main chain from the tree's root to `block`
   /// (inclusive).  States are cached per block hash (bounded LRU); blocks
   /// with a recorded delta materialize by delta application instead of body
-  /// replay.  The returned reference stays valid until the next state_at or
-  /// reset_base call.
+  /// replay, which reads bodies through BlockTree::body.  The returned
+  /// reference stays valid until the next state_at, set_finalized_floor or
+  /// reset_base call.  Throws BodyUnavailable when a body the replay needs
+  /// is gone (a released body whose store record was pruned).
   const LedgerState& state_at(const ledger::BlockTree& tree,
                               const ledger::BlockHash& block);
 
@@ -225,7 +236,7 @@ class StateManager {
 
   /// Replace the base state (snapshot-restore path: the tree is re-rooted at
   /// the snapshot block and `base` is the state *after* executing it).
-  /// Clears all cached states, deltas, and the pinned anchor.
+  /// Clears all cached states, deltas, the pinned anchor and the floor.
   void reset_base(LedgerState base);
 
   /// Pin the state at `block` so LRU churn cannot evict it (single slot; a
@@ -236,11 +247,12 @@ class StateManager {
   /// snapshot cursor regress onto a prefix finality already committed.
   void pin_anchor(const ledger::BlockTree& tree, const ledger::BlockHash& block);
 
-  /// Raise the hard-finality floor (monotone; from checkpoint finality).
-  /// Anchor pins below this height are rejected from here on.
-  void set_finalized_floor(std::uint64_t height) {
-    if (height > finalized_floor_) finalized_floor_ = height;
-  }
+  /// Raise the hard-finality floor to checkpoint `block` (monotone: a lower
+  /// checkpoint is ignored).  Keeps its state, where walks from above stop,
+  /// drops the deltas at or below its height (and of blocks the tree does
+  /// not hold), and rejects anchor pins below it from here on.
+  void set_finalized_floor(const ledger::BlockTree& tree,
+                           const ledger::BlockHash& block);
   std::uint64_t finalized_floor() const { return finalized_floor_; }
 
   /// The state the root of the tree materializes from (genesis allocation,
@@ -251,12 +263,9 @@ class StateManager {
 
  private:
   /// Past this many cached per-block states, the least-recently-used is
-  /// evicted and a later query for it replays from the nearest cached
+  /// evicted and a later query for it replays from the nearest held
   /// ancestor (or the base).
   static constexpr std::size_t kMaxCached = 8;
-  // Backstop against unbounded growth on very long runs: past this point the
-  // delta cache resets and materialization falls back to body replay.
-  static constexpr std::size_t kMaxDeltas = 1 << 16;
 
   struct CacheEntry {
     LedgerState state;
@@ -268,6 +277,8 @@ class StateManager {
   const LedgerState& cache_put(const ledger::BlockHash& block,
                                LedgerState state);
   void cache_touch(CacheEntry& entry);
+  /// The state held for `block` outside the cache (pinned anchor or floor).
+  const LedgerState* held(const ledger::BlockHash& block) const;
 
   LedgerState base_state_;
   std::unordered_map<ledger::BlockHash, CacheEntry, Hash32Hasher> cache_;
@@ -275,7 +286,8 @@ class StateManager {
   std::unordered_map<ledger::BlockHash, StateDelta, Hash32Hasher> deltas_;
   /// Single eviction-proof slot for the snapshot anchor (see pin_anchor).
   std::optional<std::pair<ledger::BlockHash, LedgerState>> pinned_;
-  /// Hard-finality floor for anchor pins (see set_finalized_floor).
+  /// The finalized checkpoint and its state (see set_finalized_floor).
+  std::optional<std::pair<ledger::BlockHash, LedgerState>> floor_;
   std::uint64_t finalized_floor_ = 0;
 };
 

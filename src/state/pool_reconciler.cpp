@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/check.h"
+
 namespace themis::state {
 
 namespace {
@@ -20,6 +22,16 @@ std::vector<ledger::BlockHash> path_down_to(const ledger::BlockTree& tree,
     cursor = *parent;
   }
   return out;
+}
+
+/// `hash`'s block with its body, resident or read back through the tree's
+/// loader.  Only a pruned record under the finalized chain can be missing,
+/// and the reconciler never revisits that chain once bodies are released.
+ledger::BlockPtr body_of(const ledger::BlockTree& tree,
+                         const ledger::BlockHash& hash) {
+  ledger::BlockPtr body = tree.body(hash);
+  ensures(body != nullptr, "reconciled block has no body");
+  return body;
 }
 
 }  // namespace
@@ -43,8 +55,7 @@ PoolReconciler::Stats PoolReconciler::on_head_change(
         tree.is_ancestor(hash, finalized_block_)) {
       continue;
     }
-    const ledger::BlockPtr block = tree.block(hash);
-    for (const ledger::Transaction& tx : block->transactions()) {
+    for (const ledger::Transaction& tx : body_of(tree, hash)->transactions()) {
       confirmed_in_.erase(tx.id());
       abandoned.push_back(tx);
     }
@@ -54,9 +65,9 @@ PoolReconciler::Stats PoolReconciler::on_head_change(
   //    and drop it from the pool.
   std::vector<ledger::TxId> confirmed_ids;
   for (const ledger::BlockHash& hash : path_down_to(tree, new_head, fork)) {
-    const ledger::BlockPtr block = tree.block(hash);
-    for (const ledger::Transaction& tx : block->transactions()) {
-      confirmed_in_[tx.id()] = hash;
+    const std::uint32_t position = tree.position(hash);
+    for (const ledger::Transaction& tx : body_of(tree, hash)->transactions()) {
+      confirmed_in_[tx.id()] = position;
       confirmed_ids.push_back(tx.id());
       ++stats.confirmed;
       if (confirm_hook_) confirm_hook_(tx.id());
@@ -93,18 +104,18 @@ void PoolReconciler::rebuild(const ledger::BlockTree& tree,
                              const ledger::BlockHash& head) {
   confirmed_in_.clear();
   for (const ledger::BlockHash& hash : tree.chain_to(head)) {
-    const ledger::BlockPtr block = tree.block(hash);
-    for (const ledger::Transaction& tx : block->transactions()) {
-      confirmed_in_[tx.id()] = hash;
+    const std::uint32_t position = tree.position(hash);
+    for (const ledger::Transaction& tx : body_of(tree, hash)->transactions()) {
+      confirmed_in_[tx.id()] = position;
     }
   }
 }
 
 std::optional<ledger::BlockHash> PoolReconciler::block_of(
-    const ledger::TxId& id) const {
+    const ledger::BlockTree& tree, const ledger::TxId& id) const {
   const auto it = confirmed_in_.find(id);
   if (it == confirmed_in_.end()) return std::nullopt;
-  return it->second;
+  return tree.id_at(it->second);
 }
 
 }  // namespace themis::state

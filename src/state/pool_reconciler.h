@@ -7,8 +7,8 @@
 //                 +--------- reorg abandons the block --+
 //
 // PoolReconciler owns the confirmed-transaction index (tx id -> containing
-// main-chain block) and keeps it — and the pool — consistent when fork choice
-// moves the head:
+// main-chain block, as the block's 4-byte BlockTree::position) and keeps it —
+// and the pool — consistent when fork choice moves the head:
 //
 //   * blocks that joined the main chain confirm their transactions: they are
 //     indexed and removed from the pool;
@@ -62,8 +62,14 @@ class PoolReconciler {
     confirm_hook_ = std::move(hook);
   }
 
-  /// Main-chain block containing `id`, if the transaction is confirmed.
-  std::optional<ledger::BlockHash> block_of(const ledger::TxId& id) const;
+  /// True when `id` is confirmed on the main chain (memory only).
+  bool confirmed(const ledger::TxId& id) const {
+    return confirmed_in_.contains(id);
+  }
+  /// Main-chain block containing `id`, if the transaction is confirmed;
+  /// `tree` is the one the index was built over.
+  std::optional<ledger::BlockHash> block_of(const ledger::BlockTree& tree,
+                                            const ledger::TxId& id) const;
 
   /// Raise the hard-finality floor (monotone; from checkpoint finality).
   /// Confirmations in blocks on the finalized chain — ancestors (inclusive)
@@ -85,8 +91,8 @@ class PoolReconciler {
   const Stats& totals() const { return totals_; }
 
  private:
-  std::unordered_map<ledger::TxId, ledger::BlockHash, Hash32Hasher>
-      confirmed_in_;
+  /// tx id -> BlockTree::position of the confirming block.
+  std::unordered_map<ledger::TxId, std::uint32_t, Hash32Hasher> confirmed_in_;
   Stats totals_;
   std::uint64_t finalized_height_ = 0;
   ledger::BlockHash finalized_block_{};

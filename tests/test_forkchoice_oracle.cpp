@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -310,6 +313,115 @@ TEST_P(IncrementalAggregates, ColdQueriesBelowAggregateFloorStayExact) {
   EXPECT_EQ(tree.aggregate_floor(), floor);
 }
 
+/// One data transaction per block, so release_body has a body to drop.
+std::vector<ledger::Transaction> body_for(ledger::NodeId producer,
+                                          std::size_t i) {
+  return {ledger::Transaction(producer, i + 1, 0,
+                              bytes_of("body " + std::to_string(i)))};
+}
+
+TEST_P(IncrementalAggregates, ReleasedBodiesKeepTopologyAndAggregates) {
+  // The same blocks in the same receipt order into two trees; one releases
+  // a random half of its bodies.  Everything but the transactions must stay
+  // identical, aggregates included (below the floor too).
+  Rng rng(GetParam() + 1300);
+  test::TreeBuilder builder;
+  BlockTree released;
+  std::vector<std::string> names{"g"};
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = std::to_string(i) + "r";
+    const auto producer = static_cast<ledger::NodeId>(rng.next_below(kNodes));
+    released.insert(builder.add(name, names[rng.next_below(names.size())],
+                                producer, 1.0, -1, body_for(producer, i)));
+    names.push_back(name);
+  }
+  std::size_t dropped = 0;
+  for (const std::string& name : names) {
+    if (name == "g" || !rng.next_bernoulli(0.5)) continue;
+    released.release_body(builder.hash(name));
+    released.release_body(builder.hash(name));  // idempotent
+    ++dropped;
+  }
+  released.set_aggregate_floor(builder.tree().max_height() / 2);
+  builder.tree().set_aggregate_floor(builder.tree().max_height() / 2);
+
+  const BlockTree& kept = builder.tree();
+  EXPECT_EQ(kept.bodies_resident(), 40u);
+  EXPECT_EQ(released.bodies_resident(), 40u - dropped);
+  EXPECT_EQ(released.size(), kept.size());
+  EXPECT_EQ(released.tips(), kept.tips());
+  for (const std::string& name : names) {
+    const BlockHash id = builder.hash(name);
+    ASSERT_TRUE(released.contains(id));
+    EXPECT_EQ(released.block(id)->id(), id);
+    EXPECT_EQ(released.block(id)->header(), kept.block(id)->header());
+    EXPECT_EQ(released.parent(id), kept.parent(id));
+    EXPECT_EQ(released.height(id), kept.height(id));
+    EXPECT_EQ(released.children(id), kept.children(id));
+    EXPECT_EQ(released.receipt_seq(id), kept.receipt_seq(id));
+    EXPECT_EQ(released.position(id), kept.position(id));
+    EXPECT_EQ(released.subtree_size(id), kept.subtree_size(id));
+    EXPECT_EQ(released.subtree_max_height(id), kept.subtree_max_height(id));
+    EXPECT_EQ(released.subtree_equality_variance(id, kNodes),
+              kept.subtree_equality_variance(id, kNodes));
+    EXPECT_EQ(released.subtree_producer_counts(id, kNodes),
+              kept.subtree_producer_counts(id, kNodes));
+    // No loader: a released body is simply unavailable.
+    const bool resident = !released.block(id)->transactions().empty();
+    EXPECT_EQ(released.body(id) != nullptr, resident || name == "g");
+  }
+  expect_aggregates_match(released, kNodes);
+}
+
+TEST_P(IncrementalAggregates, BodyAccessorReadsThroughTheLoader) {
+  Rng rng(GetParam() + 1700);
+  test::TreeBuilder builder;
+  BlockTree released;
+  std::map<BlockHash, ledger::BlockPtr> store;
+  std::vector<std::string> names{"g"};
+  for (int i = 0; i < 20; ++i) {
+    const std::string name = std::to_string(i) + "l";
+    const auto producer = static_cast<ledger::NodeId>(rng.next_below(kNodes));
+    const ledger::BlockPtr block =
+        builder.add(name, names[rng.next_below(names.size())], producer, 1.0,
+                    -1, body_for(producer, i));
+    released.insert(block);
+    store[block->id()] = block;
+    names.push_back(name);
+  }
+  store.erase(builder.hash("0l"));  // e.g. pruned
+  std::vector<BlockHash> asked;
+  released.set_body_loader([&](const BlockHash& id) -> ledger::BlockPtr {
+    asked.push_back(id);
+    const auto it = store.find(id);
+    return it == store.end() ? nullptr : it->second;
+  });
+  for (const std::string& name : names) {
+    released.release_body(builder.hash(name));
+  }
+  EXPECT_EQ(released.bodies_resident(), 0u);
+
+  // Resident or empty bodies never reach the loader.
+  const BlockHash genesis = builder.hash("g");
+  EXPECT_EQ(released.body(genesis), released.block(genesis));
+  EXPECT_TRUE(asked.empty());
+  for (const std::string& name : names) {
+    if (name == "g") continue;
+    const BlockHash id = builder.hash(name);
+    const ledger::BlockPtr body = released.body(id);
+    ASSERT_FALSE(asked.empty());
+    EXPECT_EQ(asked.back(), id);
+    if (name == "0l") {
+      EXPECT_EQ(body, nullptr) << "the loader lost it";
+      continue;
+    }
+    EXPECT_EQ(body, builder.get(name)) << "the loader's block, as loaded";
+    EXPECT_TRUE(released.block(id)->transactions().empty())
+        << "a read does not make the body resident again";
+  }
+  EXPECT_EQ(released.body(BlockHash{}), nullptr);  // unknown id
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalAggregates,
                          ::testing::Range<std::uint64_t>(1, 9));
 
@@ -350,10 +462,14 @@ struct SeedReplay {
 class HeadTrackerDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// With `release`, every block carries a body, and a twin tree fed the same
+/// arrivals releases the body of every block at or below its tracker's
+/// anchor, as a live node does below its finalized checkpoint.  Fork choice
+/// reads headers only, so the twin must pick the same heads and anchors.
 template <typename Rule>
 void run_head_tracker_differential(std::uint64_t seed, const Rule& rule,
                                    std::uint64_t finality_depth,
-                                   bool shuffled) {
+                                   bool shuffled, bool release = false) {
   Rng rng(seed);
   test::TreeBuilder builder;
   std::vector<std::string> names{"g"};
@@ -364,8 +480,10 @@ void run_head_tracker_differential(std::uint64_t seed, const Rule& rule,
     const std::string parent = (rng.next_below(4) == 0)
                                    ? names[rng.next_below(names.size())]
                                    : names.back();
-    builder.make(name, parent,
-                 static_cast<ledger::NodeId>(rng.next_below(kNodes)));
+    const auto producer = static_cast<ledger::NodeId>(rng.next_below(kNodes));
+    builder.make(name, parent, producer, 1.0, -1,
+                 release ? body_for(producer, static_cast<std::size_t>(i))
+                         : std::vector<ledger::Transaction>{});
     names.push_back(name);
     arrivals.push_back(name);
   }
@@ -381,10 +499,16 @@ void run_head_tracker_differential(std::uint64_t seed, const Rule& rule,
   consensus::HeadTracker tracker;
   tracker.reset(tree, rule, tree.genesis_hash(), finality_depth);
   SeedReplay replay(tree, finality_depth);
+  BlockTree twin;
+  consensus::HeadTracker twin_tracker;
+  twin_tracker.reset(twin, rule, twin.genesis_hash(), finality_depth);
   std::uint64_t tracker_reorgs = 0;
   for (const std::string& name : arrivals) {
     const auto result = builder.insert(name);
     ASSERT_NE(result, ledger::BlockTree::InsertResult::duplicate);
+    if (release) {
+      ASSERT_EQ(twin.insert(builder.get(name)), result);
+    }
     if (result == ledger::BlockTree::InsertResult::orphaned) continue;
     const auto update =
         tracker.on_insert(tree, rule, builder.hash(name));
@@ -395,8 +519,21 @@ void run_head_tracker_differential(std::uint64_t seed, const Rule& rule,
     ASSERT_EQ(tracker.anchor_height(), tree.height(replay.anchor));
     ASSERT_EQ(tracker.head_height(), tree.height(replay.head));
     ASSERT_EQ(tracker_reorgs, replay.reorgs) << "after " << name;
+    if (!release) continue;
+    twin_tracker.on_insert(twin, rule, builder.hash(name));
+    ASSERT_EQ(twin_tracker.head(), tracker.head()) << "after " << name;
+    ASSERT_EQ(twin_tracker.anchor(), tracker.anchor()) << "after " << name;
+    for (std::optional<BlockHash> cur = twin_tracker.anchor();
+         cur.has_value() && !twin.block(*cur)->transactions().empty();
+         cur = twin.parent(*cur)) {
+      twin.release_body(*cur);
+    }
   }
   EXPECT_EQ(tree.orphan_count(), 0u);
+  if (release) {
+    EXPECT_LT(twin.bodies_resident(), tree.bodies_resident())
+        << "the finalized prefix was released";
+  }
 }
 
 TEST_P(HeadTrackerDifferential, GhostInOrder) {
@@ -424,6 +561,16 @@ TEST_P(HeadTrackerDifferential, GeostShuffled) {
 TEST_P(HeadTrackerDifferential, GeostShallowFinality) {
   // A tiny finality depth exercises the "fork below the anchor" no-op path.
   run_head_tracker_differential(GetParam() + 500, GeostRule(kNodes), 2, false);
+}
+
+TEST_P(HeadTrackerDifferential, GeostWithReleasedFinalizedPrefix) {
+  run_head_tracker_differential(GetParam() + 600, GeostRule(kNodes), 8, false,
+                                /*release=*/true);
+}
+
+TEST_P(HeadTrackerDifferential, GeostShuffledWithReleasedFinalizedPrefix) {
+  run_head_tracker_differential(GetParam() + 700, GeostRule(kNodes), 2, true,
+                                /*release=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HeadTrackerDifferential,

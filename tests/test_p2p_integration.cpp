@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "finality/aggregation.h"
+#include "ledger/block_store.h"
 #include "rpc/gateway.h"
 #include "rpc/json.h"
 #include "state/authstate/merkle_state.h"
@@ -591,6 +592,277 @@ TEST_F(P2pIntegrationTest, ReorgBelowFinalizedRefusedOnEveryNode) {
   EXPECT_TRUE(revived->contains(solo_head));  // branch kept, just dethroned
 }
 
+// --- resident history -----------------------------------------------------
+
+std::string address_of(const P2pNode& node) {
+  return "127.0.0.1:" + std::to_string(node.listen_port());
+}
+
+/// One JSON-RPC call straight through Gateway::handle; returns the reply.
+rpc::Json rpc_call(rpc::Gateway& gateway, const std::string& method,
+                   rpc::Json params) {
+  rpc::Json body;
+  body.set("jsonrpc", "2.0");
+  body.set("id", 1);
+  body.set("method", method);
+  body.set("params", std::move(params));
+  rpc::HttpRequest request;
+  request.method = "POST";
+  request.target = "/";
+  request.body = body.dump();
+  return rpc::Json::parse(gateway.handle(request).body);
+}
+
+TEST_F(P2pIntegrationTest, FinalizedBodiesAreServedFromTheStore) {
+  // A consortium of four: node 0 mines, node 1 follows with a datadir, node 2
+  // follows memory-only; their three votes are a quorum.  Node 3 joins last.
+  // One miner keeps the chain fork-free.
+  constexpr std::size_t kNodes = 4;
+  ckpt_interval_ = 2;
+  P2pNode* miner = start_node(0, kNodes);
+  P2pNode* follower = start_node(1, kNodes, /*mine=*/false);
+  P2pNodeConfig memory_config = base_config(2, kNodes);
+  memory_config.datadir.clear();
+  memory_config.mine = false;
+  memory_config.peers = {address_of(*miner), address_of(*follower)};
+  nodes_.resize(3);
+  nodes_[2] = std::make_unique<P2pNode>(std::move(memory_config));
+  ASSERT_TRUE(nodes_[2]->start());
+  P2pNode* memory = nodes_[2].get();
+  const std::vector<P2pNode*> trio{miner, follower, memory};
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (P2pNode* node : trio) {
+          if (node->ready_peer_count() < 2) return false;
+        }
+        return true;
+      },
+      60s));
+
+  std::vector<ledger::Transaction> transfers;
+  for (std::uint64_t n = 1; n <= 4; ++n) {
+    const auto stx = ledger::sign_transaction(state::make_transfer_tx(
+        0, n, static_cast<std::int64_t>(n), state::Transfer{1, 10 * n, {}}));
+    ASSERT_EQ(miner->submit_transaction(stx), TxAdmit::accepted);
+    transfers.push_back(stx.tx);
+  }
+  // Mine until every transfer sits a few certificates deep on every node.
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (P2pNode* node : trio) {
+          const std::uint64_t finalized =
+              node->finality_info().finalized_height;
+          for (const ledger::Transaction& tx : transfers) {
+            const auto status = node->tx_status(tx.id());
+            if (status.state != P2pNode::TxStatusInfo::State::confirmed ||
+                status.block_height + 3 * ckpt_interval_ > finalized) {
+              return false;
+            }
+          }
+        }
+        return true;
+      },
+      240s))
+      << "transfers must confirm and finalize on every node";
+  miner->set_mining(false);
+  ASSERT_TRUE(wait_until([&] { return heads_equal(trio); }, 60s));
+  const std::uint64_t head_height = miner->head_height();
+
+  // The memory-only node keeps every body: count the main chain's.
+  std::uint64_t with_body = 0;
+  for (std::uint64_t h = 1; h <= head_height; ++h) {
+    const auto info = memory->block_info_at(h);
+    ASSERT_TRUE(info.has_value());
+    with_body += info->block->transactions().empty() ? 0 : 1;
+  }
+  EXPECT_GT(with_body, 0u);
+  EXPECT_EQ(memory->chain_stats().bodies_resident, with_body);
+
+  for (P2pNode* node : {miner, follower}) {
+    // One lock hold: the count and the finalized height agree.
+    const auto stats = node->chain_stats();
+    EXPECT_GT(stats.finalized_height, 0u);
+    EXPECT_LE(stats.bodies_resident,
+              node->head_height() - stats.finalized_height);
+    EXPECT_LT(stats.bodies_resident, with_body);
+    EXPECT_GE(stats.txs_indexed, transfers.size());
+
+    // Every main-chain block comes back whole, byte-identical to its store
+    // record (read from a copy: the node keeps its own files open).
+    const fs::path copy = root_ / ("copy" + std::to_string(node->config().id));
+    fs::create_directories(copy);
+    for (const char* file : {"blocks.dat", "blocks.dat.idx"}) {
+      fs::copy_file(node->config().datadir / file, copy / file);
+    }
+    const ledger::BlockStore store(copy / "blocks.dat");
+    for (std::uint64_t h = 1; h <= head_height; ++h) {
+      const auto info = node->block_info_at(h);
+      ASSERT_TRUE(info.has_value()) << "height " << h;
+      const auto record = store.read_by_id(info->block->id());
+      ASSERT_TRUE(record.has_value()) << "height " << h;
+      EXPECT_EQ(info->block->encode(), record->encode()) << "height " << h;
+      EXPECT_EQ(info->block->encode(),
+                memory->block_info_at(h)->block->encode());
+      const auto by_hash = node->block_info(info->block->id());
+      ASSERT_TRUE(by_hash.has_value());
+      EXPECT_EQ(by_hash->block->encode(), record->encode());
+    }
+
+    // A finalized transfer still answers get_tx in full, and get_txs.
+    rpc::Gateway gateway(*node);
+    rpc::Json::Array ids;
+    for (const ledger::Transaction& tx : transfers) {
+      const auto status = node->tx_status(tx.id());
+      ASSERT_EQ(status.state, P2pNode::TxStatusInfo::State::confirmed);
+      EXPECT_LE(status.block_height, stats.finalized_height);
+      ASSERT_TRUE(status.tx.has_value());
+      EXPECT_EQ(*status.tx, tx);
+      ids.push_back(rpc::Json(to_hex(tx.id())));
+    }
+    rpc::Json params;
+    params.set("ids", rpc::Json(std::move(ids)));
+    const rpc::Json reply = rpc_call(gateway, "get_txs", std::move(params));
+    const rpc::Json::Array& states = reply["result"]["states"].as_array();
+    ASSERT_EQ(states.size(), transfers.size());
+    for (const rpc::Json& state : states) {
+      EXPECT_EQ(state.as_string(), "confirmed");
+    }
+  }
+
+  // A node started now syncs the whole chain from the two datadir peers,
+  // whose finalized bodies come from their stores.
+  P2pNodeConfig late_config = base_config(3, kNodes);
+  late_config.mine = false;
+  late_config.peers = {address_of(*miner), address_of(*follower)};
+  nodes_.resize(4);
+  nodes_[3] = std::make_unique<P2pNode>(std::move(late_config));
+  ASSERT_TRUE(nodes_[3]->start());
+  P2pNode* late = nodes_[3].get();
+  ASSERT_TRUE(wait_until([&] { return late->head() == miner->head(); }, 120s))
+      << "a fresh node must sync past the released bodies";
+  for (std::uint64_t h = 1; h <= head_height; ++h) {
+    const auto info = late->block_info_at(h);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_EQ(info->block->encode(), memory->block_info_at(h)->block->encode());
+  }
+  for (const ledger::Transaction& tx : transfers) {
+    EXPECT_EQ(late->tx_status(tx.id()).state,
+              P2pNode::TxStatusInfo::State::confirmed);
+  }
+}
+
+TEST_F(P2pIntegrationTest, ReleasedAndPrunedBlocksAreNotFound) {
+  // A single-member consortium finalizes alone; snapshots prune the store.
+  // A transfer's block ends up both released from the tree and pruned from
+  // the store: its body exists nowhere on this node any more.
+  ckpt_interval_ = 2;
+  P2pNodeConfig config = base_config(0, 1);
+  config.finality_depth = 4;
+  config.snapshot_interval = 2;
+  config.prune = true;
+  nodes_.resize(1);
+  nodes_[0] = std::make_unique<P2pNode>(std::move(config));
+  P2pNode* node = nodes_[0].get();
+  ASSERT_TRUE(node->start());
+  const auto stx = ledger::sign_transaction(
+      state::make_transfer_tx(0, 1, 1, state::Transfer{1, 10, {}}));
+  ASSERT_EQ(node->submit_transaction(stx), TxAdmit::accepted);
+  const ledger::TxId id = stx.tx.id();
+  ASSERT_TRUE(wait_until(
+      [&] {
+        const auto status = node->tx_status(id);
+        const auto stats = node->chain_stats();
+        return status.state == P2pNode::TxStatusInfo::State::confirmed &&
+               stats.finalized_height >= status.block_height &&
+               stats.snapshot_height > status.block_height &&
+               stats.blocks_pruned > 0;
+      },
+      240s));
+  node->set_mining(false);
+
+  const auto status = node->tx_status(id);
+  ASSERT_TRUE(status.block.has_value());
+  EXPECT_FALSE(status.tx.has_value()) << "the body is gone";
+  EXPECT_FALSE(node->block_info(*status.block).has_value());
+  EXPECT_FALSE(node->block_info_at(status.block_height).has_value());
+  EXPECT_TRUE(node->contains(*status.block)) << "the header stays in the tree";
+  EXPECT_TRUE(node->block_info(node->head()).has_value());
+
+  rpc::Gateway gateway(*node);
+  rpc::Json params;
+  params.set("height", status.block_height);
+  const rpc::Json reply = rpc_call(gateway, "get_block", std::move(params));
+  ASSERT_TRUE(reply.has("error"));
+  EXPECT_EQ(reply["error"]["message"].as_string(), "block not found");
+}
+
+TEST_F(P2pIntegrationTest, ConfirmedTransfersLeaveNoRequestsInFlight) {
+  // Every node admits transfers from its own account and relays them by
+  // inv/getdata while node 0 mines fast, so a transfer often confirms on its
+  // announcer before the announcer answers a getdata for it.  Once every
+  // transfer has confirmed and load has stopped, no request may still wait
+  // for an object that will never come.
+  constexpr std::size_t kNodes = 3;
+  constexpr std::uint64_t kBatches = 6;
+  constexpr std::uint64_t kBatch = 50;
+  for (std::size_t i = 0; i < kNodes; ++i) start_node(i, kNodes, i == 0);
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (P2pNode* node : live_nodes()) {
+          if (node->ready_peer_count() < kNodes - 1) return false;
+        }
+        return true;
+      },
+      60s));
+
+  std::vector<ledger::TxId> ids;
+  for (std::uint64_t batch = 0; batch < kBatches; ++batch) {
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      std::vector<ledger::SignedTransaction> stxs;
+      for (std::uint64_t k = 1; k <= kBatch; ++k) {
+        const std::uint64_t nonce = batch * kBatch + k;
+        const auto to = static_cast<ledger::NodeId>((i + 1) % kNodes);
+        stxs.push_back(ledger::sign_transaction(state::make_transfer_tx(
+            static_cast<ledger::NodeId>(i), nonce,
+            static_cast<std::int64_t>(nonce), state::Transfer{to, 1, {}})));
+        ids.push_back(stxs.back().tx.id());
+      }
+      for (const TxAdmit verdict : nodes_[i]->submit_transactions(stxs)) {
+        ASSERT_EQ(verdict, TxAdmit::accepted);
+      }
+    }
+  }
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (P2pNode* node : live_nodes()) {
+          for (const auto state : node->tx_states(ids)) {
+            if (state != P2pNode::TxStatusInfo::State::confirmed) return false;
+          }
+        }
+        return true;
+      },
+      240s))
+      << "every transfer must confirm on every node";
+  nodes_[0]->set_mining(false);
+  ASSERT_TRUE(wait_until([&] { return heads_equal(live_nodes()); }, 60s));
+
+  // The last block announcements may still be answered; nothing else may
+  // be outstanding.
+  wait_until(
+      [&] {
+        for (P2pNode* node : live_nodes()) {
+          if (node->chain_stats().requests_in_flight != 0) return false;
+        }
+        return true;
+      },
+      10s);
+  for (P2pNode* node : live_nodes()) {
+    const auto stats = node->chain_stats();
+    EXPECT_EQ(stats.requests_in_flight, 0u) << "node " << node->config().id;
+    EXPECT_GE(stats.txs_confirmed, ids.size()) << "node " << node->config().id;
+  }
+}
+
 // themis-noded --report prints Gateway::metrics(), the GET /metrics document.
 TEST_F(P2pIntegrationTest, ObservabilityCountersAreFilled) {
   P2pNodeConfig config = base_config(0, 1);
@@ -613,6 +885,8 @@ TEST_F(P2pIntegrationTest, ObservabilityCountersAreFilled) {
   }
   EXPECT_TRUE(report["p2p"].has("dials_attempted"));
   EXPECT_TRUE(report["tx"].has("invs_received"));
+  EXPECT_TRUE(chain.has("bodies_resident"));
+  EXPECT_TRUE(report["tx"].has("indexed"));
 }
 
 }  // namespace

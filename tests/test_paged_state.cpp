@@ -286,5 +286,100 @@ TEST(PagedStateDifferential, StateManagerMatchesReplayOnBranchesGapsAndPins) {
   }
 }
 
+// A live node keeps the finalized checkpoint's state as the floor and drops
+// the bodies below it from its tree, reading them back from its store.  A
+// branch that forks below the floor then replays those bodies through the
+// loader; every state must still match the from-genesis replay.
+TEST(PagedStateDifferential,
+     StateManagerFloorMatchesReplayBelowReleasedBodies) {
+  const std::map<ledger::NodeId, UInt128> genesis{
+      {0, UInt128(1, 0)}, {64, 500'000}, {200, 500'000}};
+  Rng rng(0x464C4F4FULL);
+  ledger::BlockTree kept;  // every body resident: the oracle replays this one
+  ledger::BlockTree live;  // releases bodies at or below each checkpoint
+  std::map<ledger::BlockHash, ledger::BlockPtr> store;
+  live.set_body_loader(
+      [&store](const ledger::BlockHash& id) -> ledger::BlockPtr {
+        const auto it = store.find(id);
+        return it == store.end() ? nullptr : it->second;
+      });
+  StateManager manager(genesis);
+  std::vector<ledger::BlockHash> main{kept.genesis_hash()};
+  std::vector<ledger::BlockHash> all{kept.genesis_hash()};
+  std::uint64_t salt = 0;
+
+  // A block of random transfers from account 0 on `parent`, body-checked
+  // the node's way (overlay of the parent state, delta recorded) or, like a
+  // block replayed from the store, inserted without a delta.
+  const auto grow = [&](const ledger::BlockHash& parent) {
+    std::vector<ledger::Transaction> txs;
+    std::uint64_t nonce =
+        replayed(kept, parent, genesis).account(0).next_nonce;
+    for (std::uint64_t k = 1 + rng.next_below(4); k > 0; --k) {
+      const Transfer transfer{pick_id(rng), UInt128(1 + rng.next_below(50)),
+                              {}};
+      txs.push_back(make_transfer_tx(0, nonce++, 0, transfer));
+    }
+    const ledger::BlockPtr block =
+        make_block(kept, parent, std::move(txs), ++salt);
+    if (rng.next_bernoulli(0.7)) {
+      ScratchState scratch(manager.state_at(live, parent));
+      for (const ledger::Transaction& tx : block->transactions()) {
+        EXPECT_EQ(scratch.apply(tx), TxOutcome::applied);
+      }
+      manager.record_delta(block->id(), scratch.take_delta());
+    }
+    kept.insert(block);
+    live.insert(block);
+    store[block->id()] = block;
+    all.push_back(block->id());
+    return block->id();
+  };
+  const auto expect_matches = [&](const ledger::BlockHash& block) {
+    const MapLedgerState expected = replayed(kept, block, genesis);
+    const LedgerState& actual = manager.state_at(live, block);
+    ASSERT_EQ(authstate::page_hashes_of(actual),
+              oracle::page_hashes_of(expected));
+    ASSERT_EQ(actual.total_supply(), expected.total_supply());
+  };
+
+  std::uint64_t released_to = 0;
+  for (int round = 1; round <= 12; ++round) {
+    for (int i = 0; i < 8; ++i) main.push_back(grow(main.back()));
+    // Certify two below the tip, then release the finalized chain.
+    const ledger::BlockHash checkpoint = main[main.size() - 3];
+    const std::uint64_t floor = live.height(checkpoint);
+    manager.set_finalized_floor(live, checkpoint);
+    ASSERT_EQ(manager.finalized_floor(), floor);
+    for (std::uint64_t h = floor; h > released_to; --h) {
+      live.release_body(main[h]);
+    }
+    released_to = floor;
+    for (const ledger::BlockHash& block : all) {
+      if (live.height(block) <= floor) {
+        ASSERT_FALSE(manager.has_delta(block)) << "delta at or below the floor";
+      }
+    }
+
+    // A branch forking below the floor: its body checks replay released
+    // bodies (and deltas dropped with them) from the store.
+    ledger::BlockHash tip = main[rng.next_below(floor)];
+    for (std::uint64_t k = 1 + rng.next_below(3); k > 0; --k) {
+      tip = grow(tip);
+      expect_matches(tip);
+    }
+    for (int query = 0; query < 10; ++query) {
+      expect_matches(all[rng.next_below(all.size())]);
+    }
+  }
+  EXPECT_LT(live.bodies_resident(), kept.bodies_resident());
+  EXPECT_LE(manager.cached_deltas(), all.size() - released_to);
+
+  // A released body whose store record is gone cannot be replayed.
+  store.erase(main[1]);
+  StateManager fresh(genesis);
+  EXPECT_THROW(fresh.state_at(live, main[2]), BodyUnavailable);
+}
+
 }  // namespace
 }  // namespace themis::state

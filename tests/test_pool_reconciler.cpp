@@ -51,7 +51,7 @@ TEST(PoolReconciler, ConfirmRemovesFromPool) {
   EXPECT_EQ(stats.returned, 0u);
   EXPECT_EQ(stats.purged, 0u);
   EXPECT_FALSE(pool.contains(t1.id()));
-  EXPECT_EQ(rec.block_of(t1.id()), b.hash("a1"));
+  EXPECT_EQ(rec.block_of(b.tree(), t1.id()), b.hash("a1"));
 }
 
 TEST(PoolReconciler, ReorgReturnsUnconfirmedTxSigned) {
@@ -85,8 +85,8 @@ TEST(PoolReconciler, ReorgReturnsUnconfirmedTxSigned) {
   EXPECT_EQ(stats.purged, 0u);
   EXPECT_TRUE(pool.contains(t2.id()));
   EXPECT_FALSE(pool.contains(t1.id()));
-  EXPECT_EQ(rec.block_of(t1.id()), b.hash("b1"));
-  EXPECT_EQ(rec.block_of(t2.id()), std::nullopt);
+  EXPECT_EQ(rec.block_of(b.tree(), t1.id()), b.hash("b1"));
+  EXPECT_EQ(rec.block_of(b.tree(), t2.id()), std::nullopt);
   EXPECT_EQ(pool.size(), 1u);  // exactly once: not lost, not duplicated
 
   const auto returned = pool.get(t2.id());
@@ -119,7 +119,7 @@ TEST(PoolReconciler, ReorgPurgesConsumedNonce) {
   EXPECT_EQ(stats.returned, 0u);
   EXPECT_FALSE(pool.contains(t2.id()));
   EXPECT_TRUE(pool.empty());
-  EXPECT_EQ(rec.block_of(t2_alt.id()), b.hash("b1"));
+  EXPECT_EQ(rec.block_of(b.tree(), t2_alt.id()), b.hash("b1"));
 }
 
 TEST(PoolReconciler, PurgesStalePendingOnAdvance) {
@@ -151,9 +151,9 @@ TEST(PoolReconciler, RebuildIndexesWholeChain) {
 
   rec.rebuild(b.tree(), b.hash("a2"));
   EXPECT_EQ(rec.indexed(), 2u);
-  EXPECT_EQ(rec.block_of(t1.id()), b.hash("a1"));
-  EXPECT_EQ(rec.block_of(t2.id()), b.hash("a2"));
-  EXPECT_EQ(rec.block_of(transfer(0, 9, 1, 1).id()), std::nullopt);
+  EXPECT_EQ(rec.block_of(b.tree(), t1.id()), b.hash("a1"));
+  EXPECT_EQ(rec.block_of(b.tree(), t2.id()), b.hash("a2"));
+  EXPECT_EQ(rec.block_of(b.tree(), transfer(0, 9, 1, 1).id()), std::nullopt);
 }
 
 TEST(PoolReconciler, TotalsAccumulateAcrossCalls) {

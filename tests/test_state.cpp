@@ -189,13 +189,13 @@ TEST(StateManager, PinAnchorBelowFinalizedFloorRejected) {
   StateManager manager(std::map<ledger::NodeId, UInt128>{{0, 100}});
   manager.pin_anchor(b.tree(), b.hash("a1"));  // no floor yet: fine
 
-  manager.set_finalized_floor(2);
+  manager.set_finalized_floor(b.tree(), b.hash("a2"));
   EXPECT_THROW(manager.pin_anchor(b.tree(), b.hash("a1")), PreconditionError);
   manager.pin_anchor(b.tree(), b.hash("a2"));  // exactly at the floor: ok
   manager.pin_anchor(b.tree(), b.hash("a3"));
 
   // The floor is monotone; a stale lower certificate cannot drop it.
-  manager.set_finalized_floor(1);
+  manager.set_finalized_floor(b.tree(), b.hash("a1"));
   EXPECT_EQ(manager.finalized_floor(), 2u);
   EXPECT_THROW(manager.pin_anchor(b.tree(), b.hash("a1")), PreconditionError);
 }
