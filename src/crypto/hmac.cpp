@@ -11,7 +11,7 @@ Hash32 hmac_sha256(ByteSpan key, ByteSpan data) {
   if (key.size() > 64) {
     const Hash32 hashed = sha256(key);
     std::memcpy(block_key, hashed.data(), hashed.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key's data() may be null
     std::memcpy(block_key, key.data(), key.size());
   }
 

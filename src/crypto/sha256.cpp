@@ -93,6 +93,7 @@ void Sha256::compress(const std::uint8_t block[64]) {
 
 Sha256& Sha256::update(ByteSpan data) {
   expects(!finished_, "Sha256 context already finalized");
+  if (data.empty()) return *this;  // its data() may be null: no memcpy from it
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

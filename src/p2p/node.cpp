@@ -37,8 +37,8 @@ static_assert(consensus::ChainCore::kMaxOrphans >= 2 * kMaxSyncBlocks,
 /// re-requesting (Peer::sync_stalls).
 constexpr std::uint32_t kMaxSyncStalls = 3;
 
-/// Nonces ground between chain-version checks: smaller cancels mining
-/// faster, larger costs less overhead.
+/// Nonces ground between chain- and pool-version checks: smaller cancels
+/// mining faster, larger costs less overhead.
 constexpr std::uint64_t kMineChunk = 2048;
 
 /// Transaction-pool capacity (oldest evicted beyond this).
@@ -164,6 +164,9 @@ P2pNode::P2pNode(P2pNodeConfig config,
   obs::live::Registry& r = live_registry_;
   live_.blocks_mined = &r.counter(
       "themis_blocks_mined_total", "Blocks mined by this node.");
+  live_.template_refreshes = &r.counter(
+      "themis_miner_template_refreshes_total",
+      "Miner templates re-taken mid-grind because the pool grew.");
   live_.blocks_received = &r.counter(
       "themis_blocks_received_total", "Full blocks received over the wire.");
   live_.blocks_rejected = &r.counter(
@@ -635,6 +638,7 @@ void P2pNode::admit_stateful(const std::vector<TxAdmission::Request*>& batch) {
   std::lock_guard<std::mutex> lock(mu_);
   const state::LedgerState& head_state =
       state_.state_at(core_.tree(), core_.head());
+  bool pooled = false;
   for (TxAdmission::Request* r : batch) {
     if (r->result != TxAdmit::accepted) continue;
     const ledger::Transaction& tx = r->stx->tx;
@@ -651,8 +655,12 @@ void P2pNode::admit_stateful(const std::vector<TxAdmission::Request*>& batch) {
       // Under mu_ on purpose: the miner also includes under mu_, so the
       // pooled stamp always precedes any inclusion stamp.
       stage_tracker_.stamp(tx.id(), TxStage::pooled);
+      pooled = true;
     }
   }
+  // Under mu_ too: a template taken under mu_ with this version already
+  // holds these transfers.
+  if (pooled) pool_version_.fetch_add(1, std::memory_order_release);
 }
 
 void P2pNode::announce_admitted(
@@ -842,6 +850,7 @@ void P2pNode::mine_loop() {
     ledger::BlockHeader header;
     std::vector<ledger::Transaction> body;
     std::uint64_t version;
+    std::uint64_t pool_version;
     {
       std::lock_guard<std::mutex> lock(mu_);
       const ledger::BlockTree& tree = core_.tree();
@@ -860,18 +869,28 @@ void P2pNode::mine_loop() {
       header.tx_count = static_cast<std::uint32_t>(body.size());
       header.merkle_root = crypto::merkle_root(tx_ids);
       version = chain_version_.load(std::memory_order_acquire);
+      pool_version = pool_version_.load(std::memory_order_acquire);
     }
+    const bool room = body.size() < config_.max_block_txs;
     header.timestamp_nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
                                  std::chrono::system_clock::now().time_since_epoch())
                                  .count();
     std::uint64_t nonce = rng.next_u64();
 
-    // Grind in chunks; between chunks re-check for head changes (memoryless:
-    // restarting the search loses nothing statistically) and stop requests.
+    // Grind in chunks; between chunks re-check for head changes, for pool
+    // growth while the template has room (memoryless: restarting the search
+    // loses nothing statistically) and for stop requests.
     while (!stopping_.load() && mining_enabled_.load() &&
            chain_version_.load(std::memory_order_acquire) == version) {
       const auto solved = RealMiner::mine(header, nonce, kMineChunk);
       if (!solved.has_value()) {
+        // Checked after a chunk, not before: every template grinds at least
+        // one, so admissions faster than chunks cannot starve the grind.
+        if (room &&
+            pool_version_.load(std::memory_order_acquire) != pool_version) {
+          live_.template_refreshes->inc();
+          break;  // re-take the template with the new transfers
+        }
         nonce += kMineChunk;
         if (nonce > UINT64_MAX - kMineChunk) nonce = rng.next_u64();
         continue;
@@ -954,6 +973,7 @@ P2pNode::ChainStats P2pNode::chain_stats() const {
   s.txs_rejected = tx.rejected;
   s.txs_duplicate = tx.duplicate;
   s.blocks_produced = live_.blocks_mined->get();
+  s.template_refreshes = live_.template_refreshes->get();
   s.blocks_received = live_.blocks_received->get();
   s.blocks_rejected = live_.blocks_rejected->get();
   s.reorgs = live_.reorgs->get();

@@ -27,7 +27,10 @@
 // miner thread, by TxAdmission's leader and by observer queries; no socket
 // send happens while it is held, and store reads happen only under it.  The
 // miner is cancelled edge-triggered: every head change bumps an atomic chain
-// version, re-checked between nonce chunks.
+// version and every admission batch that pools a transfer bumps an atomic
+// pool version, both re-checked between nonce chunks.  A moved chain version
+// always restarts the grind; a moved pool version restarts it while the
+// template has room, so the block being ground carries the newest transfers.
 #pragma once
 
 #include <atomic>
@@ -188,6 +191,8 @@ class P2pNode {
   /// The store_replayed and snapshot fields are ChainState's.
   struct ChainStats : state::ChainState::Stats {
     std::uint64_t blocks_produced = 0;   ///< mined by this node
+    /// Miner templates re-taken mid-grind because the pool grew.
+    std::uint64_t template_refreshes = 0;
     std::uint64_t blocks_rejected = 0;   ///< failed §III validation
     std::uint64_t reorgs = 0;
     std::uint64_t invs_received = 0;
@@ -324,7 +329,8 @@ class P2pNode {
   void handle_ckpt_vote(Peer& peer, ByteSpan payload);
 
   /// TxAdmission's stateful stage, under mu_: confirmed check, nonce window
-  /// and pool insert for every request still `accepted`.
+  /// and pool insert for every request still `accepted`; bumps the pool
+  /// version when at least one transfer was pooled.
   void admit_stateful(const std::vector<TxAdmission::Request*>& batch);
   /// TxAdmission's publish stage, outside mu_: traces, then one batched
   /// inventory announcement of the accepted ids.
@@ -396,6 +402,9 @@ class P2pNode {
   std::condition_variable miner_cv_;
   std::atomic<bool> mining_enabled_{false};
   std::atomic<std::uint64_t> chain_version_{0};
+  /// Bumped under mu_ by every admission batch that pools a transfer; the
+  /// miner reads it without mu_ between chunks.
+  std::atomic<std::uint64_t> pool_version_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
 
@@ -408,6 +417,7 @@ class P2pNode {
   /// Cached metric pointers, registered once in the constructor.
   struct LiveCounters {
     obs::live::Counter* blocks_mined = nullptr;
+    obs::live::Counter* template_refreshes = nullptr;
     obs::live::Counter* blocks_received = nullptr;
     obs::live::Counter* blocks_rejected = nullptr;
     obs::live::Counter* head_changes = nullptr;

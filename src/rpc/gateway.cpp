@@ -552,6 +552,7 @@ Json Gateway::metrics() const {
     {"bodies_resident", Json(chain.bodies_resident)},
     {"store_replayed", Json(chain.store_replayed)},
     {"blocks_produced", Json(chain.blocks_produced)},
+    {"template_refreshes", Json(chain.template_refreshes)},
     {"blocks_received", Json(chain.blocks_received)},
     {"blocks_rejected", Json(chain.blocks_rejected)},
     {"reorgs", Json(chain.reorgs)},

@@ -863,6 +863,101 @@ TEST_F(P2pIntegrationTest, ConfirmedTransfersLeaveNoRequestsInFlight) {
   }
 }
 
+// The miner re-takes its template when the pool grows mid-grind, so a
+// transfer pooled while block h+1 is being ground lands in h+1, not h+2.  A
+// block takes about 120 chunks of 2,048 nonces at this difficulty; a transfer
+// misses only when the block is solved in the chunk running when it was
+// pooled (about 1 in 120).  Each sample waits for a fresh head and then long
+// enough for the miner to have taken its template on it, so a miner that
+// picks transactions only on head changes lands nearly every sample in h+2.
+TEST_F(P2pIntegrationTest, TransfersPooledMidGrindJoinTheBlockBeingMined) {
+  P2pNodeConfig config = base_config(0, 2);
+  config.difficulty = 250'000.0;
+  config.checkpoint_interval = 0;
+  P2pNode node(std::move(config));
+  ASSERT_TRUE(node.start());
+
+  constexpr std::size_t kSamples = 20;
+  struct Sample {
+    ledger::TxId id;
+    std::uint64_t ground;  ///< height of the block being mined when pooled
+  };
+  std::vector<Sample> samples;
+  std::uint64_t nonce = 1;
+  std::uint64_t seen = node.head_height();
+  const auto deadline = std::chrono::steady_clock::now() + 600s;
+  while (samples.size() < kSamples &&
+         std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(wait_until([&] { return node.head_height() > seen; }, 120s));
+    std::this_thread::sleep_for(30ms);  // the miner re-takes its template
+    const std::uint64_t before = node.head_height();
+    const auto stx = ledger::sign_transaction(state::make_transfer_tx(
+        0, nonce, static_cast<std::int64_t>(nonce),
+        state::Transfer{1, 1, {}}));
+    ASSERT_EQ(node.submit_transaction(stx), TxAdmit::accepted);
+    ++nonce;
+    seen = node.head_height();
+    // A head change around the submit leaves the ground block ambiguous.
+    if (seen == before) samples.push_back({stx.tx.id(), before + 1});
+  }
+  ASSERT_EQ(samples.size(), kSamples);
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (const Sample& s : samples) {
+          if (node.tx_status(s.id).state !=
+              P2pNode::TxStatusInfo::State::confirmed) {
+            return false;
+          }
+        }
+        return true;
+      },
+      120s));
+  node.stop();
+
+  std::size_t joined = 0;
+  for (const Sample& s : samples) {
+    const auto status = node.tx_status(s.id);
+    EXPECT_GE(status.block_height, s.ground);
+    if (status.block_height == s.ground) ++joined;
+  }
+  EXPECT_GE(joined, kSamples - 3) << joined << " of " << kSamples
+                                  << " joined the block being mined";
+  EXPECT_GT(node.chain_stats().template_refreshes, 0u);
+}
+
+// Pool growth re-takes the template only while it has room.  At a difficulty
+// no block reaches, the template changes only by refresh: the first transfer
+// fills a one-transaction template (one refresh), and a second transfer finds
+// it full (none).
+TEST_F(P2pIntegrationTest, PoolGrowthRefreshesOnlyATemplateWithRoom) {
+  P2pNodeConfig config = base_config(0, 2);
+  config.difficulty = 1e30;
+  config.max_block_txs = 1;
+  config.checkpoint_interval = 0;
+  P2pNode node(std::move(config));
+  ASSERT_TRUE(node.start());
+  // Let the miner take its empty template before the first transfer.
+  std::this_thread::sleep_for(300ms);
+  ASSERT_EQ(node.chain_stats().template_refreshes, 0u);
+
+  const auto transfer = [](std::uint64_t nonce) {
+    return ledger::sign_transaction(state::make_transfer_tx(
+        0, nonce, static_cast<std::int64_t>(nonce),
+        state::Transfer{1, 1, {}}));
+  };
+  ASSERT_EQ(node.submit_transaction(transfer(1)), TxAdmit::accepted);
+  ASSERT_TRUE(wait_until(
+      [&] { return node.chain_stats().template_refreshes >= 1; }, 60s));
+  ASSERT_EQ(node.submit_transaction(transfer(2)), TxAdmit::accepted);
+  // Hundreds of chunk boundaries natively, dozens under TSan.
+  std::this_thread::sleep_for(500ms);
+  const auto stats = node.chain_stats();
+  EXPECT_EQ(stats.template_refreshes, 1u);
+  EXPECT_EQ(stats.blocks_produced, 0u);
+  EXPECT_EQ(node.pool_depth(), 2u);
+  node.stop();
+}
+
 // themis-noded --report prints Gateway::metrics(), the GET /metrics document.
 TEST_F(P2pIntegrationTest, ObservabilityCountersAreFilled) {
   P2pNodeConfig config = base_config(0, 1);
@@ -887,6 +982,8 @@ TEST_F(P2pIntegrationTest, ObservabilityCountersAreFilled) {
   EXPECT_TRUE(report["tx"].has("invs_received"));
   EXPECT_TRUE(chain.has("bodies_resident"));
   EXPECT_TRUE(report["tx"].has("indexed"));
+  EXPECT_EQ(chain["template_refreshes"].as_u64(),
+            node.chain_stats().template_refreshes);
 }
 
 }  // namespace

@@ -59,6 +59,15 @@ INSTANTIATE_TEST_SUITE_P(ChunkSizes, Sha256Streaming,
                          ::testing::Values(1, 3, 31, 32, 63, 64, 65, 127, 128,
                                            299));
 
+TEST(Sha256, EmptyUpdateAfterPartialBlockIsANoOp) {
+  // A default span has a null data(); it must not reach memcpy.
+  Sha256 ctx;
+  ctx.update(bytes_of("abc"));
+  ctx.update(ByteSpan{});
+  ctx.update(Bytes{});
+  EXPECT_EQ(ctx.finish(), sha256(bytes_of("abc")));
+}
+
 TEST(Sha256, ResetReusesContext) {
   Sha256 ctx;
   ctx.update(bytes_of("abc"));
