@@ -48,6 +48,9 @@ constexpr std::size_t kPoolCapacity = 1 << 20;
 /// sender's next expected nonce is rejected as junk.
 constexpr std::uint64_t kMaxNonceGap = 1024;
 
+/// Software identifier sent in every handshake (HandshakeMsg::agent).
+constexpr const char* kAgent = "themis-noded/1.0";
+
 std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -137,7 +140,7 @@ P2pNode::P2pNode(P2pNodeConfig config,
   pm.dial = config_.peers;
   pm.handshake.genesis = core_.tree().genesis_hash();
   pm.handshake.node_id = config_.id;
-  pm.handshake.agent = config_.agent;
+  pm.handshake.agent = kAgent;
   pm.ping_interval_ms = config_.ping_interval_ms;
   pm.backoff_initial_ms = config_.backoff_initial_ms;
   pm.backoff_max_ms = config_.backoff_max_ms;

@@ -103,7 +103,6 @@ struct P2pNodeConfig {
   std::uint64_t checkpoint_interval = 16;
   /// Aggregation backend for formed certificates: "concat" or "half".
   std::string finality_backend = "concat";
-  std::string agent = "themis-noded/1.0";
   std::uint64_t rng_seed = 1;
 
   // Transaction pipeline.

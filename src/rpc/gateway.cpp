@@ -126,13 +126,17 @@ Json block_to_json(const p2p::P2pNode::BlockInfo& info) {
   return out;
 }
 
+/// Method names in Gateway::Method order.  The last slot counts unknown
+/// names; "other" itself is not callable.
+constexpr const char* kMethodNames[] = {
+    "submit_tx", "submit_txs",  "get_tx",         "get_txs",
+    "get_block", "get_head",    "get_balance",    "get_checkpoint",
+    "status",    "metrics",     "other"};
+
 }  // namespace
 
 Gateway::Gateway(p2p::P2pNode& node) : node_(node) {
-  static constexpr const char* kMethodNames[kMethodCount] = {
-      "submit_tx", "submit_txs",  "get_tx",         "get_txs",
-      "get_block", "get_head",    "get_balance",    "get_checkpoint",
-      "status",    "metrics",     "other"};
+  static_assert(std::size(kMethodNames) == kMethodCount);
   obs::live::Registry& r = node_.live_registry();
   for (std::size_t i = 0; i < kMethodCount; ++i) {
     MethodMetrics& m = methods_[i];
@@ -152,16 +156,9 @@ Gateway::Gateway(p2p::P2pNode& node) : node_(node) {
 }
 
 Gateway::Method Gateway::method_of(const std::string& name) {
-  if (name == "submit_tx") return Method::submit_tx;
-  if (name == "submit_txs") return Method::submit_txs;
-  if (name == "get_tx") return Method::get_tx;
-  if (name == "get_txs") return Method::get_txs;
-  if (name == "get_block") return Method::get_block;
-  if (name == "get_head") return Method::get_head;
-  if (name == "get_balance") return Method::get_balance;
-  if (name == "get_checkpoint") return Method::get_checkpoint;
-  if (name == "status") return Method::status;
-  if (name == "metrics") return Method::metrics;
+  for (std::size_t i = 0; i + 1 < kMethodCount; ++i) {
+    if (name == kMethodNames[i]) return static_cast<Method>(i);
+  }
   return Method::other;
 }
 
@@ -227,14 +224,13 @@ HttpResponse Gateway::handle(const HttpRequest& request) {
     return response;
   }
   id = body["id"];
-  const std::string& method = body["method"].as_string();
-  const Method slot = method_of(method);
+  const Method slot = method_of(body["method"].as_string());
   MethodMetrics& metrics = methods_[static_cast<std::size_t>(slot)];
   metrics.requests->inc();
   total_requests_->inc();
   obs::live::ScopedTimer timer(metrics.latency);
   try {
-    response.body = result_response(id, dispatch(method, body["params"])).dump();
+    response.body = result_response(id, dispatch(slot, body["params"])).dump();
   } catch (const RpcError& e) {
     response.body = error_response(id, e.code, e.message).dump();
     note_error(slot);
@@ -247,18 +243,21 @@ HttpResponse Gateway::handle(const HttpRequest& request) {
   return response;
 }
 
-Json Gateway::dispatch(const std::string& method, const Json& params) {
-  if (method == "submit_tx") return rpc_submit_tx(params);
-  if (method == "get_tx") return rpc_get_tx(params);
-  if (method == "submit_txs") return rpc_submit_txs(params);
-  if (method == "get_txs") return rpc_get_txs(params);
-  if (method == "get_block") return rpc_get_block(params);
-  if (method == "get_head") return rpc_get_head();
-  if (method == "get_balance") return rpc_get_balance(params);
-  if (method == "get_checkpoint") return rpc_get_checkpoint(params);
-  if (method == "status") return rpc_status();
-  if (method == "metrics") return metrics();
-  fail(kMethodNotFound, "unknown method: " + method);
+Json Gateway::dispatch(Method method, const Json& params) {
+  switch (method) {
+    case Method::submit_tx: return rpc_submit_tx(params);
+    case Method::submit_txs: return rpc_submit_txs(params);
+    case Method::get_tx: return rpc_get_tx(params);
+    case Method::get_txs: return rpc_get_txs(params);
+    case Method::get_block: return rpc_get_block(params);
+    case Method::get_head: return rpc_get_head();
+    case Method::get_balance: return rpc_get_balance(params);
+    case Method::get_checkpoint: return rpc_get_checkpoint(params);
+    case Method::status: return rpc_status();
+    case Method::metrics: return metrics();
+    case Method::other: break;
+  }
+  fail(kMethodNotFound, "method not found");
 }
 
 ledger::SignedTransaction Gateway::build_tx(const Json& spec) {

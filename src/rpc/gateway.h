@@ -32,8 +32,8 @@
 // Monitoring endpoints (GET):
 //   /status        — node summary (mirrors the status method)
 //   /metrics       — JSON metrics (chain/tx/p2p/finality/rpc/stages/health),
-//                    for tooling that already speaks this shape (load_gen,
-//                    themis-cli watch, themis-noded --report)
+//                    for tooling that already speaks this shape (themis-cli
+//                    watch, themis-noded --report)
 //   /metrics.prom  — Prometheus text exposition 0.0.4 of the node's live
 //                    registry (counters, gauges, cumulative histograms)
 //   /health        — readiness probe: 200 when started and peer-connected
@@ -103,7 +103,7 @@ class Gateway {
     obs::live::Histogram* latency = nullptr;
   };
 
-  Json dispatch(const std::string& method, const Json& params);
+  Json dispatch(Method method, const Json& params);
   void note_error(Method method);
   HttpResponse health_response() const;
 

@@ -75,7 +75,9 @@ TEST(FrameCodec, DecodesAcrossArbitrarySplits) {
   for (std::size_t i = 0; i < wire.size(); ++i) {
     decoder.feed(ByteSpan(&wire[i], 1));
     while (decoder.poll().has_value()) ++frames;
-    if (i + 1 < wire.size()) EXPECT_EQ(frames, 0u);
+    if (i + 1 < wire.size()) {
+      EXPECT_EQ(frames, 0u);
+    }
   }
   EXPECT_EQ(frames, 1u);
 }

@@ -37,7 +37,9 @@ TEST(BuildLocator, DenseNearHeadSparseTowardGenesis) {
   for (std::size_t i = 1; i < locator.size(); ++i) {
     const std::uint64_t h = builder.tree().height(locator[i]);
     EXPECT_LT(h, prev);
-    if (i <= kLocatorDenseSpan) EXPECT_EQ(h, prev - 1);
+    if (i <= kLocatorDenseSpan) {
+      EXPECT_EQ(h, prev - 1);
+    }
     prev = h;
   }
   // O(log height): far smaller than the chain itself.

@@ -10,6 +10,7 @@
 // from its datadir.  Timeouts are generous for TSan (~10x slowdown).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -167,7 +168,8 @@ class TxPipeIntegrationTest : public ::testing::Test {
 
 TEST_F(TxPipeIntegrationTest, SubmittedTxRelaysConfirmsEverywhere) {
   // Two-node smoke: a transfer submitted to node 0 must confirm and be
-  // visible (state + status) on node 1, which never saw the RPC call.
+  // visible (state + status) on node 1, which never saw the RPC call.  Then
+  // batched RPC under relay: two clients, one per node, submit at once.
   for (std::size_t i = 0; i < 2; ++i) start_node(i);
   auto nodes = std::vector<p2p::P2pNode*>{nodes_[0].get(), nodes_[1].get()};
   ASSERT_TRUE(wait_until([&] { return nodes[0]->ready_peer_count() == 1; },
@@ -211,6 +213,86 @@ TEST_F(TxPipeIntegrationTest, SubmittedTxRelaysConfirmsEverywhere) {
   ASSERT_TRUE(balance.has_value());
   EXPECT_EQ((*balance)["result"]["balance"].as_string(),
             std::to_string(nodes[1]->config().genesis_fund - 123));
+
+  // Client c signs as account kNodes + 1 + c on node c's endpoint, submits
+  // in submit_txs batches of 50 and polls get_txs there until all of its
+  // transfers read confirmed.
+  constexpr std::uint64_t kBatch = 50;
+  constexpr std::uint64_t kBatchedPerClient = 2 * kBatch;
+  std::vector<std::vector<std::string>> ids(nodes.size());
+  std::atomic<bool> client_failed{false};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < nodes.size(); ++c) {
+    clients.emplace_back([&, c] {
+      HttpClient client("127.0.0.1", servers_[c]->port());
+      for (std::uint64_t first = 1; first <= kBatchedPerClient;
+           first += kBatch) {
+        Json::Array specs;
+        for (std::uint64_t nonce = first; nonce < first + kBatch; ++nonce) {
+          Json spec;
+          spec.set("sender", static_cast<std::uint64_t>(kNodes + 1 + c));
+          spec.set("to", static_cast<std::uint64_t>(c));
+          spec.set("amount", std::uint64_t{1});
+          spec.set("nonce", nonce);
+          specs.push_back(std::move(spec));
+        }
+        Json batch;
+        batch.set("txs", Json(std::move(specs)));
+        const auto reply = call(client, "submit_txs", std::move(batch));
+        if (!reply.has_value() || !reply->has("result")) {
+          client_failed.store(true);
+          return;
+        }
+        for (const Json& entry : (*reply)["result"]["results"].as_array()) {
+          if (entry["status"].as_string() != "accepted") {
+            client_failed.store(true);
+            return;
+          }
+          ids[c].push_back(entry["id"].as_string());
+        }
+      }
+      const auto deadline = std::chrono::steady_clock::now() + 240s;
+      while (std::chrono::steady_clock::now() < deadline) {
+        Json::Array query;
+        for (const std::string& id_hex : ids[c]) query.push_back(Json(id_hex));
+        Json poll;
+        poll.set("ids", Json(std::move(query)));
+        const auto reply = call(client, "get_txs", std::move(poll));
+        if (!reply.has_value() || !reply->has("result")) break;
+        const Json::Array& states = (*reply)["result"]["states"].as_array();
+        if (states.size() == ids[c].size() &&
+            std::all_of(states.begin(), states.end(), [](const Json& s) {
+              return s.as_string() == "confirmed";
+            })) {
+          return;
+        }
+        std::this_thread::sleep_for(20ms);
+      }
+      client_failed.store(true);
+    });
+  }
+  for (auto& t : clients) t.join();
+  ASSERT_FALSE(client_failed.load())
+      << "every batched transfer must be accepted and confirm where sent";
+  for (const auto& client_ids : ids) {
+    ASSERT_EQ(client_ids.size(), kBatchedPerClient);
+  }
+  ASSERT_TRUE(wait_until(
+      [&] {
+        for (p2p::P2pNode* node : nodes) {
+          for (const auto& client_ids : ids) {
+            for (const std::string& id_hex : client_ids) {
+              if (node->tx_status(hash_from_hex(id_hex)).state !=
+                  p2p::P2pNode::TxStatusInfo::State::confirmed) {
+                return false;
+              }
+            }
+          }
+        }
+        return true;
+      },
+      240s))
+      << "every batched transfer must confirm on both nodes";
 }
 
 TEST_F(TxPipeIntegrationTest, StageStampsAreMonotoneAcrossTwoNodes) {
