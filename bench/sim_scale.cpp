@@ -62,12 +62,10 @@ int main(int argc, char** argv) {
   const bench::ArgParser parser(argc, argv);
   constexpr std::string_view kUsage =
       "sim_scale [--nodes=<n,..>] [--height=<h>] [--quick] [--seed=<u64>] "
-      "[--threads <N>] [--csv] [--json=<path>] [--floors=<path>]";
+      "[--csv] [--json=<path>] [--floors=<path>]";
   const bool quick = parser.flag("--quick");
   const bool csv = parser.flag("--csv");
   const std::uint64_t seed = parser.value_u64("--seed", 1);
-  const std::size_t threads =
-      static_cast<std::size_t>(parser.value_u64("--threads", 1));
   const std::uint64_t height = parser.value_u64("--height", quick ? 40 : 120);
   std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{500}
@@ -97,9 +95,6 @@ int main(int argc, char** argv) {
     config.expected_interval_s = 4.0;
     config.txs_per_block = 4096;
     config.seed = seed;
-    // --threads here drives the in-run draw workers (results are
-    // bit-identical for every value; only wall clock changes).
-    config.draw_threads = threads;
 
     PointResult r;
     r.nodes = n;
@@ -150,8 +145,7 @@ int main(int argc, char** argv) {
       out << "{\n  \"benchmark\": \"sim_scale\",\n"
           << "  \"config\": {\"algorithm\": \"themis-geost\", \"beta\": 8, "
           << "\"interval_s\": 4.0, \"fanout\": 8, \"seed\": " << seed
-          << ", \"height\": " << height << ", \"threads\": " << threads
-          << "},\n  \"points\": [\n";
+          << ", \"height\": " << height << "},\n  \"points\": [\n";
       for (std::size_t i = 0; i < results.size(); ++i) {
         const PointResult& r = results[i];
         out << "    {\"nodes\": " << r.nodes << ", \"events\": " << r.events

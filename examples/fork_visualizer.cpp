@@ -25,13 +25,13 @@ void render(const ledger::BlockTree& tree, const ledger::BlockHash& node,
   std::string line = indent;
   if (!indent.empty()) line += last ? "`-- " : "|-- ";
   const auto block = tree.block(node);
-  line += "h" + std::to_string(block->height());
+  line.append("h").append(std::to_string(block->height()));
   if (block->producer() != ledger::kNoNode) {
     line += " (node " + std::to_string(block->producer()) + ")";
   } else {
     line += " (genesis)";
   }
-  line += " " + to_hex(node).substr(0, 8);
+  line.append(" ").append(to_hex(node).substr(0, 8));
   const auto tag = tags.find(node);
   if (tag != tags.end()) line += "   <== " + tag->second;
   std::printf("%s\n", line.c_str());

@@ -76,35 +76,4 @@ double Rng::next_gaussian() {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-DrawStream::DrawStream(std::uint64_t seed, std::size_t capacity)
-    : rng_(seed), capacity_(capacity) {
-  expects(capacity_ >= 1, "capacity must be at least 1");
-  buffer_.reserve(capacity_);
-}
-
-void DrawStream::refill() {
-  if (head_ > 0) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  while (buffer_.size() < capacity_) {
-    const std::uint64_t raw = rng_.next_u64();
-    // Exactly Rng::next_double() / the -log1p step of next_exponential().
-    const double u = static_cast<double>(raw >> 11) * 0x1.0p-53;
-    buffer_.push_back(Draw{raw, -std::log1p(-u)});
-  }
-}
-
-std::uint64_t DrawStream::next_u64() {
-  if (head_ == buffer_.size()) refill();
-  return buffer_[head_++].raw;
-}
-
-double DrawStream::next_exponential(double rate) {
-  expects(rate > 0.0, "rate must be positive");
-  if (head_ == buffer_.size()) refill();
-  return buffer_[head_++].exp_base / rate;
-}
-
 }  // namespace themis

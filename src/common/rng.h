@@ -61,47 +61,4 @@ class Rng {
   std::array<std::uint64_t, 4> state_;
 };
 
-/// A buffered façade over one Rng stream whose refills may run on a worker
-/// thread while consumption stays bit-identical to calling the Rng directly.
-///
-/// refill() pre-draws raw 64-bit values and, for each, the exponential base
-/// -log1p(-u) computed exactly as Rng::next_exponential computes it.  The
-/// consumers then pull from the FIFO: next_u64() yields the raw value,
-/// next_exponential(rate) yields base / rate — the same IEEE-754 operations
-/// in the same order as the unbuffered path, so any interleaving of the two
-/// consumers reproduces the direct Rng sequence bit for bit, no matter which
-/// thread ran the refill or how far ahead it buffered.  A stream is owned by
-/// one consumer; refill() and next_*() must not race (parallel users refill
-/// disjoint streams and rejoin before consuming).
-class DrawStream {
- public:
-  explicit DrawStream(std::uint64_t seed, std::size_t capacity = 512);
-
-  /// Next raw uniform 64-bit draw (== Rng::next_u64()).
-  std::uint64_t next_u64();
-
-  /// Next exponential draw (== Rng::next_exponential(rate)); rate > 0.
-  double next_exponential(double rate);
-
-  /// Top the buffer up to capacity.  Safe to call at any point in the
-  /// consumption sequence; never changes which values are produced.
-  void refill();
-
-  std::size_t available() const { return buffer_.size() - head_; }
-  std::size_t capacity() const { return capacity_; }
-  /// True when a refill is worth scheduling (buffer below a quarter full).
-  bool low() const { return available() < capacity_ / 4; }
-
- private:
-  struct Draw {
-    std::uint64_t raw;
-    double exp_base;  ///< -log1p(-u), u = (raw >> 11) * 2^-53
-  };
-
-  Rng rng_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;
-  std::vector<Draw> buffer_;
-};
-
 }  // namespace themis

@@ -37,10 +37,4 @@ SimTime SimMiner::sample_block_time(Rng& rng, double hash_rate, double difficult
   return SimTime::seconds(rng.next_exponential(block_rate(hash_rate, difficulty)));
 }
 
-SimTime SimMiner::sample_block_time(DrawStream& draws, double hash_rate,
-                                    double difficulty) {
-  return SimTime::seconds(
-      draws.next_exponential(block_rate(hash_rate, difficulty)));
-}
-
 }  // namespace themis::consensus

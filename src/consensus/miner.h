@@ -40,11 +40,6 @@ class SimMiner {
   /// finds a block at `difficulty` (Exp(hash_rate / difficulty) seconds).
   static SimTime sample_block_time(Rng& rng, double hash_rate, double difficulty);
 
-  /// Same draw from a buffered per-node stream (bit-identical to the Rng
-  /// overload for the same underlying seed and consumption order).
-  static SimTime sample_block_time(DrawStream& draws, double hash_rate,
-                                   double difficulty);
-
   /// The Poisson rate (blocks/second) underlying sample_block_time.
   static double block_rate(double hash_rate, double difficulty);
 };

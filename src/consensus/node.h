@@ -109,11 +109,6 @@ class PowNode {
     return core_.keypair();
   }
 
-  /// The node's buffered mining-draw stream.  Exposed so the experiment
-  /// harness can refill many nodes' streams in parallel between events (the
-  /// values consumed are identical either way; see DrawStream).
-  DrawStream& draws() { return rng_; }
-
  private:
   std::size_t announce_size(const ledger::Block& block) const;
   void on_message(const net::Message& msg);
@@ -128,9 +123,8 @@ class PowNode {
   NodeConfig config_;
   ChainCore core_;
 
-  /// Mining randomness: exponential waiting times and nonces, drawn through
-  /// a buffered stream so draws can be precomputed off the event loop.
-  DrawStream rng_;
+  /// Mining randomness: exponential waiting times and nonces.
+  Rng rng_;
 
   std::uint64_t mining_generation_ = 0;
   net::EventId mining_event_ = 0;

@@ -2,8 +2,8 @@
 //
 // The simulator's obs::Counters is a map-keyed, allocating registry driven by
 // exactly one thread per run.  The daemon's hot paths — the epoll reactor,
-// the combining admission leader, the miner, PeerManager reader threads and
-// the RPC workers — are concurrent, so they get their own primitives:
+// the miner, and the PeerManager reader threads and RPC workers that admit
+// transactions — are concurrent, so they get their own primitives:
 //
 //   * Counter / Gauge: one cache-line-padded atomic each.  Bumps are a single
 //     relaxed fetch_add — wait-free, no false sharing between neighbours.

@@ -16,7 +16,7 @@ std::string_view to_string(TxStage stage) {
 }
 
 StageTracker::StageTracker(Registry& registry, std::size_t capacity)
-    : per_shard_capacity_(std::max<std::size_t>(1, capacity / kShards)) {
+    : capacity_(std::max<std::size_t>(1, capacity)) {
   transition_[static_cast<std::size_t>(TxStage::verified)] =
       &registry.histogram(
           "themis_tx_stage_verify_seconds",
@@ -37,58 +37,43 @@ StageTracker::StageTracker(Registry& registry, std::size_t capacity)
       "End-to-end transaction latency: submit to main-chain confirmation.");
 }
 
-void StageTracker::stamp(const Hash32& id, TxStage stage) {
-  const std::uint64_t now = monotonic_ns();
+void StageTracker::stamp(const Hash32& id, TxStage stage,
+                         std::uint64_t at_ns) {
   const auto s = static_cast<std::size_t>(stage);
-  std::uint64_t latency_from_prev = 0;
-  std::uint64_t latency_e2e = 0;
-  bool recorded = false;
-  {
-    Shard& shard = shard_for(id);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.by_id.try_emplace(id);
-    if (inserted) {
-      shard.fifo.push_back(id);
-      if (shard.fifo.size() > per_shard_capacity_) {
-        shard.by_id.erase(shard.fifo.front());
-        shard.fifo.pop_front();
-        // The new entry could itself have been evicted on a pathological
-        // shard; re-check so `it` stays valid.
-        if (!shard.by_id.contains(id)) return;
-      }
-    }
-    Stamps& stamps = it->second;
-    if (stamps[s] != 0) return;  // first arrival wins
-    stamps[s] = now;
-    // Latest earlier stage actually reached, if any.
-    for (std::size_t prev = s; prev-- > 0;) {
-      if (stamps[prev] != 0) {
-        latency_from_prev = now - stamps[prev];
-        recorded = true;
-        break;
-      }
-    }
-    if (stage == TxStage::confirmed &&
-        stamps[static_cast<std::size_t>(TxStage::submitted)] != 0) {
-      latency_e2e =
-          now - stamps[static_cast<std::size_t>(TxStage::submitted)];
+  auto [it, inserted] = by_id_.try_emplace(id);
+  if (inserted) {
+    fifo_.push_back(id);
+    // The new entry is the newest, so with capacity >= 1 it is never the
+    // one evicted and `it` stays valid.
+    if (fifo_.size() > capacity_) {
+      by_id_.erase(fifo_.front());
+      fifo_.pop_front();
     }
   }
-  stamped_.fetch_add(1, std::memory_order_relaxed);
-  if (recorded && transition_[s] != nullptr) {
-    transition_[s]->record_ns(latency_from_prev);
+  Stamps& stamps = it->second;
+  if (stamps[s] != 0) return;  // first arrival wins
+  // Latest earlier stage actually reached, if any.
+  std::size_t prev = s;
+  while (prev > 0 && stamps[prev - 1] == 0) --prev;
+  if (prev == 0) {
+    stamps[s] = at_ns;
+    return;
   }
-  if (stage == TxStage::confirmed && latency_e2e != 0) {
-    end_to_end_->record_ns(latency_e2e);
+  const std::uint64_t from = stamps[prev - 1];
+  const std::uint64_t at = std::max(at_ns, from);
+  stamps[s] = at;
+  transition_[s]->record_ns(at - from);
+  const std::uint64_t submitted =
+      stamps[static_cast<std::size_t>(TxStage::submitted)];
+  if (stage == TxStage::confirmed && submitted != 0 && at > submitted) {
+    end_to_end_->record_ns(at - submitted);
   }
 }
 
 std::optional<StageTracker::Stamps> StageTracker::stamps(
     const Hash32& id) const {
-  const Shard& shard = shard_for(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.by_id.find(id);
-  if (it == shard.by_id.end()) return std::nullopt;
+  const auto it = by_id_.find(id);
+  if (it == by_id_.end()) return std::nullopt;
   return it->second;
 }
 

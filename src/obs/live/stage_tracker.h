@@ -18,9 +18,12 @@
 // earlier stage actually stamped, and a stamp with no predecessor records
 // nothing.
 //
-// Threading: stamps take one shard mutex (16 shards keyed by the tx id's
-// first bytes) around a table write of a few words; the histograms behind
-// them are wait-free.  The table is bounded — FIFO eviction per shard — so a
+// Threading: none of its own.  The live node keeps the tracker with its pool
+// under the consensus lock (P2pNode::mu_): every stamp and every read runs
+// inside that lock, so the per-tx stamps of one transaction are written in
+// lock order.  Callers pass the time of the event, which admission measures
+// before the lock (submitted, verified); a stamp never precedes the latest
+// earlier stage already stamped.  The table is bounded — FIFO eviction — so a
 // long-lived node cannot leak per-tx state; an evicted transaction simply
 // loses its per-tx breakdown (the aggregate histograms already absorbed it).
 #pragma once
@@ -28,7 +31,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -56,39 +58,24 @@ class StageTracker {
   /// bounds the per-tx table; beyond it the oldest entries are evicted.
   explicit StageTracker(Registry& registry, std::size_t capacity = 1 << 16);
 
-  /// Stamp `id` at `stage` now.  Records the latency from the latest earlier
-  /// stamped stage into that transition's histogram; re-stamps of an
-  /// already-reached stage are ignored (first arrival wins — e.g. a tx
+  /// Stamp `id` at `stage` at `at_ns` (monotonic_ns() clock; raised to the
+  /// latest earlier stamped stage if it precedes it).  Records the latency
+  /// from that earlier stage into the transition's histogram; re-stamps of
+  /// an already-reached stage are ignored (first arrival wins — e.g. a tx
   /// re-included after a reorg keeps its original inclusion time).
-  void stamp(const Hash32& id, TxStage stage);
+  void stamp(const Hash32& id, TxStage stage, std::uint64_t at_ns);
 
   /// Nanosecond stamps per stage (0 = never reached), monotonic clock.
   using Stamps = std::array<std::uint64_t, kTxStageCount>;
   std::optional<Stamps> stamps(const Hash32& id) const;
 
-  /// Total stamps recorded (diagnostic; relaxed).
-  std::uint64_t stamped() const { return stamped_.load(std::memory_order_relaxed); }
-
  private:
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Hash32, Stamps, Hash32Hasher> by_id;
-    std::deque<Hash32> fifo;  ///< insertion order, for eviction
-  };
-  Shard& shard_for(const Hash32& id) {
-    return shards_[id[0] & (kShards - 1)];
-  }
-  const Shard& shard_for(const Hash32& id) const {
-    return shards_[id[0] & (kShards - 1)];
-  }
-
-  std::size_t per_shard_capacity_;
-  std::array<Shard, kShards> shards_;
+  std::size_t capacity_;
+  std::unordered_map<Hash32, Stamps, Hash32Hasher> by_id_;
+  std::deque<Hash32> fifo_;  ///< insertion order, for eviction
   /// transition_[s] measures (latest earlier stage) -> s; [0] unused.
   std::array<Histogram*, kTxStageCount> transition_{};
   Histogram* end_to_end_ = nullptr;
-  std::atomic<std::uint64_t> stamped_{0};
 };
 
 }  // namespace themis::obs::live

@@ -1,29 +1,29 @@
 // Transaction admission (§III: only consortium members with a valid
 // signature and a usable nonce reach the pool).
 //
-// Callers (RPC submissions, relayed kP2pTxBatch frames) park requests in one
-// combining queue; the first caller in leads, draining batches of up to
-// kAdmitBatchMax.  Per batch the leader looks senders up in the immutable key
-// registry, batch-verifies the signatures (per-item fallback, so a forgery is
-// charged to its own item), runs the node's stateful stage (confirmed check,
-// nonce window, pool insert — under the node's consensus lock), counts every
-// verdict, and runs the node's publish stage (traces, one announcement)
-// outside that lock.  The queue mutex is never held while a stage runs.
+// admit() runs on the caller's thread — an RPC worker or a peer reader —
+// over the caller's own transactions, in chunks of up to kAdmitBatchMax.
+// Per chunk it looks senders up in the immutable key registry,
+// batch-verifies the signatures (per-item fallback, so a forgery is charged
+// to its own item), runs the node's stateful stage (confirmed check, nonce
+// window, pool insert and lifecycle stamps — under the node's consensus
+// lock), counts every verdict, and runs the node's publish stage (traces,
+// one announcement) outside that lock.  Every caller arrives with its own
+// batch (one submit_txs call, one kP2pTxBatch frame), so callers never wait
+// on one another here: concurrent callers verify in parallel and meet only
+// at the consensus lock.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "consensus/chain_core.h"
 #include "ledger/transaction.h"
 #include "obs/live/registry.h"
-#include "obs/live/stage_tracker.h"
 
 namespace themis::p2p {
 
@@ -46,21 +46,23 @@ inline constexpr std::size_t kAdmitBatchMax = 64;
 class TxAdmission {
  public:
   /// One transaction in flight; `result` stays `accepted` unless rejected.
+  /// The times are obs::live::monotonic_ns() readings for the node's stage
+  /// tracker, which the stateful stage writes under the consensus lock.
   struct Request {
     const ledger::SignedTransaction* stx = nullptr;
     std::uint64_t source_session = 0;  ///< relaying peer; 0 = RPC
     TxAdmit result = TxAdmit::accepted;
-    bool done = false;
+    std::uint64_t submitted_ns = 0;  ///< admit() entered
+    std::uint64_t verified_ns = 0;   ///< signature checked; 0 = never
   };
-  using Stage = std::function<void(const std::vector<Request*>&)>;
+  using Stage = std::function<void(std::span<Request>)>;
 
   /// Registers themis_admit_batch_seconds and themis_tx_*_total in
   /// `metrics`.  Both stages see every request, rejected ones included.
   TxAdmission(std::shared_ptr<const consensus::KeyRegistry> keys,
-              obs::live::Registry& metrics, obs::live::StageTracker& stages,
-              Stage stateful, Stage publish);
+              obs::live::Registry& metrics, Stage stateful, Stage publish);
 
-  /// Admit `stxs` in one queue entry; blocks until all are settled.  One
+  /// Admit `stxs` on the calling thread; returns once all are settled.  One
   /// verdict per transaction, in order.
   std::vector<TxAdmit> admit(const std::vector<ledger::SignedTransaction>& stxs,
                              std::uint64_t source_session);
@@ -74,19 +76,11 @@ class TxAdmission {
   Counts counts() const;
 
  private:
-  /// Park `requests`; return once all are settled, leading if no one is.
-  void settle(std::vector<Request>& requests);
-  void process_batch(const std::vector<Request*>& batch);
+  void process_batch(std::span<Request> batch);
 
   const std::shared_ptr<const consensus::KeyRegistry> keys_;
-  obs::live::StageTracker& stages_;
   const Stage stateful_;
   const Stage publish_;
-
-  std::mutex mu_;  ///< guards queue_ and leader_active_ only
-  std::condition_variable cv_;
-  std::deque<Request*> queue_;
-  bool leader_active_ = false;
 
   obs::live::Histogram* batch_seconds_;
   obs::live::Counter* submitted_;

@@ -125,9 +125,13 @@ P2pNode::P2pNode(P2pNodeConfig config,
              config_.snapshot_interval, config_.prune),
       pool_(kPoolCapacity),
       admission_(
-          registry_, live_registry_, stage_tracker_,
-          [this](const auto& batch) { admit_stateful(batch); },
-          [this](const auto& batch) { announce_admitted(batch); }) {
+          registry_, live_registry_,
+          [this](std::span<TxAdmission::Request> batch) {
+            admit_stateful(batch);
+          },
+          [this](std::span<TxAdmission::Request> batch) {
+            announce_admitted(batch);
+          }) {
   expects(config_.n_nodes >= 1, "p2p node set must be non-empty");
   expects(config_.id < config_.n_nodes, "node id out of range");
   core_.set_body_check([this](const Block& block) {
@@ -158,7 +162,7 @@ P2pNode::P2pNode(P2pNodeConfig config,
   // for the tx is moot from here on: the peer's pool no longer has it, and
   // handle_inv never requests a confirmed id again.
   reconciler_.set_confirm_hook([this](const ledger::TxId& id) {
-    stage_tracker_.stamp(id, TxStage::confirmed);
+    stage_tracker_.stamp(id, TxStage::confirmed, obs::live::monotonic_ns());
     requested_.erase(id);
   });
 
@@ -636,28 +640,32 @@ std::vector<TxAdmit> P2pNode::submit_transactions(
   return admission_.admit(stxs, /*source_session=*/0);
 }
 
-void P2pNode::admit_stateful(const std::vector<TxAdmission::Request*>& batch) {
+void P2pNode::admit_stateful(std::span<TxAdmission::Request> batch) {
   // One consensus-lock acquisition settles the whole batch.
   std::lock_guard<std::mutex> lock(mu_);
   const state::LedgerState& head_state =
       state_.state_at(core_.tree(), core_.head());
   bool pooled = false;
-  for (TxAdmission::Request* r : batch) {
-    if (r->result != TxAdmit::accepted) continue;
-    const ledger::Transaction& tx = r->stx->tx;
+  for (TxAdmission::Request& r : batch) {
+    const ledger::Transaction& tx = r.stx->tx;
+    stage_tracker_.stamp(tx.id(), TxStage::submitted, r.submitted_ns);
+    if (r.verified_ns != 0) {
+      stage_tracker_.stamp(tx.id(), TxStage::verified, r.verified_ns);
+    }
+    if (r.result != TxAdmit::accepted) continue;
     const std::uint64_t next = head_state.account(tx.sender()).next_nonce;
     if (reconciler_.confirmed(tx.id())) {
-      r->result = TxAdmit::known_confirmed;
+      r.result = TxAdmit::known_confirmed;
     } else if (tx.nonce() < next) {
-      r->result = TxAdmit::stale_nonce;
+      r.result = TxAdmit::stale_nonce;
     } else if (tx.nonce() >= next + kMaxNonceGap) {
-      r->result = TxAdmit::nonce_gap;
-    } else if (!pool_.add(*r->stx)) {
-      r->result = TxAdmit::duplicate;
+      r.result = TxAdmit::nonce_gap;
+    } else if (!pool_.add(*r.stx)) {
+      r.result = TxAdmit::duplicate;
     } else {
       // Under mu_ on purpose: the miner also includes under mu_, so the
       // pooled stamp always precedes any inclusion stamp.
-      stage_tracker_.stamp(tx.id(), TxStage::pooled);
+      stage_tracker_.stamp(tx.id(), TxStage::pooled, obs::live::monotonic_ns());
       pooled = true;
     }
   }
@@ -666,24 +674,23 @@ void P2pNode::admit_stateful(const std::vector<TxAdmission::Request*>& batch) {
   if (pooled) pool_version_.fetch_add(1, std::memory_order_release);
 }
 
-void P2pNode::announce_admitted(
-    const std::vector<TxAdmission::Request*>& batch) {
+void P2pNode::announce_admitted(std::span<TxAdmission::Request> batch) {
   std::vector<std::pair<Hash32, std::uint64_t>> accepted;
-  for (const TxAdmission::Request* r : batch) {
-    const ledger::Transaction& tx = r->stx->tx;
-    if (r->result == TxAdmit::accepted) {
+  for (const TxAdmission::Request& r : batch) {
+    const ledger::Transaction& tx = r.stx->tx;
+    if (r.result == TxAdmit::accepted) {
       trace("tx_accepted",
             {obs::Field::u64("node", config_.id),
              obs::Field::str("id", short_hex(tx.id())),
              obs::Field::u64("sender", tx.sender()),
              obs::Field::u64("nonce", tx.nonce()),
-             obs::Field::boolean("rpc", r->source_session == 0)});
-      accepted.emplace_back(tx.id(), r->source_session);
+             obs::Field::boolean("rpc", r.source_session == 0)});
+      accepted.emplace_back(tx.id(), r.source_session);
     } else {
       trace("tx_rejected",
             {obs::Field::u64("node", config_.id),
              obs::Field::str("id", short_hex(tx.id())),
-             obs::Field::str("reason", std::string(to_string(r->result)))});
+             obs::Field::str("reason", std::string(to_string(r.result)))});
     }
   }
   if (!accepted.empty()) announce(consensus::kP2pTxInv, accepted);
@@ -753,7 +760,8 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
     // Inclusion stamps before the reconcile below, so a confirm stamp from
     // the reconciler (same mu_ hold) is always later.
     for (const ledger::Transaction& tx : block->transactions()) {
-      stage_tracker_.stamp(tx.id(), TxStage::included);
+      stage_tracker_.stamp(tx.id(), TxStage::included,
+                           obs::live::monotonic_ns());
     }
     if (store_ != nullptr) store_->append(*block);
   }
@@ -1000,9 +1008,10 @@ bool P2pNode::ready() const {
 
 P2pNode::TxStatusInfo P2pNode::tx_status(const ledger::TxId& id) const {
   TxStatusInfo info;
-  // One hold covers the index and the pool, so a transaction confirmed
-  // between the two lookups is never reported unknown.
+  // One hold covers the index, the pool and the stamps, so a transaction
+  // confirmed between the lookups is never reported unknown.
   std::lock_guard<std::mutex> lock(mu_);
+  info.stages = stage_tracker_.stamps(id);
   const auto block_hash = reconciler_.block_of(core_.tree(), id);
   if (block_hash.has_value()) {
     info.state = TxStatusInfo::State::confirmed;

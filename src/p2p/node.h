@@ -22,9 +22,10 @@
 // getdata, sync and state replay.  Admission, relay, get_txs and the
 // reconciler read only memory.  A memory-only node keeps every body.
 //
-// Threading: the ChainCore, store, ChainState, reconciler and pool live
-// behind one mutex (mu_), taken by reader threads delivering frames, by the
-// miner thread, by TxAdmission's leader and by observer queries; no socket
+// Threading: the ChainCore, store, ChainState, reconciler, pool and stage
+// tracker live behind one mutex (mu_), taken by reader threads delivering
+// frames, by the miner thread, by admission's stateful stage (on the RPC
+// worker or reader thread that admits) and by observer queries; no socket
 // send happens while it is held, and store reads happen only under it.  The
 // miner is cancelled edge-triggered: every head change bumps an atomic chain
 // version and every admission batch that pools a transfer bumps an atomic
@@ -43,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -151,12 +153,10 @@ class P2pNode {
   }
 
   // --- live telemetry --------------------------------------------------------
-  // The node owns the live registry and tx-lifecycle tracker; the RPC gateway
-  // registers its own families into the same registry so one scrape covers
-  // the whole node.
+  // The node owns the live registry; the RPC gateway registers its own
+  // families into the same registry so one scrape covers the whole node.
   obs::live::Registry& live_registry() { return live_registry_; }
   const obs::live::Registry& live_registry() const { return live_registry_; }
-  const obs::live::StageTracker& stage_tracker() const { return stage_tracker_; }
 
   /// Seconds since start() (0 before start).
   double uptime_seconds() const;
@@ -247,6 +247,8 @@ class P2pNode {
     std::optional<ledger::BlockHash> block;  ///< confirming main-chain block
     std::uint64_t block_height = 0;
     std::uint64_t confirmations = 0;  ///< head_height - block_height + 1
+    /// Lifecycle stamps while the stage tracker remembers the id.
+    std::optional<obs::live::StageTracker::Stamps> stages;
   };
   TxStatusInfo tx_status(const ledger::TxId& id) const;
   /// tx_status(id).state for every id, from the confirmed-tx index and the
@@ -327,13 +329,14 @@ class P2pNode {
   void handle_tx_batch(Peer& peer, ByteSpan payload);
   void handle_ckpt_vote(Peer& peer, ByteSpan payload);
 
-  /// TxAdmission's stateful stage, under mu_: confirmed check, nonce window
-  /// and pool insert for every request still `accepted`; bumps the pool
-  /// version when at least one transfer was pooled.
-  void admit_stateful(const std::vector<TxAdmission::Request*>& batch);
+  /// TxAdmission's stateful stage, under mu_: the submitted and verified
+  /// stamps the requests carry, then confirmed check, nonce window, pool
+  /// insert and pooled stamp for every request still `accepted`; bumps the
+  /// pool version when at least one transfer was pooled.
+  void admit_stateful(std::span<TxAdmission::Request> batch);
   /// TxAdmission's publish stage, outside mu_: traces, then one batched
   /// inventory announcement of the accepted ids.
-  void announce_admitted(const std::vector<TxAdmission::Request*>& batch);
+  void announce_admitted(std::span<TxAdmission::Request> batch);
   /// Announce (id, source session) pairs with one `type` inventory frame per
   /// peer, skipping each id's source and ids the peer is known to have.
   void announce(std::uint32_t type,
@@ -368,7 +371,6 @@ class P2pNode {
   std::unique_ptr<PeerManager> peers_;
 
   obs::live::Registry live_registry_;
-  obs::live::StageTracker stage_tracker_{live_registry_};
 
   // --- consensus state, all behind mu_ ---------------------------------------
   mutable std::mutex mu_;
@@ -392,6 +394,9 @@ class P2pNode {
   /// Pending transactions: written by TxAdmission's stateful stage and the
   /// reconciler, read by the miner, relay and observers.
   ledger::TxPool pool_;
+  /// Lifecycle stamps: submitted, verified and pooled from the stateful
+  /// stage, included and confirmed from absorb_locked; read by tx_status.
+  obs::live::StageTracker stage_tracker_{live_registry_};
 
   TxAdmission admission_;
 

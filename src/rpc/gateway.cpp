@@ -338,8 +338,9 @@ Json Gateway::rpc_submit_tx(const Json& params) {
 Json Gateway::rpc_submit_txs(const Json& params) {
   // Batched submission: every transaction in the array is built (signed
   // server-side or decoded from raw) and the whole vector enters admission
-  // as one combining-queue pass — one Schnorr verification batch, one
-  // stateful lock hold — instead of one HTTP round trip per transfer.
+  // as one pass on this worker — one Schnorr verification batch and one
+  // stateful lock hold per kAdmitBatchMax transfers — instead of one HTTP
+  // round trip per transfer.
   // Per-item verdicts come back in request order; a rejection does not fail
   // the call, so a client can retry just the rejected entries.
   if (!params["txs"].is_array()) fail(kInvalidParams, "txs must be an array");
@@ -381,14 +382,13 @@ Json Gateway::rpc_get_tx(const Json& params) {
   // Per-tx lifecycle stamps while the stage tracker remembers the id:
   // monotonic nanoseconds since an arbitrary per-process epoch, so deltas
   // between stages are meaningful but absolute values are not.
-  if (const auto stamps = node_.stage_tracker().stamps(id);
-      stamps.has_value()) {
+  if (status.stages.has_value()) {
     Json stages;
     for (std::size_t s = 0; s < obs::live::kTxStageCount; ++s) {
-      if ((*stamps)[s] == 0) continue;
+      if ((*status.stages)[s] == 0) continue;
       stages.set(
           std::string(obs::live::to_string(static_cast<obs::live::TxStage>(s))),
-          Json((*stamps)[s]));
+          Json((*status.stages)[s]));
     }
     out.set("stages", std::move(stages));
   }

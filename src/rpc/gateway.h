@@ -13,7 +13,7 @@
 //               {"sender":N,"to":N,"amount":N,"memo"?:s,"nonce"?:N}
 //               (signed server-side with the consortium key; nonce defaults
 //               to the node's next-nonce hint)  -> {"id", "status"}
-//   submit_txs  {"txs": [<submit_tx params>, ...]} (<=512) — one combining
+//   submit_txs  {"txs": [<submit_tx params>, ...]} (<=512) — one
 //               admission pass for the whole array
 //               -> {"results": [{"id","status","nonce"}, ...]} in order
 //   get_tx      {"id": "<hex>"}      -> state / block / confirmations / tx

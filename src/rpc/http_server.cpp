@@ -123,7 +123,7 @@ bool HttpServer::start() {
   ev.data.u64 = 1;  // completion wakeup
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
 
-  pool_ = std::make_unique<TaskPool>(std::max<std::size_t>(config_.workers, 1));
+  pool_ = std::make_unique<TaskPool>(kHttpWorkers);
   stopping_.store(false);
   reactor_thread_ = std::thread([this] { reactor_loop(); });
   started_ = true;

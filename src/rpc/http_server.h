@@ -2,12 +2,13 @@
 //
 // One reactor thread owns every connection: it accepts non-blockingly,
 // drives per-connection read/write buffers (partial reads AND partial
-// writes) off an epoll set, and hands each fully-parsed request to a small
-// worker pool so a handler that blocks — batched transaction admission
-// waits on the combining leader — never parks the event loop.  Workers
-// return the serialized response through a completion queue + eventfd;
-// connections are keyed by id, so a connection dropped while its request
-// is in flight simply orphans the completion instead of dangling a pointer.
+// writes) off an epoll set, and hands each fully-parsed request to a pool of
+// kHttpWorkers threads so a slow handler — transaction admission verifies
+// signatures and waits for the consensus lock on the worker — never parks
+// the event loop.  Workers return the serialized response through a
+// completion queue + eventfd; connections are keyed by id, so a connection
+// dropped while its request is in flight simply orphans the completion
+// instead of dangling a pointer.
 //
 // Written for untrusted clients:
 //   * the request head (request line + headers) is capped (400 beyond it),
@@ -64,10 +65,10 @@ struct HttpServerConfig {
   /// Stall budget: a connection mid-request or mid-response that makes no
   /// progress for this long is dropped.  Idle keep-alive is exempt.
   int recv_timeout_ms = 10000;
-  /// Handler worker threads.  More workers = more requests concurrently
-  /// inside the handler = bigger admission batches under load.
-  std::size_t workers = 8;
 };
+
+/// Handler worker threads per server.
+inline constexpr std::size_t kHttpWorkers = 8;
 
 class HttpServer {
  public:

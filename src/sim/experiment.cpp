@@ -124,55 +124,12 @@ PoxExperiment::PoxExperiment(PoxConfig config) : config_(std::move(config)) {
     nodes_[order[i]]->set_producer_suppressed(true);
   }
 
-  // Big-bang draw prefill: with workers enabled, compute every node's first
-  // buffer of mining draws in parallel before the event loop starts.  The
-  // values are the ones the nodes would have drawn inline (see DrawStream),
-  // so the run is bit-identical with or without this.
-  if (resolved_draw_threads() > 1) prefill_draws();
-
   for (auto& node : nodes_) node->start();
 }
 
-std::size_t PoxExperiment::resolved_draw_threads() const {
-  return config_.draw_threads == 0 ? hardware_thread_count()
-                                   : config_.draw_threads;
-}
-
-void PoxExperiment::prefill_draws() {
-  const std::size_t threads = resolved_draw_threads();
-  if (draw_pool_ == nullptr) draw_pool_ = std::make_unique<TaskPool>(threads);
-  ++draw_prefills_;
-  const std::size_t chunk = (nodes_.size() + threads - 1) / threads;
-  for (std::size_t begin = 0; begin < nodes_.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, nodes_.size());
-    draw_pool_->submit([this, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        DrawStream& draws = nodes_[i]->draws();
-        if (draws.low()) draws.refill();
-      }
-    });
-  }
-  draw_pool_->wait_idle();
-}
-
 void PoxExperiment::run_to_height(std::uint64_t height, SimTime max_sim_time) {
-  if (resolved_draw_threads() <= 1) {
-    while (reference().head_height() < height && sim_.now() < max_sim_time) {
-      if (!sim_.step()) break;
-    }
-    return;
-  }
-  // With draw workers: same loop, plus a periodic parallel top-up of any
-  // stream that has run low.  The interval is coarse — draws are consumed a
-  // couple per node per block, so the streams drain over tens of blocks.
-  constexpr std::uint64_t kRefillIntervalEvents = 16384;
-  std::uint64_t next_refill = sim_.events_processed() + kRefillIntervalEvents;
   while (reference().head_height() < height && sim_.now() < max_sim_time) {
     if (!sim_.step()) break;
-    if (sim_.events_processed() >= next_refill) {
-      prefill_draws();
-      next_refill = sim_.events_processed() + kRefillIntervalEvents;
-    }
   }
 }
 
@@ -335,7 +292,6 @@ void PoxExperiment::emit_trace_summary() {
   o->counters.counter("sim.queue_cancelled") = qs.cancelled;
   o->counters.counter("sim.queue_arena_slots") = qs.arena_slots;
   o->counters.counter("sim.queue_direct_searches") = qs.direct_searches;
-  o->counters.counter("sim.draw_prefills") = draw_prefills_;
 }
 
 PbftResult run_pbft(const PbftScenario& scenario) {

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/parallel.h"
 #include "consensus/node.h"
 #include "core/themis_node.h"
 #include "metrics/fork_stats.h"
@@ -51,13 +50,6 @@ struct PoxConfig {
   /// epoch 0 produce blocks far faster than the network can propagate them
   /// (see DESIGN.md).  Disable to study that bootstrap regime.
   bool calibrated_start = true;
-  /// Worker threads refilling the per-node mining-draw streams (DrawStream)
-  /// between events.  1 — the default — draws inline on the event loop;
-  /// 0 means one worker per hardware thread.  The drawn values, and thus the
-  /// whole run, are bit-identical for every setting (asserted in tests):
-  /// threads only decide *when* the buffered draws are computed, the
-  /// per-node seeds decide what they are.
-  std::size_t draw_threads = 1;
   /// Non-owning observability bundle for this run (attached to the
   /// simulation before any component is built).  Null — the default — means
   /// no tracing, no counters, no profiling; the run is bit-identical either
@@ -122,13 +114,6 @@ class PoxExperiment {
   void emit_trace_summary();
 
  private:
-  std::size_t resolved_draw_threads() const;
-  /// Refill every node's DrawStream that has run low, fanning the refills
-  /// across the draw pool.  Runs between events (the event loop is idle), so
-  /// each stream is touched by exactly one thread and wait_idle() orders the
-  /// refills before the next consumption.
-  void prefill_draws();
-
   PoxConfig config_;
   std::uint64_t delta_;
   std::vector<double> hash_rates_;
@@ -137,9 +122,6 @@ class PoxExperiment {
   std::vector<std::unique_ptr<consensus::PowNode>> nodes_;
   /// Observer policy for reconstructing per-epoch multiples (Themis/Lite).
   std::unique_ptr<core::AdaptiveDifficulty> observer_policy_;
-  /// Lazily-built worker pool for prefill_draws (draw_threads > 1 only).
-  std::unique_ptr<TaskPool> draw_pool_;
-  std::uint64_t draw_prefills_ = 0;
 };
 
 struct PbftScenario {

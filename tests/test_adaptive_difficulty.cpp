@@ -152,7 +152,7 @@ TEST(AdaptiveDifficulty, RetargetSpeedsUpSlowChain) {
   // Blocks arrive every 8 s (timestamps set by hand): twice too slow.
   std::string parent = "g";
   for (int i = 0; i < 8; ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = test::numbered("s", i);
     b.add(name, parent, 0, 1.0, static_cast<std::int64_t>((i + 1) * 8e9));
     parent = name;
   }
@@ -169,7 +169,7 @@ TEST(AdaptiveDifficulty, RetargetClampBoundsTheJump) {
   // Blocks every 0.1 s: 40x too fast, but the clamp caps the factor at 4.
   std::string parent = "g";
   for (int i = 0; i < 8; ++i) {
-    const std::string name = "f" + std::to_string(i);
+    const std::string name = test::numbered("f", i);
     b.add(name, parent, 0, 1.0, static_cast<std::int64_t>((i + 1) * 1e8));
     parent = name;
   }

@@ -104,9 +104,9 @@ TEST(ChainCore, OrphanBufferEvictsOldestAtCapacity) {
   std::vector<ledger::BlockPtr> parents;
   std::vector<ledger::BlockPtr> orphans;
   for (std::size_t i = 0; i < ChainCore::kMaxOrphans + 2; ++i) {
-    const std::string p = "p" + std::to_string(i);
+    const std::string p = test::numbered("p", i);
     parents.push_back(b.make(p, "g", 1));
-    orphans.push_back(b.make("o" + std::to_string(i), p, 2));
+    orphans.push_back(b.make(test::numbered("o", i), p, 2));
   }
   ChainCore core = make_core();
   for (const auto& orphan : orphans) core.add_block(orphan);
@@ -229,7 +229,7 @@ TEST(ChainCore, ReorgBelowFinalizedHeightRefused) {
   std::string prev = "g";
   ChainCore::Effects last;
   for (int i = 1; i <= 6; ++i) {
-    const std::string name = "z" + std::to_string(i);
+    const std::string name = test::numbered("z", i);
     last = core.add_block(b.make(name, prev, 3));
     prev = name;
   }

@@ -402,7 +402,7 @@ TEST(HeadTrackerFinality, AnchorNeverTrailsBelowFinalized) {
   TreeBuilder b;
   std::string prev = "g";
   for (int i = 1; i <= 6; ++i) {
-    const std::string name = "a" + std::to_string(i);
+    const std::string name = test::numbered("a", i);
     b.add(name, prev, 0);
     prev = name;
   }

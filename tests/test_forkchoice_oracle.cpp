@@ -35,7 +35,7 @@ struct RandomTree {
     for (int i = 0; i < n_blocks; ++i) {
       const std::string parent =
           names[rng.next_below(names.size())];
-      const std::string name = "b" + std::to_string(i);
+      const std::string name = test::numbered("b", i);
       builder.add(name, parent,
                   static_cast<ledger::NodeId>(rng.next_below(kNodes)));
       names.push_back(name);
@@ -246,7 +246,7 @@ TEST_P(IncrementalAggregates, MatchOracleAfterEveryInOrderInsert) {
   test::TreeBuilder builder;
   std::vector<std::string> names{"g"};
   for (int i = 0; i < 40; ++i) {
-    const std::string name = "b" + std::to_string(i);
+    const std::string name = test::numbered("b", i);
     builder.add(name, names[rng.next_below(names.size())],
                 static_cast<ledger::NodeId>(rng.next_below(kNodes)));
     names.push_back(name);
@@ -263,7 +263,7 @@ TEST_P(IncrementalAggregates, MatchOracleUnderOrphanAdoption) {
   std::vector<std::string> names{"g"};
   std::vector<std::string> pending;
   for (int i = 0; i < 40; ++i) {
-    const std::string name = "o" + std::to_string(i);
+    const std::string name = test::numbered("o", i);
     builder.make(name, names[rng.next_below(names.size())],
                  static_cast<ledger::NodeId>(rng.next_below(kNodes)));
     names.push_back(name);
@@ -475,7 +475,7 @@ void run_head_tracker_differential(std::uint64_t seed, const Rule& rule,
   std::vector<std::string> names{"g"};
   std::vector<std::string> arrivals;
   for (int i = 0; i < 80; ++i) {
-    const std::string name = "h" + std::to_string(i);
+    const std::string name = test::numbered("h", i);
     // Mostly chain-extending (realistic), sometimes a random fork point.
     const std::string parent = (rng.next_below(4) == 0)
                                    ? names[rng.next_below(names.size())]

@@ -280,9 +280,7 @@ TEST_F(HttpReactorTest, SlowlorisIsDroppedIdleKeepAliveIsNot) {
 // Many clients hammering keep-alive connections concurrently: the TSan
 // workout for reactor <-> worker-pool <-> completion-queue handoffs.
 TEST_F(HttpReactorTest, ConcurrentKeepAliveStorm) {
-  HttpServerConfig config;
-  config.workers = 4;
-  start_server(config);
+  start_server(HttpServerConfig{});
 
   constexpr int kClients = 8;
   constexpr int kRequests = 50;

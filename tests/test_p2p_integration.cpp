@@ -259,11 +259,11 @@ TEST_F(P2pIntegrationTest, FourNodesConvergeKillOneRestartAndRecover) {
   }
 }
 
-// Concurrent submitters share the combining-leader admission path: every
-// valid transaction must come back `accepted` exactly once, a forged
-// signature mixed into a batch must fail alone (per-item fallback after the
-// batched check), and duplicates must be flagged.  TSan (ctest regex
-// 'P2pIntegration') proves the queue/lock choreography.
+// Concurrent submitters each verify on their own thread and meet at the
+// consensus lock: every valid transaction must come back `accepted` exactly
+// once, a forged signature mixed into a batch must fail alone (per-item
+// fallback after the batched check), and duplicates must be flagged.  TSan
+// (ctest regex 'P2pIntegration') checks the pool and stamps stay under it.
 TEST_F(P2pIntegrationTest, BatchAdmissionSettlesConcurrentSubmitters) {
   P2pNodeConfig config = base_config(0, 16);
   config.mine = false;

@@ -17,8 +17,8 @@ using test::TreeBuilder;
 /// Linear chain g -> c1 -> ... -> cN on one builder.
 void extend_chain(TreeBuilder& builder, std::size_t from, std::size_t to) {
   for (std::size_t i = from; i <= to; ++i) {
-    builder.add("c" + std::to_string(i),
-                i == 1 ? "g" : "c" + std::to_string(i - 1),
+    builder.add(test::numbered("c", i),
+                i == 1 ? "g" : test::numbered("c", i - 1),
                 static_cast<ledger::NodeId>(i % 4));
   }
 }
@@ -70,7 +70,7 @@ TEST(ServeRange, ServesExactlyTheMissingSuffix) {
   // Requester shares the first 12 blocks.
   ledger::BlockTree requester;
   for (std::size_t i = 1; i <= 12; ++i) {
-    requester.insert(responder.get("c" + std::to_string(i)));
+    requester.insert(responder.get(test::numbered("c", i)));
   }
   const auto locator = build_locator(requester, responder.hash("c12"));
 
@@ -78,7 +78,7 @@ TEST(ServeRange, ServesExactlyTheMissingSuffix) {
                                   locator, 512, 1u << 30);
   ASSERT_EQ(served.size(), 8u);
   for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_EQ(served[i]->id(), responder.hash("c" + std::to_string(13 + i)));
+    EXPECT_EQ(served[i]->id(), responder.hash(test::numbered("c", 13 + i)));
   }
 }
 
@@ -89,7 +89,7 @@ TEST(ServeRange, ForkedRequesterIsServedFromTheForkPoint) {
   // never seen (built but not inserted on the responder side).
   ledger::BlockTree requester;
   for (std::size_t i = 1; i <= 5; ++i) {
-    requester.insert(responder.get("c" + std::to_string(i)));
+    requester.insert(responder.get(test::numbered("c", i)));
   }
   const auto s1 = responder.make("s1", "c5", 3);
   const auto s2 = responder.make("s2", "s1", 3);
@@ -149,7 +149,7 @@ TEST(ServeRange, SideBranchLocatorEntriesAreSkipped) {
 
   ledger::BlockTree requester;
   for (std::size_t i = 1; i <= 5; ++i) {
-    requester.insert(responder.get("c" + std::to_string(i)));
+    requester.insert(responder.get(test::numbered("c", i)));
   }
   requester.insert(responder.get("s1"));
 

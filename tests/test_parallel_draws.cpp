@@ -1,16 +1,12 @@
-// Determinism contract of the parallel mining-draw pipeline: a DrawStream is
-// a buffered façade over one Rng stream — whoever refills it, and however far
-// ahead, consumers see the exact bit sequence the unbuffered Rng would have
-// produced — and therefore a PoxExperiment run is bit-identical for every
-// draw_threads setting.  (TSan runs this suite: the 4-thread experiment
-// exercises the TaskPool refill fan-out.)
+// Determinism contract of the simulator's mining draws: each node draws its
+// waiting times and nonces from its own Rng, so a PoxExperiment run is a pure
+// function of its configuration and seed.
 #include <bit>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "common/sim_time.h"
 #include "sim/experiment.h"
 #include "sim/power_dist.h"
@@ -20,37 +16,7 @@ namespace {
 
 std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
-TEST(ParallelDraws, DrawStreamMatchesRngBitExact) {
-  Rng direct(987654321);
-  DrawStream stream(987654321, /*capacity=*/64);
-  // Interleave the two consumer kinds with varying rates; refill at irregular
-  // points mid-sequence — none of it may change a single bit.
-  for (int i = 0; i < 1000; ++i) {
-    if (i % 7 == 3) stream.refill();
-    if (i % 3 == 0) {
-      EXPECT_EQ(stream.next_u64(), direct.next_u64()) << "draw " << i;
-    } else {
-      const double rate = 0.25 + static_cast<double>(i % 13);
-      EXPECT_EQ(bits(stream.next_exponential(rate)),
-                bits(direct.next_exponential(rate)))
-          << "draw " << i;
-    }
-  }
-}
-
-TEST(ParallelDraws, RefillNeverProducesBeyondCapacity) {
-  DrawStream stream(42, /*capacity=*/32);
-  stream.refill();
-  EXPECT_EQ(stream.available(), 32u);
-  EXPECT_FALSE(stream.low());
-  for (int i = 0; i < 25; ++i) stream.next_u64();
-  EXPECT_EQ(stream.available(), 7u);
-  EXPECT_TRUE(stream.low());
-  stream.refill();
-  EXPECT_EQ(stream.available(), 32u);
-}
-
-sim::PoxConfig small_config(std::size_t draw_threads) {
+sim::PoxConfig small_config() {
   sim::PoxConfig c;
   c.algorithm = core::Algorithm::kThemis;
   c.n_nodes = 10;
@@ -59,27 +25,14 @@ sim::PoxConfig small_config(std::size_t draw_threads) {
   c.expected_interval_s = 4.0;
   c.txs_per_block = 4096;
   c.seed = 1;
-  c.draw_threads = draw_threads;
   return c;
-}
-
-TEST(ParallelDraws, ExperimentBitIdenticalAcrossDrawThreads) {
-  sim::PoxExperiment one(small_config(1));
-  sim::PoxExperiment four(small_config(4));
-  one.run_to_height(60, SimTime::seconds(2000));
-  four.run_to_height(60, SimTime::seconds(2000));
-  EXPECT_EQ(one.elapsed(), four.elapsed());
-  EXPECT_EQ(one.simulation().events_processed(),
-            four.simulation().events_processed());
-  EXPECT_EQ(bits(one.tps()), bits(four.tps()));
-  EXPECT_EQ(one.main_chain_producers(), four.main_chain_producers());
 }
 
 // Golden digest: pins the exact run (event order, RNG consumption, fork
 // resolution) of a known configuration.  Any change to simulator internals
 // that alters this digest is a determinism break, not a refactor.
 TEST(ParallelDraws, GoldenRunDigestUnchanged) {
-  sim::PoxExperiment exp(small_config(1));
+  sim::PoxExperiment exp(small_config());
   exp.run_to_height(150, SimTime::seconds(2000));
 
   EXPECT_EQ(bits(exp.tps()), bits(1012.6860817944706));

@@ -95,7 +95,7 @@ TEST(ThemisStake, MultiplesRenormalizeAWinningStaker) {
   // before the difficulty cancels it).
   std::string parent = "g";
   for (int i = 0; i < 8; ++i) {
-    const std::string name = "s" + std::to_string(i);
+    const std::string name = test::numbered("s", i);
     b.add(name, parent, 0);
     parent = name;
   }

@@ -191,7 +191,7 @@ TEST(DifficultyFloor, HoldsUnderLongIdleness) {
   // Node 3 idles for 5 full epochs.
   std::string parent = "g";
   for (int i = 0; i < 20; ++i) {
-    const std::string name = "c" + std::to_string(i);
+    const std::string name = test::numbered("c", i);
     b.add(name, parent, static_cast<ledger::NodeId>(i % 3));
     parent = name;
   }

@@ -330,7 +330,7 @@ TEST_F(TxPipeIntegrationTest, StageStampsAreMonotoneAcrossTwoNodes) {
       << "transfer must confirm on both nodes";
 
   for (std::size_t n = 0; n < nodes.size(); ++n) {
-    const auto stamps = nodes[n]->stage_tracker().stamps(id);
+    const auto stamps = nodes[n]->tx_status(id).stages;
     ASSERT_TRUE(stamps.has_value()) << "node " << n << " lost the stamps";
     // The confirmed stage must be stamped everywhere; earlier stages only
     // where the node actually crossed them.
@@ -348,7 +348,8 @@ TEST_F(TxPipeIntegrationTest, StageStampsAreMonotoneAcrossTwoNodes) {
     }
   }
   // The admitting node crossed every stage in person.
-  const auto full = nodes[0]->stage_tracker().stamps(id);
+  const auto full = nodes[0]->tx_status(id).stages;
+  ASSERT_TRUE(full.has_value());
   for (std::size_t s = 0; s < obs::live::kTxStageCount; ++s) {
     EXPECT_NE((*full)[s], 0u) << "stage " << s << " missing on the admitter";
   }
