@@ -1,80 +1,11 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <utility>
-
-#include "common/check.h"
 
 namespace themis {
 
 std::size_t hardware_thread_count() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-TaskPool::TaskPool(std::size_t n_threads, std::size_t queue_capacity)
-    : capacity_(std::max<std::size_t>(1, queue_capacity)) {
-  n_threads = std::max<std::size_t>(1, n_threads);
-  workers_.reserve(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    workers_.emplace_back([this](std::stop_token stop) { worker_loop(stop); });
-  }
-}
-
-TaskPool::~TaskPool() {
-  {
-    // Drain: every submitted task runs before the workers are stopped.
-    std::unique_lock lock(mutex_);
-    idle_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-  }
-  for (auto& worker : workers_) worker.request_stop();
-  not_empty_.notify_all();
-  // ~jthread joins each worker.
-}
-
-void TaskPool::submit(std::function<void()> task) {
-  expects(static_cast<bool>(task), "cannot submit an empty task");
-  {
-    std::unique_lock lock(mutex_);
-    not_full_.wait(lock, [&] { return queue_.size() < capacity_; });
-    queue_.push_back(std::move(task));
-  }
-  not_empty_.notify_one();
-}
-
-void TaskPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr error = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(error);
-  }
-}
-
-void TaskPool::worker_loop(std::stop_token stop) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      not_empty_.wait(lock, stop, [&] { return !queue_.empty(); });
-      if (queue_.empty()) return;  // stop requested and nothing left to run
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    not_full_.notify_one();
-    try {
-      task();
-    } catch (...) {
-      const std::scoped_lock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      const std::scoped_lock lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
-    }
-  }
 }
 
 }  // namespace themis

@@ -7,20 +7,14 @@
 // Determinism therefore never depends on scheduling: threads only decide
 // wall-clock time, the per-trial seeds decide the results.
 //
-//  * TaskPool — fixed set of std::jthread workers pulling from a bounded
-//    FIFO queue.  submit() applies backpressure (blocks while the queue is
-//    full) instead of growing memory without bound; wait_idle() drains the
-//    pool and rethrows the first task exception.
-//  * parallel_for_index / parallel_for_each — the common "N independent
-//    items, any order" fan-out over an atomic work counter.
+// parallel_for_index / parallel_for_each are the common "N independent
+// items, any order" fan-out over an atomic work counter.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
-#include <functional>
 #include <iterator>
 #include <mutex>
 #include <thread>
@@ -31,45 +25,6 @@ namespace themis {
 /// std::thread::hardware_concurrency() clamped to at least 1 (the standard
 /// allows it to return 0 when the count is unknowable).
 std::size_t hardware_thread_count();
-
-class TaskPool {
- public:
-  /// Spawn `n_threads` workers (clamped to >= 1).  At most `queue_capacity`
-  /// tasks wait unstarted; further submit() calls block until a slot frees.
-  explicit TaskPool(std::size_t n_threads, std::size_t queue_capacity = 1024);
-
-  /// Graceful shutdown: every task submitted before destruction runs to
-  /// completion, then the workers stop.  An unobserved task exception (no
-  /// wait_idle() call after it was stored) is dropped.
-  ~TaskPool();
-
-  TaskPool(const TaskPool&) = delete;
-  TaskPool& operator=(const TaskPool&) = delete;
-
-  /// Enqueue a task.  Tasks are dispatched to workers in submission order
-  /// (FIFO), so a single-threaded pool runs them exactly in submit() order.
-  void submit(std::function<void()> task);
-
-  /// Block until the queue is empty and no task is running, then rethrow the
-  /// first exception any task threw since the last wait_idle() (if any).
-  /// The pool stays usable afterwards.
-  void wait_idle();
-
-  std::size_t thread_count() const { return workers_.size(); }
-
- private:
-  void worker_loop(std::stop_token stop);
-
-  const std::size_t capacity_;
-  std::mutex mutex_;
-  std::condition_variable_any not_empty_;
-  std::condition_variable not_full_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;
-  std::exception_ptr first_error_;
-  std::vector<std::jthread> workers_;  // last member: joins before the rest die
-};
 
 /// Run fn(i) for every i in [0, n_items) on up to `n_threads` threads
 /// (0 = one per hardware thread).  Blocks until every item completes; the

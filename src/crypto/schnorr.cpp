@@ -1,11 +1,9 @@
 #include "crypto/schnorr.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/serialize.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -110,10 +108,7 @@ bool verify(const PublicKey& pub, const Hash32& msg, const Signature& sig) {
   return r_affine.x.value() == rx_raw;
 }
 
-namespace {
-
-/// Verify one sub-batch on the calling thread via the combined equation.
-bool verify_batch_serial(const std::vector<BatchVerifyItem>& items) {
+bool verify_batch(const std::vector<BatchVerifyItem>& items) {
   if (items.empty()) return true;
   if (items.size() == 1) {
     return verify(items[0].pub, items[0].msg, items[0].sig);
@@ -190,26 +185,6 @@ bool verify_batch_serial(const std::vector<BatchVerifyItem>& items) {
     points.push_back(p_points[i]);
   }
   return Point::mul_gen(lhs).equals(multi_scalar_mul(coeffs, points));
-}
-
-}  // namespace
-
-bool verify_batch(const std::vector<BatchVerifyItem>& items,
-                  std::size_t n_threads) {
-  if (items.size() < 2) return verify_batch_serial(items);
-  if (n_threads == 0) n_threads = hardware_thread_count();
-  const std::size_t n_chunks = std::min(n_threads, items.size());
-  if (n_chunks <= 1) return verify_batch_serial(items);
-
-  std::atomic<bool> all_ok{true};
-  parallel_for_index(n_chunks, n_chunks, [&](std::size_t c) {
-    const std::size_t lo = items.size() * c / n_chunks;
-    const std::size_t hi = items.size() * (c + 1) / n_chunks;
-    const std::vector<BatchVerifyItem> chunk(items.begin() + static_cast<std::ptrdiff_t>(lo),
-                                             items.begin() + static_cast<std::ptrdiff_t>(hi));
-    if (!verify_batch_serial(chunk)) all_ok.store(false, std::memory_order_relaxed);
-  });
-  return all_ok.load();
 }
 
 }  // namespace themis::crypto

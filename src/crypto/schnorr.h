@@ -79,10 +79,6 @@ struct BatchVerifyItem {
 ///
 /// On a false return the caller learns only that at least one item is bad;
 /// re-verify individually to find which (the expected-rare path).
-///
-/// `n_threads > 1` splits the batch into independent sub-batches verified in
-/// parallel (src/common/parallel); the result is the logical AND.
-bool verify_batch(const std::vector<BatchVerifyItem>& items,
-                  std::size_t n_threads = 1);
+bool verify_batch(const std::vector<BatchVerifyItem>& items);
 
 }  // namespace themis::crypto

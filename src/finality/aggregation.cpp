@@ -142,9 +142,7 @@ bool ConcatAggregation::verify(const CheckpointCertificate& cert,
     item.sig = *sig;  // size checked by check_shape
     items.push_back(item);
   }
-  // Serial batch: certificate checks run under consensus locks or in CLI
-  // one-shots, where spawning a verification thread pool is pure overhead.
-  return crypto::verify_batch(items, /*n_threads=*/1);
+  return crypto::verify_batch(items);
 }
 
 // ---------------------------------------------------------------------------

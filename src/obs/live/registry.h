@@ -1,8 +1,8 @@
 // Lock-free metrics for the live node.
 //
 // The simulator's obs::Counters is a map-keyed, allocating registry driven by
-// exactly one thread per run.  The daemon's hot paths — the epoll reactor,
-// the miner, and the PeerManager reader threads and RPC workers that admit
+// exactly one thread per run.  The daemon's hot paths — the miner, and the
+// PeerManager reader threads and RPC connection threads that admit
 // transactions — are concurrent, so they get their own primitives:
 //
 //   * Counter / Gauge: one cache-line-padded atomic each.  Bumps are a single

@@ -1,7 +1,7 @@
 // Transaction admission (§III: only consortium members with a valid
 // signature and a usable nonce reach the pool).
 //
-// admit() runs on the caller's thread — an RPC worker or a peer reader —
+// admit() runs on the caller's thread — an RPC connection or a peer reader —
 // over the caller's own transactions, in chunks of up to kAdmitBatchMax.
 // Per chunk it looks senders up in the immutable key registry,
 // batch-verifies the signatures (per-item fallback, so a forgery is charged

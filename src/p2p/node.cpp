@@ -588,11 +588,10 @@ void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.txs_received += stxs.size();
-    for (const ledger::SignedTransaction& stx : stxs) {
-      requested_.erase(stx.tx.id());
-    }
   }
-  // The whole frame enters admission as one verification batch.
+  // The whole frame enters admission as one verification batch.  Its ids
+  // stay in requested_ until admit_stateful settles them, so an inv for one
+  // of them during verification fetches nothing.
   admission_.admit(stxs, peer.session_id());
 }
 
@@ -648,6 +647,7 @@ void P2pNode::admit_stateful(std::span<TxAdmission::Request> batch) {
   bool pooled = false;
   for (TxAdmission::Request& r : batch) {
     const ledger::Transaction& tx = r.stx->tx;
+    requested_.erase(tx.id());
     stage_tracker_.stamp(tx.id(), TxStage::submitted, r.submitted_ns);
     if (r.verified_ns != 0) {
       stage_tracker_.stamp(tx.id(), TxStage::verified, r.verified_ns);

@@ -25,13 +25,14 @@
 // Threading: the ChainCore, store, ChainState, reconciler, pool and stage
 // tracker live behind one mutex (mu_), taken by reader threads delivering
 // frames, by the miner thread, by admission's stateful stage (on the RPC
-// worker or reader thread that admits) and by observer queries; no socket
-// send happens while it is held, and store reads happen only under it.  The
-// miner is cancelled edge-triggered: every head change bumps an atomic chain
-// version and every admission batch that pools a transfer bumps an atomic
-// pool version, both re-checked between nonce chunks.  A moved chain version
-// always restarts the grind; a moved pool version restarts it while the
-// template has room, so the block being ground carries the newest transfers.
+// connection thread or peer reader thread that admits) and by observer
+// queries; no socket send happens while it is held, and store reads happen
+// only under it.  The miner is cancelled edge-triggered: every head change
+// bumps an atomic chain version and every admission batch that pools a
+// transfer bumps an atomic pool version, both re-checked between nonce
+// chunks.  A moved chain version always restarts the grind; a moved pool
+// version restarts it while the template has room, so the block being
+// ground carries the newest transfers.
 #pragma once
 
 #include <atomic>
@@ -380,7 +381,8 @@ class P2pNode {
   std::unique_ptr<ledger::BlockStore> store_;
   /// In-flight getdata requests for blocks and transactions (dedup across
   /// peers), steady-clock ms.  One table: both ids are SHA-256d digests of
-  /// distinct encodings, so they never collide.
+  /// distinct encodings, so they never collide.  A transaction leaves it
+  /// when admission settles it (admit_stateful), not when it arrives.
   std::unordered_map<Hash32, std::int64_t, Hash32Hasher> requested_;
   std::int64_t requested_swept_ms_ = 0;  ///< last expiry sweep of requested_
   /// Account state, state root and snapshots (mutable so const observers can

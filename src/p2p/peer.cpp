@@ -24,9 +24,4 @@ bool Peer::mark_known(const ledger::BlockHash& id) {
   return known_.insert(id).second;
 }
 
-bool Peer::knows(const ledger::BlockHash& id) const {
-  std::lock_guard<std::mutex> lock(known_mu_);
-  return known_.contains(id);
-}
-
 }  // namespace themis::p2p

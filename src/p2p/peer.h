@@ -75,7 +75,6 @@ class Peer {
   /// Record that the remote knows `id` (it announced it, or we sent it).
   /// Returns true if this was news — i.e. an announcement is worth sending.
   bool mark_known(const ledger::BlockHash& id);
-  bool knows(const ledger::BlockHash& id) const;
 
   TcpSocket& socket() { return socket_; }
   FrameDecoder& decoder() { return decoder_; }
@@ -100,7 +99,7 @@ class Peer {
   /// is an optimization, so on overflow the set is simply reset (a stale
   /// entry can only cost one redundant inv, never correctness).
   static constexpr std::size_t kMaxKnown = 1 << 16;
-  mutable std::mutex known_mu_;
+  std::mutex known_mu_;
   std::unordered_set<ledger::BlockHash, Hash32Hasher> known_;
 };
 

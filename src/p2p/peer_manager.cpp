@@ -179,10 +179,8 @@ void PeerManager::reader_loop(const std::shared_ptr<Peer>& peer) {
       break;
     }
   }
-  const bool was_ready = peer->ready();
   peer->mark_dead();
   disconnects_.fetch_add(1, std::memory_order_relaxed);
-  if (was_ready && on_disconnect_ && !stopping_.load()) on_disconnect_(*peer);
   // The maintenance thread reaps the peer (joins this thread, frees the dial
   // slot); at stop() the manager joins directly.
 }
@@ -350,27 +348,6 @@ void PeerManager::dial_due_slots(std::int64_t now_ms) {
     slot.attempts = 0;
     slot.ever_connected = true;
     adopt_socket(std::move(socket), /*outbound=*/true, static_cast<int>(i));
-  }
-}
-
-bool PeerManager::send(std::uint64_t session_id, std::uint32_t type,
-                       ByteSpan payload) {
-  std::shared_ptr<Peer> peer;
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    const auto it = peers_.find(session_id);
-    if (it == peers_.end()) return false;
-    peer = it->second;
-  }
-  if (peer->dead() || !peer->ready()) return false;
-  return peer->send_frame(type, payload);
-}
-
-void PeerManager::broadcast(std::uint32_t type, ByteSpan payload,
-                            std::uint64_t exclude_session) {
-  for (const auto& peer : ready_peers()) {
-    if (peer->session_id() == exclude_session) continue;
-    if (!peer->send_frame(type, payload)) peer->mark_dead();
   }
 }
 

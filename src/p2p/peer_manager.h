@@ -79,9 +79,6 @@ class PeerManager {
 
   void set_frame_handler(FrameHandler handler) { on_frame_ = std::move(handler); }
   void set_ready_handler(PeerHandler handler) { on_ready_ = std::move(handler); }
-  void set_disconnect_handler(PeerHandler handler) {
-    on_disconnect_ = std::move(handler);
-  }
   void set_height_provider(HeightProvider provider) {
     height_provider_ = std::move(provider);
   }
@@ -93,13 +90,6 @@ class PeerManager {
 
   /// Actual bound port (differs from config when it asked for 0).
   std::uint16_t listen_port() const { return listener_.port(); }
-
-  /// Send to one peer by session id; false if it is gone or the write fails.
-  bool send(std::uint64_t session_id, std::uint32_t type, ByteSpan payload);
-
-  /// Send to every ready peer except `exclude_session` (0 = none).
-  void broadcast(std::uint32_t type, ByteSpan payload,
-                 std::uint64_t exclude_session = 0);
 
   /// Snapshot of the live, handshake-complete peers.
   std::vector<std::shared_ptr<Peer>> ready_peers() const;
@@ -145,7 +135,6 @@ class PeerManager {
   PeerManagerConfig config_;
   FrameHandler on_frame_;
   PeerHandler on_ready_;
-  PeerHandler on_disconnect_;
   HeightProvider height_provider_;
 
   TcpListener listener_;

@@ -96,13 +96,6 @@ bool TcpSocket::send_all(ByteSpan data) {
   return true;
 }
 
-int TcpSocket::send_some(ByteSpan data) {
-  const ssize_t n = ::send(fd_, data.data(), data.size(), MSG_NOSIGNAL);
-  if (n >= 0) return static_cast<int>(n);
-  if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return -1;
-  return -2;
-}
-
 int TcpSocket::recv_some(std::uint8_t* buf, std::size_t buf_len) {
   const ssize_t n = ::recv(fd_, buf, buf_len, 0);
   if (n > 0) return static_cast<int>(n);
@@ -126,13 +119,6 @@ void TcpSocket::set_timeouts(int send_ms, int recv_ms) {
   if (fd_ < 0) return;
   set_ms_timeout(fd_, SO_SNDTIMEO, send_ms);
   set_ms_timeout(fd_, SO_RCVTIMEO, recv_ms);
-}
-
-void TcpSocket::set_nonblocking(bool on) {
-  if (fd_ < 0) return;
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags < 0) return;
-  ::fcntl(fd_, F_SETFL, on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK));
 }
 
 void TcpSocket::set_nodelay(bool on) {
@@ -176,22 +162,6 @@ std::optional<TcpSocket> TcpListener::accept() {
     if (errno == EINTR) continue;
     return std::nullopt;  // interrupted from another thread, or fatal
   }
-}
-
-std::optional<TcpSocket> TcpListener::accept_nonblocking() {
-  const int fd = fd_.load();
-  if (fd < 0) return std::nullopt;
-  const int client = ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK);
-  if (client >= 0) return TcpSocket(client);
-  return std::nullopt;  // EAGAIN (nothing pending), EINTR, or closed
-}
-
-void TcpListener::set_nonblocking(bool on) {
-  const int fd = fd_.load();
-  if (fd < 0) return;
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return;
-  ::fcntl(fd, F_SETFL, on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK));
 }
 
 void TcpListener::interrupt() {

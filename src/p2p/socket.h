@@ -1,10 +1,11 @@
-// Minimal RAII wrappers over POSIX TCP sockets (IPv4).
+// Minimal RAII wrappers over blocking POSIX TCP sockets (IPv4).
 //
-// The p2p layer needs exactly four operations — listen, accept, connect,
-// shuttle bytes — plus the ability to unblock a thread parked in recv() or
-// accept() from another thread (shutdown()).  Everything speaks blocking
-// sockets with send/receive timeouts; the threading model lives one layer up
-// in PeerManager.  No external dependencies, loopback and LAN focused.
+// The p2p layer and the RPC server need exactly four operations — listen,
+// accept, connect, shuttle bytes — plus the ability to unblock a thread
+// parked in recv() or accept() from another thread (shutdown()).  Every
+// socket blocks, bounded by send/receive timeouts; the threading model (one
+// thread per connection) lives one layer up, in PeerManager and
+// rpc::HttpServer.  No external dependencies, loopback and LAN focused.
 #pragma once
 
 #include <atomic>
@@ -40,18 +41,9 @@ class TcpSocket {
   /// send-timeout; the connection should be dropped.
   bool send_all(ByteSpan data);
 
-  /// Write at most one kernel buffer's worth.  >0: bytes written; -1: the
-  /// socket buffer is full (would block / send-timeout tick); -2 hard error.
-  /// The partial-write primitive an event loop needs.
-  int send_some(ByteSpan data);
-
   /// Read up to `buf_len` bytes.  >0: bytes read; 0: orderly close;
   /// <0: error or receive-timeout tick (-1 timeout, -2 hard error).
   int recv_some(std::uint8_t* buf, std::size_t buf_len);
-
-  /// O_NONBLOCK toggle: recv_some()/send_some() then return -1 instead of
-  /// blocking when no data/space is available (edge for event loops).
-  void set_nonblocking(bool on);
 
   /// Wake any thread blocked in recv_some()/send_all() on this socket; the
   /// call is safe from another thread and idempotent.
@@ -87,18 +79,6 @@ class TcpListener {
   /// Block until a connection arrives.  nullopt after interrupt()/close() or
   /// on a fatal accept error.
   std::optional<TcpSocket> accept();
-
-  /// Accept without blocking (for event loops that learned readability from
-  /// epoll/poll).  nullopt when no connection is pending or the listener is
-  /// closed.
-  std::optional<TcpSocket> accept_nonblocking();
-
-  /// Raw fd for event-loop registration (-1 when closed).
-  int fd() const { return fd_.load(); }
-
-  /// O_NONBLOCK toggle for the listening socket itself, so
-  /// accept_nonblocking() never parks the event loop.
-  void set_nonblocking(bool on);
 
   std::uint16_t port() const { return port_; }
   bool valid() const { return fd_.load() >= 0; }

@@ -338,9 +338,9 @@ Json Gateway::rpc_submit_tx(const Json& params) {
 Json Gateway::rpc_submit_txs(const Json& params) {
   // Batched submission: every transaction in the array is built (signed
   // server-side or decoded from raw) and the whole vector enters admission
-  // as one pass on this worker — one Schnorr verification batch and one
-  // stateful lock hold per kAdmitBatchMax transfers — instead of one HTTP
-  // round trip per transfer.
+  // as one pass on this connection's thread — one Schnorr verification
+  // batch and one stateful lock hold per kAdmitBatchMax transfers — instead
+  // of one HTTP round trip per transfer.
   // Per-item verdicts come back in request order; a rejection does not fail
   // the call, so a client can retry just the rejected entries.
   if (!params["txs"].is_array()) fail(kInvalidParams, "txs must be an array");

@@ -40,9 +40,9 @@
 //                    (or standalone), 503 otherwise; body carries uptime,
 //                    peers and height
 //
-// The gateway is stateless and thread-safe: HttpServer calls handle() from
-// many worker threads; every node interaction goes through P2pNode's own
-// synchronized API.  Request accounting is mutex-free: per-method request /
+// The gateway is stateless and thread-safe: HttpServer calls handle() on
+// every connection's thread; every node interaction goes through P2pNode's
+// own synchronized API.  Request accounting is mutex-free: per-method request /
 // error counters and latency histograms live in the node's live registry
 // (registered once at construction, bumped via cached pointers), so one
 // scrape of /metrics.prom covers the RPC layer too.

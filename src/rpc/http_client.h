@@ -1,6 +1,6 @@
-// A blocking keep-alive HTTP/1.1 client for themis-cli and the load
-// generator.  One instance = one connection; not thread-safe (each load-gen
-// worker owns its own client, which is exactly the keep-alive behaviour the
+// A blocking keep-alive HTTP/1.1 client for themis-cli and perfbench.  One
+// instance = one connection; not thread-safe (each benchmark client thread
+// owns its own client, which is exactly the keep-alive behaviour the
 // benchmark wants to measure).
 #pragma once
 

@@ -1,30 +1,27 @@
-// An epoll-reactor HTTP/1.1 server for the RPC gateway.
+// A thread-per-connection HTTP/1.1 server for the RPC gateway.
 //
-// One reactor thread owns every connection: it accepts non-blockingly,
-// drives per-connection read/write buffers (partial reads AND partial
-// writes) off an epoll set, and hands each fully-parsed request to a pool of
-// kHttpWorkers threads so a slow handler — transaction admission verifies
-// signatures and waits for the consensus lock on the worker — never parks
-// the event loop.  Workers return the serialized response through a
-// completion queue + eventfd; connections are keyed by id, so a connection
-// dropped while its request is in flight simply orphans the completion
-// instead of dangling a pointer.
+// One accept thread parks in TcpListener::accept(); every accepted
+// connection gets a thread of its own that reads a request, runs the
+// handler and writes the response on its blocking socket, then reads the
+// next (keep-alive; pipelined requests wait in its read buffer).  This is
+// PeerManager's model: a consortium endpoint serves a handful of keep-alive
+// clients, so a slow handler — transaction admission verifies signatures
+// and waits for the consensus lock — parks only its own connection.
 //
 // Written for untrusted clients:
 //   * the request head (request line + headers) is capped (400 beyond it),
 //   * bodies are capped at max_body_bytes (413 Payload Too Large),
 //   * concurrent connections are capped (503 Service Unavailable, the
 //     consortium analogue of load shedding),
-//   * a connection that stalls mid-request (or mid-response) for one full
-//     recv_timeout_ms is dropped by a periodic sweep (slowloris guard);
-//     idle keep-alive connections survive indefinitely,
-//   * while a request is being handled its connection stops reading
-//     (EPOLLIN off) — one request in flight per connection, pipelined
-//     keep-alive requests wait in the read buffer.
+//   * recv_timeout_ms is each socket's send and receive timeout: a
+//     connection that stalls mid-request (or mid-response) for that long is
+//     dropped (slowloris guard); idle keep-alive connections survive
+//     indefinitely.
 //
-// Graceful shutdown: stop() wakes the reactor via the eventfd, joins it
-// (closing every connection), then drains the worker pool — no handler
-// outlives the server object.
+// A connection thread that ends shuts its socket down at once and is
+// joined by the next accept.  Graceful shutdown: stop() interrupts the
+// listener, shuts down every connection's socket and joins every thread —
+// no handler outlives the server object.
 #pragma once
 
 #include <atomic>
@@ -32,13 +29,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/parallel.h"
 #include "p2p/socket.h"
 
 namespace themis::rpc {
@@ -67,9 +61,6 @@ struct HttpServerConfig {
   int recv_timeout_ms = 10000;
 };
 
-/// Handler worker threads per server.
-inline constexpr std::size_t kHttpWorkers = 8;
-
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -80,7 +71,7 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Bind + start the reactor.  False if the port cannot be bound.
+  /// Bind + start the accept thread.  False if the port cannot be bound.
   bool start();
   void stop();
 
@@ -96,68 +87,27 @@ class HttpServer {
   Stats stats() const;
 
  private:
-  /// Connection lifecycle: reading a request, waiting on the handler,
-  /// flushing the response, then back to reading (keep-alive) or gone.
-  enum class ConnState { reading, dispatched, writing };
-
   struct Conn {
-    std::uint64_t id = 0;
     p2p::TcpSocket socket;
-    ConnState state = ConnState::reading;
-    std::string in;   ///< bytes received, not yet consumed
-    std::string out;  ///< response bytes not yet flushed
-    std::size_t out_off = 0;
-    bool close_after_write = false;
-    bool peer_half_closed = false;  ///< recv saw EOF; respond, then drop
-    /// Head parsed, collecting `content_length` body bytes into `in`.
-    bool reading_body = false;
-    HttpRequest request;
-    std::size_t content_length = 0;
-    /// Last read/write progress (steady ms), for the stall sweep.
-    std::int64_t last_activity_ms = 0;
+    std::thread thread;
+    std::atomic<bool> done{false};  ///< thread finished; join and drop
   };
 
-  /// A worker-completed response on its way back to the reactor.
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::string bytes;
-    bool close = false;
-  };
-
-  void reactor_loop();
-  void accept_ready();
-  /// Handle readability; false drops the connection.
-  bool conn_readable(Conn& conn);
-  /// Parse buffered bytes, dispatch a complete request, or emit an error
-  /// response; false drops the connection.
-  bool advance(Conn& conn);
-  /// Flush pending response bytes; false drops the connection.
-  bool flush(Conn& conn);
-  /// Queue `response` on `conn` and switch it to writing.
-  void start_write(Conn& conn, std::string bytes, bool close);
-  void drop(std::uint64_t conn_id);
-  void apply_completions();
-  void sweep_stalled();
-  void update_epoll(Conn& conn, bool want_read, bool want_write);
-  std::int64_t now_ms() const;
+  void accept_loop();
+  /// Serve requests on `socket` until the peer leaves, a request fails, or
+  /// the server stops.
+  void serve(p2p::TcpSocket& socket);
 
   HttpServerConfig config_;
   Handler handler_;
   p2p::TcpListener listener_;
 
-  int epoll_fd_ = -1;
-  int event_fd_ = -1;
-  std::thread reactor_thread_;
+  std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  /// Reactor-owned: only the reactor thread touches the map or any Conn.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-  std::uint64_t next_conn_id_ = 2;  // 0 = listener, 1 = eventfd
-
-  std::unique_ptr<TaskPool> pool_;
-  std::mutex completions_mu_;
-  std::vector<Completion> completions_;
+  /// Touched only by the accept thread, and by stop() once it is joined.
+  std::vector<std::unique_ptr<Conn>> conns_;
 
   std::atomic<std::uint64_t> stat_connections_{0};
   std::atomic<std::uint64_t> stat_requests_{0};

@@ -4,7 +4,7 @@
 // parser is written for hostile input: bounded recursion depth, strict
 // grammar (no trailing commas, no comments, no bare values beyond the JSON
 // spec), and every error is a typed exception the caller maps to a protocol
-// error response — malformed bytes can never take a worker thread down.
+// error response — malformed bytes can never take a connection thread down.
 //
 // Numbers keep their best representation: integral literals that fit are
 // stored exactly as uint64/int64 (account balances and nonces must round-trip

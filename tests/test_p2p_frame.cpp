@@ -623,6 +623,70 @@ TEST_F(LiveNodeTxWireTest, TxInvTriggersGetTxData) {
   EXPECT_TRUE(wait_until([this] { return node_->pool_depth() == 1; }));
 }
 
+// A relayed batch's ids stay in the request table until admission settles
+// them: a second peer announcing the same ids while the batch is still being
+// verified is asked for none of them.
+TEST_F(LiveNodeTxWireTest, IdsBeingVerifiedAreNotFetchedTwice) {
+  // One full batch: 512 transfers from each of 4 senders, every nonce inside
+  // the node's nonce window, so all of them pool.
+  TxBatchMsg batch;
+  InvMsg inv;
+  for (ledger::NodeId sender = 0; sender < 4; ++sender) {
+    for (std::uint64_t nonce = 1; nonce <= kMaxBatchTxs / 4; ++nonce) {
+      const ledger::SignedTransaction stx = signed_transfer(sender, nonce);
+      inv.hashes.push_back(stx.tx.id());
+      batch.txs.push_back(stx.encode());
+    }
+  }
+
+  TcpSocket a = dial_and_handshake();
+  TcpSocket b = dial_and_handshake();
+  a.set_timeouts(2000, 20);
+  b.set_timeouts(2000, 20);
+  // Count the ids of every kP2pGetTxData arriving on `s` for up to 10 s,
+  // until `done` holds.
+  const auto requested_ids = [](TcpSocket& s,
+                                const std::function<bool(std::size_t)>& done) {
+    FrameDecoder decoder;
+    std::uint8_t buf[65536];
+    std::size_t ids = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done(ids) && std::chrono::steady_clock::now() < deadline) {
+      const int n = s.recv_some(buf, sizeof(buf));
+      if (n == 0 || n == -2) break;
+      if (n < 0) continue;
+      decoder.feed(ByteSpan(buf, static_cast<std::size_t>(n)));
+      while (const auto frame = decoder.poll()) {
+        if (frame->type == consensus::kP2pGetTxData) {
+          ids += InvMsg::decode(frame->payload).hashes.size();
+        }
+      }
+    }
+    return ids;
+  };
+
+  // A announces, is asked for every id, and answers with the batch.
+  ASSERT_TRUE(a.send_all(encode_frame(consensus::kP2pTxInv, inv.encode())));
+  ASSERT_EQ(requested_ids(a, [&](std::size_t ids) {
+              return ids == inv.hashes.size();
+            }),
+            inv.hashes.size());
+  ASSERT_TRUE(a.send_all(encode_frame(consensus::kP2pTxBatch, batch.encode())));
+
+  // Once the first chunks have pooled, the rest of the batch is still being
+  // verified: B announces the same ids now.
+  ASSERT_TRUE(wait_until([this] { return node_->pool_depth() > 0; }));
+  ASSERT_TRUE(b.send_all(encode_frame(consensus::kP2pTxInv, inv.encode())));
+
+  // Read B until the whole batch has pooled: it must never be asked.
+  EXPECT_EQ(requested_ids(b, [&](std::size_t) {
+              return node_->pool_depth() == inv.hashes.size();
+            }),
+            0u);
+  EXPECT_EQ(node_->pool_depth(), inv.hashes.size());
+}
+
 TEST_F(LiveNodeTxWireTest, OversizedTxInvClosesConnection) {
   TcpSocket s = dial_and_handshake();
   InvMsg inv;

@@ -9,81 +9,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/check.h"
-
 namespace themis {
 namespace {
-
-TEST(TaskPool, RunsEveryTaskBeforeShutdown) {
-  std::atomic<int> counter{0};
-  {
-    TaskPool pool(4);
-    for (int i = 0; i < 200; ++i) {
-      pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
-    }
-    // Destructor is a graceful shutdown: all 200 must run.
-  }
-  EXPECT_EQ(counter.load(), 200);
-}
-
-TEST(TaskPool, SingleThreadedPoolRunsTasksInSubmissionOrder) {
-  std::vector<int> order;
-  TaskPool pool(1);
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();  // synchronizes-with the worker: `order` is safe to read
-  std::vector<int> expected(50);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(TaskPool, WaitIdleRethrowsFirstTaskException) {
-  TaskPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error is consumed; the pool stays usable.
-  std::atomic<int> counter{0};
-  pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(TaskPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  TaskPool pool(2);
-  pool.wait_idle();
-  SUCCEED();
-}
-
-TEST(TaskPool, BoundedQueueAppliesBackpressureWithoutLosingTasks) {
-  // Capacity far below the submission count: submit() must block instead of
-  // growing the queue, and every task must still run exactly once.
-  std::atomic<int> counter{0};
-  {
-    TaskPool pool(2, /*queue_capacity=*/4);
-    for (int i = 0; i < 500; ++i) {
-      pool.submit([&] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    pool.wait_idle();
-  }
-  EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(TaskPool, RejectsEmptyTask) {
-  TaskPool pool(1);
-  EXPECT_THROW(pool.submit(std::function<void()>{}), PreconditionError);
-}
-
-TEST(TaskPool, ClampsThreadCountToAtLeastOne) {
-  TaskPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  std::atomic<int> counter{0};
-  pool.submit([&] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
 
 TEST(ParallelForIndex, CoversEveryIndexExactlyOnce) {
   const std::size_t n = 1000;
