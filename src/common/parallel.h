@@ -1,11 +1,13 @@
-// Minimal threading utilities for fanning independent simulation trials
-// across cores.
+// Minimal threading utilities for fanning independent work across cores:
+// simulation trials, and the page and level hashes of a large state root.
 //
 // The simulator itself stays single-threaded and deterministic; parallelism
 // lives strictly *between* trials, each of which owns every piece of mutable
 // state it touches (its own net::Simulation, GossipNetwork and Rng streams).
 // Determinism therefore never depends on scheduling: threads only decide
-// wall-clock time, the per-trial seeds decide the results.
+// wall-clock time, the per-trial seeds decide the results.  The same holds
+// for state hashing (authstate::RootCache): each item writes only its own
+// hash slot, so the root is the same on any number of threads.
 //
 // parallel_for_index / parallel_for_each are the common "N independent
 // items, any order" fan-out over an atomic work counter.

@@ -235,16 +235,14 @@ bool PeerManager::handle_frame(Peer& peer, const Frame& frame) {
 }
 
 void PeerManager::maintenance_loop() {
+  // Work first, then wait: the configured peers are dialed at start.
   while (!stopping_.load()) {
-    {
-      std::unique_lock<std::mutex> lock(cv_mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(kTickMs),
-                   [this] { return stopping_.load(); });
-    }
-    if (stopping_.load()) return;
     const std::int64_t now = steady_now_ms();
     ping_and_reap(now);
     dial_due_slots(now);
+    std::unique_lock<std::mutex> lock(cv_mu_);
+    cv_.wait_for(lock, std::chrono::milliseconds(kTickMs),
+                 [this] { return stopping_.load(); });
   }
 }
 

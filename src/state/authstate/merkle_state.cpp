@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/serialize.h"
 #include "crypto/sha256.h"
 #include "ledger/light_client.h"
@@ -51,29 +52,28 @@ Hash32 page_leaf_hash(std::uint32_t page, ByteSpan page_bytes) {
 }
 
 std::vector<Hash32> page_hashes_of(const LedgerState& state) {
-  const std::uint32_t count = state.page_count();
-  std::vector<Hash32> hashes;
-  hashes.reserve(count);
-  for (std::uint32_t p = 0; p < count; ++p) {
-    hashes.push_back(page_leaf_hash(p, encode_page(state, p)));
-  }
-  return hashes;
+  RootCache cache;
+  cache.rebuild(state);
+  return cache.page_hashes();
 }
 
 Hash32 state_root_of(const LedgerState& state) {
-  return crypto::merkle_root(page_hashes_of(state));
+  RootCache cache;
+  cache.rebuild(state);
+  return cache.root();
 }
 
 std::optional<AccountProof> prove_account(const LedgerState& state,
                                           ledger::NodeId id) {
-  const std::vector<Hash32> hashes = page_hashes_of(state);
   const std::uint32_t page = page_of(id);
-  if (page >= hashes.size()) return std::nullopt;
+  if (page >= state.page_count()) return std::nullopt;
+  RootCache cache;
+  cache.rebuild(state);
   AccountProof proof;
   proof.page = page;
-  proof.page_count = static_cast<std::uint32_t>(hashes.size());
+  proof.page_count = cache.page_count();
   proof.page_bytes = encode_page(state, page);
-  proof.steps = crypto::merkle_prove(hashes, page);
+  proof.steps = cache.prove(page);
   return proof;
 }
 
@@ -141,11 +141,19 @@ void RootCache::update_pages(const LedgerState& state,
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
 
+  // Each node below is hashed on its own, so a rebuild-sized set spreads
+  // over every core; a block's few pages stay on the calling thread.
+  const auto for_each_dirty = [](const std::vector<std::uint32_t>& nodes,
+                                 auto&& hash) {
+    parallel_for_index(nodes.size() >= kParallelPages ? 0 : 1, nodes.size(),
+                       [&](std::size_t k) { hash(nodes[k]); });
+  };
+
   std::size_t old_size = page_count();
   levels_.front().resize(count);
-  for (const std::uint32_t p : dirty) {
+  for_each_dirty(dirty, [&](std::uint32_t p) {
     levels_.front()[p] = page_leaf_hash(p, encode_page(state, p));
-  }
+  });
   // Climb one level at a time, re-hashing the parents of dirty nodes.  A
   // level whose size changed also re-hashes every parent from the old end
   // on: those pair different children (or duplicate a different last node).
@@ -168,10 +176,10 @@ void RootCache::update_pages(const LedgerState& state,
       std::sort(parents.begin(), parents.end());
       parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
     }
-    for (const std::uint32_t j : parents) {
+    for_each_dirty(parents, [&](std::uint32_t j) {
       const std::size_t right = 2 * std::size_t{j} + 1 < n ? 2 * j + 1 : 2 * j;
       above[j] = crypto::merkle_parent(below[2 * j], below[right]);
-    }
+    });
     dirty = std::move(parents);
     old_size = old_above;
   }

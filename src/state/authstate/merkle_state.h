@@ -11,7 +11,9 @@
 // touches k accounts dirties at most k pages, and RootCache, which stores
 // every level of the tree, re-hashes those leaves and their paths to the
 // root — O(k log P) — and reads a proof's path in O(log P).  The pages are
-// the ones LedgerState stores its accounts in.
+// the ones LedgerState stores its accounts in.  Every page hash in the
+// program goes through RootCache; a rebuild-sized set is hashed on every
+// core.
 //
 // An AccountProof carries the full encoded page plus the Merkle path of its
 // leaf.  Verifiers decode the page (strictly: ordered, in-range, no default
@@ -22,6 +24,7 @@
 // the id space: any id >= page_count*64 has default state).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -46,11 +49,11 @@ Bytes encode_page(const LedgerState& state, std::uint32_t page);
 /// absence proof cannot be relocated to a page that actually has accounts).
 Hash32 page_leaf_hash(std::uint32_t page, ByteSpan page_bytes);
 
-/// Hashes of all committed pages, in page order.
+/// Hashes of all committed pages, in page order (a RootCache rebuild).
 std::vector<Hash32> page_hashes_of(const LedgerState& state);
 
-/// The state root: Merkle root over page_hashes_of(state).  The empty state
-/// commits to the all-zero root.
+/// The state root: Merkle root over page_hashes_of(state), through a
+/// RootCache rebuild.  The empty state commits to the all-zero root.
 Hash32 state_root_of(const LedgerState& state);
 
 /// Inclusion (or in-range absence) proof for one account.
@@ -82,6 +85,12 @@ bool verify_account_proof(const Hash32& root, ledger::NodeId id,
 /// P2pNode).
 class RootCache {
  public:
+  /// An update_pages call with at least this many dirty pages (a rebuild, a
+  /// restore, a long gap) hashes them, and each level's parents of at least
+  /// this many nodes, on every core.  Fewer, a block's worth, stay on the
+  /// calling thread.
+  static constexpr std::size_t kParallelPages = 1024;
+
   /// Recompute everything from `state` (O(accounts)).
   void rebuild(const LedgerState& state);
 

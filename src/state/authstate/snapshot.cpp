@@ -1,16 +1,58 @@
 #include "state/authstate/snapshot.h"
 
+#include <algorithm>
 #include <fstream>
 #include <system_error>
+#include <thread>
 
 #include "common/serialize.h"
 #include "crypto/sha256.h"
-#include "state/authstate/merkle_state.h"
 
 namespace themis::state::authstate {
 
 namespace {
+
 constexpr std::uint32_t kSnapshotMagic = 0x504e5354;  // "TSNP"
+
+/// The snapshot the payload (everything before the checksum) describes, or
+/// nullopt when a record is malformed or the accounts do not reproduce the
+/// claimed root.
+std::optional<Snapshot> decode_payload(ByteSpan payload) {
+  try {
+    Reader r(payload);
+    if (r.u32() != kSnapshotMagic) return std::nullopt;
+    if (r.u32() != kSnapshotVersion) return std::nullopt;
+    Snapshot snap;
+    snap.height = r.u64();
+    snap.block = r.hash();
+    snap.state_root = r.hash();
+    const std::uint64_t count = r.varint();
+    std::optional<ledger::NodeId> prev;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const ledger::NodeId id = r.u32();
+      if (id >= kMaxAccounts) return std::nullopt;
+      if (prev.has_value() && id <= *prev) return std::nullopt;
+      prev = id;
+      Account account;
+      const std::uint64_t lo = r.u64();
+      const std::uint64_t hi = r.u64();
+      account.balance = UInt128(hi, lo);
+      account.next_nonce = r.u64();
+      if (account == Account{}) return std::nullopt;
+      snap.state.put_back(id, account);
+    }
+    r.expect_done();
+    // A checksum guards against disk rot; recomputing the Merkle root also
+    // guards against a syntactically valid snapshot claiming a state it does
+    // not contain.
+    snap.roots.rebuild(snap.state);
+    if (snap.roots.root() != snap.state_root) return std::nullopt;
+    return snap;
+  } catch (const DecodeError&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 Bytes encode_snapshot(const Snapshot& snapshot) {
@@ -55,42 +97,21 @@ std::optional<Snapshot> decode_snapshot(ByteSpan data) {
   if (data.size() < 32) return std::nullopt;
   const ByteSpan payload(data.data(), data.size() - 32);
   const ByteSpan trailer(data.data() + payload.size(), 32);
-  const Hash32 expected = crypto::sha256d(payload);
-  if (!std::equal(trailer.begin(), trailer.end(), expected.begin())) {
-    return std::nullopt;
+  // The checksum is one sequential pass over the payload: it runs on its own
+  // thread beside the decode and the root check, and the snapshot counts
+  // only when both pass.  The jthread joins on every way out of this block.
+  bool checksum_ok = false;
+  std::optional<Snapshot> snap;
+  {
+    const std::jthread checksum([&] {
+      const Hash32 expected = crypto::sha256d(payload);
+      checksum_ok =
+          std::equal(trailer.begin(), trailer.end(), expected.begin());
+    });
+    snap = decode_payload(payload);
   }
-  try {
-    Reader r(payload);
-    if (r.u32() != kSnapshotMagic) return std::nullopt;
-    if (r.u32() != kSnapshotVersion) return std::nullopt;
-    Snapshot snap;
-    snap.height = r.u64();
-    snap.block = r.hash();
-    snap.state_root = r.hash();
-    const std::uint64_t count = r.varint();
-    std::optional<ledger::NodeId> prev;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const ledger::NodeId id = r.u32();
-      if (id >= kMaxAccounts) return std::nullopt;
-      if (prev.has_value() && id <= *prev) return std::nullopt;
-      prev = id;
-      Account account;
-      const std::uint64_t lo = r.u64();
-      const std::uint64_t hi = r.u64();
-      account.balance = UInt128(hi, lo);
-      account.next_nonce = r.u64();
-      if (account == Account{}) return std::nullopt;
-      snap.state.put_back(id, account);
-    }
-    r.expect_done();
-    // A checksum guards against disk rot; recomputing the Merkle root also
-    // guards against a syntactically valid snapshot claiming a state it does
-    // not contain.
-    if (state_root_of(snap.state) != snap.state_root) return std::nullopt;
-    return snap;
-  } catch (const DecodeError&) {
-    return std::nullopt;
-  }
+  if (!checksum_ok) return std::nullopt;
+  return snap;
 }
 
 std::optional<Snapshot> read_snapshot(const std::filesystem::path& path) {

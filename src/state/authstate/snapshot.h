@@ -15,7 +15,10 @@
 // over the target, so a crash mid-write leaves the previous snapshot intact.
 // Reads verify the checksum AND recompute the Merkle state root from the
 // decoded accounts — a snapshot that does not reproduce its own claimed root
-// is treated as absent, and the node falls back to full replay.
+// is treated as absent, and the node falls back to full replay.  The
+// checksum runs on a thread of its own beside the decode and the root check
+// (which hashes on every core), and the decoded snapshot keeps the Merkle
+// levels it checked, so a restore hashes the state once.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 
 #include "common/bytes.h"
 #include "ledger/types.h"
+#include "state/authstate/merkle_state.h"
 #include "state/ledger_state.h"
 
 namespace themis::state::authstate {
@@ -35,6 +39,10 @@ struct Snapshot {
   ledger::BlockHash block{};      ///< id of the snapshot block
   Hash32 state_root{};            ///< authstate root of `state`
   LedgerState state;              ///< full account state at `block`, inclusive
+  /// Every Merkle level of `state`, as decode_snapshot checked them against
+  /// `state_root`, so a restore need not hash the state again.
+  /// encode_snapshot ignores it (and `state_root`) and hashes `state`.
+  RootCache roots;
 };
 
 /// Serialize a snapshot (computes and embeds the state root).
@@ -45,9 +53,9 @@ Bytes encode_snapshot(const Snapshot& snapshot);
 bool write_snapshot(const std::filesystem::path& path,
                     const Snapshot& snapshot);
 
-/// Decode; nullopt on any corruption (bad magic/version/checksum, trailing
-/// bytes, out-of-order accounts, an id at or above kMaxAccounts, or a state
-/// root mismatch).
+/// Decode, with `roots` filled; nullopt on any corruption (bad
+/// magic/version/checksum, trailing bytes, out-of-order accounts, an id at
+/// or above kMaxAccounts, or a state root mismatch).
 std::optional<Snapshot> decode_snapshot(ByteSpan data);
 
 /// Load and fully verify the snapshot at `path`; nullopt when missing or

@@ -37,6 +37,12 @@ ledger::BlockTree ChainState::restore(const ledger::BlockStore& store) {
   if (root_block.has_value()) {
     tree = ledger::BlockTree(
         std::make_shared<const ledger::Block>(*std::move(root_block)));
+    // The decode hashed the snapshot state to check its root: keep those
+    // levels, with the state they hashed (sharing its pages) at the snapshot
+    // block, so the first root() re-hashes only what the suffix dirtied.
+    root_cache_ = std::move(snap->roots);
+    hashed_ = snap->state;
+    root_head_ = snap->block;
     states_.reset_base(std::move(snap->state));
     stats_.snapshot_height = snap->height;
     stats_.restored_from_snapshot = true;

@@ -44,7 +44,9 @@ class ChainState {
 
   /// The tree held in `store`, rooted at the snapshot block with the
   /// snapshot state as base when a verified snapshot's block is stored (only
-  /// the suffix is replayed); any snapshot defect means a full replay.
+  /// the suffix is replayed); any snapshot defect means a full replay.  A
+  /// restored snapshot also seeds root(): the Merkle levels its decode
+  /// checked stand for the snapshot block.
   ledger::BlockTree restore(const ledger::BlockStore& store);
 
   const LedgerState& state_at(const ledger::BlockTree& tree,

@@ -3,7 +3,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "common/serialize.h"
 #include "crypto/sha256.h"
@@ -299,12 +302,51 @@ TEST(MerkleState, StoredLevelsProveEveryPageLikeMerkleProve) {
   }
 }
 
+/// The same accounts in the map-based reference state.
+oracle::MapLedgerState as_oracle(const LedgerState& state) {
+  oracle::MapLedgerState map;
+  state.for_each_account(
+      [&map](ledger::NodeId id, const Account& account) { map.put(id, account); });
+  return map;
+}
+
+/// `pages` committed pages, one account in each: its slot varies with the
+/// page, and `salt` varies the balances.
+LedgerState one_account_per_page(std::uint32_t pages, std::uint64_t salt) {
+  LedgerState state;
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    state.put(p * kAccountsPerPage + p % kAccountsPerPage,
+              Account{UInt128(salt + p), 1 + p % 3});
+  }
+  return state;
+}
+
+/// Every page of `state`, the dirty set of a rebuild.
+std::vector<std::uint32_t> every_page(const LedgerState& state) {
+  std::vector<std::uint32_t> pages(state.page_count());
+  std::iota(pages.begin(), pages.end(), 0u);
+  return pages;
+}
+
 TEST(RootCacheTest, RebuildMatchesStateRoot) {
   const LedgerState state = small_state();
   RootCache cache;
   cache.rebuild(state);
-  EXPECT_EQ(cache.root(), state_root_of(state));
+  EXPECT_EQ(cache.root(), oracle::state_root_of(as_oracle(state)));
   EXPECT_EQ(cache.page_count(), state.page_count());
+
+  // Page counts around the threshold past which the pages are hashed on
+  // every core, and one past a power of two.
+  constexpr auto kThreshold = static_cast<std::uint32_t>(RootCache::kParallelPages);
+  for (const std::uint32_t pages :
+       {1u, kThreshold - 1, kThreshold, kThreshold + 1, 4097u}) {
+    const LedgerState wide = one_account_per_page(pages, 1);
+    const oracle::MapLedgerState expected = as_oracle(wide);
+    RootCache threaded;
+    threaded.rebuild(wide);
+    EXPECT_EQ(threaded.root(), oracle::state_root_of(expected)) << pages;
+    EXPECT_EQ(threaded.page_hashes(), oracle::page_hashes_of(expected)) << pages;
+  }
 }
 
 TEST(RootCacheTest, IncrementalUpdateMatchesRebuild) {
@@ -317,7 +359,7 @@ TEST(RootCacheTest, IncrementalUpdateMatchesRebuild) {
   state.fund(0, 5u);
   state.fund(1000, 13u);
   cache.update(state, {0, 1000});
-  EXPECT_EQ(cache.root(), state_root_of(state));
+  EXPECT_EQ(cache.root(), oracle::state_root_of(as_oracle(state)));
   EXPECT_EQ(cache.page_count(), state.page_count());
 
   // A long randomized walk: apply touches, compare against full recompute.
@@ -334,7 +376,28 @@ TEST(RootCacheTest, IncrementalUpdateMatchesRebuild) {
       touched.push_back(id);
     }
     cache.update(state, touched);
-    ASSERT_EQ(cache.root(), state_root_of(state)) << "step " << step;
+    ASSERT_EQ(cache.root(), oracle::state_root_of(as_oracle(state)))
+        << "step " << step;
+  }
+
+  // A rebuild-sized update_pages, hashed on every core, over a cache that
+  // holds a smaller state (the span grows) or a larger one (it shrinks).
+  const LedgerState small = one_account_per_page(1500, 7);
+  const LedgerState large = one_account_per_page(4097, 9);
+  const std::pair<const LedgerState*, const LedgerState*> moves[] = {
+      {&small, &large}, {&large, &small}};
+  for (const auto& [from, to] : moves) {
+    RootCache moved;
+    moved.rebuild(*from);
+    moved.update_pages(*to, every_page(*to));
+    const oracle::MapLedgerState expected = as_oracle(*to);
+    EXPECT_EQ(moved.root(), oracle::state_root_of(expected))
+        << from->page_count() << " -> " << to->page_count();
+    EXPECT_EQ(moved.page_hashes(), oracle::page_hashes_of(expected));
+    for (const std::uint32_t page : {0u, 1499u, to->page_count() - 1}) {
+      EXPECT_EQ(moved.prove(page), crypto::merkle_prove(moved.page_hashes(), page))
+          << page;
+    }
   }
 }
 
@@ -355,6 +418,22 @@ class SnapshotTest : public ::testing::Test {
     snap.block[0] = 0xab;
     snap.state = small_state();
     return snap;
+  }
+
+  /// Wide enough that the root check hashes on every core while the
+  /// checksum thread runs.
+  Snapshot wide_sample() {
+    Snapshot snap = sample();
+    snap.state = one_account_per_page(RootCache::kParallelPages + 1, 3);
+    return snap;
+  }
+
+  /// `payload` followed by its own checksum, as write_snapshot seals it.
+  static Bytes seal(ByteSpan payload) {
+    Writer w;
+    w.raw(payload);
+    w.hash(crypto::sha256d(payload));
+    return w.take();
   }
 
   fs::path dir_;
@@ -380,24 +459,30 @@ TEST_F(SnapshotTest, MissingFileIsAbsent) {
 }
 
 TEST_F(SnapshotTest, ChecksumCatchesBitRot) {
-  ASSERT_TRUE(write_snapshot(path_, sample()));
-  Bytes data;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    data.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  for (const std::size_t at : {std::size_t{0}, data.size() / 2,
-                               data.size() - 1}) {
-    Bytes corrupt = data;
-    corrupt[at] ^= 0x40;
-    EXPECT_FALSE(decode_snapshot(corrupt).has_value()) << "byte " << at;
-  }
-  // Truncations at every boundary.
-  for (const std::size_t keep : {std::size_t{0}, std::size_t{31},
-                                 data.size() / 2, data.size() - 1}) {
-    const Bytes truncated(data.begin(),
-                          data.begin() + static_cast<std::ptrdiff_t>(keep));
-    EXPECT_FALSE(decode_snapshot(truncated).has_value()) << "keep " << keep;
+  for (const Snapshot& snap : {sample(), wide_sample()}) {
+    ASSERT_TRUE(write_snapshot(path_, snap));
+    Bytes data;
+    {
+      std::ifstream in(path_, std::ios::binary);
+      data.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_TRUE(decode_snapshot(data).has_value());
+    for (const std::size_t at : {std::size_t{0}, data.size() / 2,
+                                 data.size() - 1}) {
+      Bytes corrupt = data;
+      corrupt[at] ^= 0x40;
+      EXPECT_FALSE(decode_snapshot(corrupt).has_value()) << "byte " << at;
+    }
+    // Truncations at every boundary: inside the header, the record count,
+    // a record and the checksum.
+    for (const std::size_t keep :
+         {std::size_t{0}, std::size_t{31}, std::size_t{32}, std::size_t{33},
+          std::size_t{80}, std::size_t{81}, data.size() / 2,
+          data.size() - 33, data.size() - 32, data.size() - 1}) {
+      const Bytes truncated(data.begin(),
+                            data.begin() + static_cast<std::ptrdiff_t>(keep));
+      EXPECT_FALSE(decode_snapshot(truncated).has_value()) << "keep " << keep;
+    }
   }
 }
 
@@ -410,6 +495,47 @@ TEST_F(SnapshotTest, RootMismatchRejectedEvenWithValidChecksum) {
   const Hash32 checksum = crypto::sha256d(payload);
   std::copy(checksum.begin(), checksum.end(), data.end() - 32);
   EXPECT_FALSE(decode_snapshot(data).has_value());
+
+  // Truncations sealed with a fresh checksum, so only the decode can refuse
+  // them: inside the header (80 bytes), the record count, the first record,
+  // a record boundary and the last record.
+  const Bytes whole = encode_snapshot(wide_sample());
+  const std::size_t payload_size = whole.size() - 32;
+  ASSERT_TRUE(decode_snapshot(whole).has_value());
+  for (const std::size_t keep :
+       {std::size_t{0}, std::size_t{4}, std::size_t{8}, std::size_t{16},
+        std::size_t{48}, std::size_t{80}, std::size_t{81}, std::size_t{90},
+        payload_size / 2, payload_size - 28, payload_size - 1}) {
+    EXPECT_FALSE(decode_snapshot(seal(ByteSpan(whole.data(), keep))).has_value())
+        << "keep " << keep;
+  }
+
+  // A hostile record count under a valid checksum: a huge claim reads
+  // records until the bytes run out (nothing is sized by it), and a short
+  // one leaves trailing records.
+  const LedgerState state = small_state();
+  const auto claiming = [&state](std::uint64_t count) {
+    Writer w;
+    w.u32(0x504e5354);  // "TSNP"
+    w.u32(kSnapshotVersion);
+    w.u64(42);
+    w.hash(Hash32{});
+    w.hash(state_root_of(state));
+    w.varint(count);
+    state.for_each_account([&w](ledger::NodeId id, const Account& account) {
+      w.u32(id);
+      w.u64(account.balance.lo());
+      w.u64(account.balance.hi());
+      w.u64(account.next_nonce);
+    });
+    return seal(w.buffer());
+  };
+  const std::uint64_t live = state.live_accounts();
+  ASSERT_TRUE(decode_snapshot(claiming(live)).has_value());
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, ~std::uint64_t{0}, live + 1, live - 1}) {
+    EXPECT_FALSE(decode_snapshot(claiming(count)).has_value()) << count;
+  }
 }
 
 TEST_F(SnapshotTest, IdAtOrAboveTheCapRejected) {

@@ -90,6 +90,8 @@ class ChainStateTest : public ::testing::Test {
   void TearDown() override { fs::remove_all(dir_); }
 
   /// Append a 20-block chain to the store; returns every block id in order.
+  /// Block h pays ids 37h..37h+3, so the state spans 12 pages and each
+  /// block dirties page 0 (the senders) and one or two others.
   std::vector<BlockHash> write_chain(ledger::BlockStore& store) {
     ChainState chain(genesis());
     ledger::BlockTree tree;
@@ -97,7 +99,7 @@ class ChainStateTest : public ::testing::Test {
     std::vector<BlockHash> ids;
     BlockHash head = tree.genesis_hash();
     for (std::uint64_t h = 1; h <= 20; ++h) {
-      head = build.extend(head, static_cast<ledger::NodeId>(h * 3), h);
+      head = build.extend(head, static_cast<ledger::NodeId>(h * 37), h);
       store.append(*tree.block(head));
       ids.push_back(head);
     }
@@ -131,8 +133,30 @@ TEST_F(ChainStateTest, SnapshotRestorePlusSuffixEqualsFullReplay) {
   EXPECT_TRUE(restored.stats().restored_from_snapshot);
   EXPECT_EQ(restored.stats().snapshot_height, 12u);
   EXPECT_EQ(restored.stats().store_replayed, 8u);  // heights 13..20
+  // The root at the snapshot block comes from the levels the decode
+  // checked, before any suffix block is hashed.
+  const LedgerState& at_snapshot = full.state_at(full_tree, ids[11]);
+  EXPECT_EQ(restored.root(tree, ids[11]),
+            authstate::state_root_of(at_snapshot));
   EXPECT_EQ(restored.state_at(tree, head), full.state_at(full_tree, head));
-  EXPECT_EQ(restored.root(tree, head), full.root(full_tree, head));
+  const Hash32 root = restored.root(tree, head);
+  EXPECT_EQ(root, full.root(full_tree, head));
+  EXPECT_EQ(root, authstate::state_root_of(full.state_at(full_tree, head)));
+
+  // Proofs at the head verify for ids on pages the suffix dirtied (the
+  // senders' page 0 and block 20's recipients on page 11) and on pages it
+  // left as the snapshot wrote them (block 5's recipients on page 2, and an
+  // empty slot of block 6's page 3).
+  const LedgerState& at_head = full.state_at(full_tree, head);
+  for (const ledger::NodeId id : {1u, 740u, 185u, 188u, 186u + 64u}) {
+    const ChainState::Proof proof = restored.prove(tree, head, id);
+    ASSERT_TRUE(proof.available) << id;
+    EXPECT_EQ(proof.state_root, root) << id;
+    EXPECT_EQ(proof.account, at_head.account(id)) << id;
+    EXPECT_TRUE(authstate::verify_account_proof(root, id, proof.account,
+                                                proof.proof))
+        << id;
+  }
 }
 
 TEST_F(ChainStateTest, RestoreFallsBackToFullReplayWhenSnapshotBlockIsMissing) {
