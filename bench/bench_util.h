@@ -44,11 +44,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "metrics/aggregate.h"
 #include "metrics/table.h"
 #include "obs/observability.h"
 #include "obs/report.h"
-#include "rpc/json.h"
 #include "sim/trial_runner.h"
 
 namespace themis::bench {
@@ -328,7 +328,7 @@ inline void print_run_footer(const BenchArgs& args, const WallTimer& timer,
 /// Load the JSON perf-floors file the scale benchmarks gate on
 /// (bench/ci_floors.json).  False, after printing why, when `path` cannot be
 /// read or parsed.
-inline bool read_floors(const std::string& path, rpc::Json& floors) {
+inline bool read_floors(const std::string& path, Json& floors) {
   std::ifstream in(path);
   if (!in) {
     std::cerr << "error: cannot read floors file " << path << "\n";
@@ -337,8 +337,8 @@ inline bool read_floors(const std::string& path, rpc::Json& floors) {
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
   try {
-    floors = rpc::Json::parse(text);
-  } catch (const rpc::JsonError& e) {
+    floors = Json::parse(text);
+  } catch (const JsonError& e) {
     std::cerr << "error: bad floors JSON: " << e.what() << "\n";
     return false;
   }

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "rpc/json.h"
+#include "common/json.h"
 #include "sim/experiment.h"
 #include "sim/power_dist.h"
 
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   }
 
   if (!floors_path.empty()) {
-    rpc::Json floors;
+    Json floors;
     if (!bench::read_floors(floors_path, floors)) return 1;
     bool violated = false;
     if (floors.has("finality_max_lag_blocks")) {

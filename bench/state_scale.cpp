@@ -40,12 +40,12 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/json.h"
 #include "common/uint128.h"
 #include "crypto/merkle.h"
 #include "ledger/block.h"
 #include "ledger/block_store.h"
 #include "ledger/blocktree.h"
-#include "rpc/json.h"
 #include "state/authstate/merkle_state.h"
 #include "state/authstate/snapshot.h"
 #include "state/chain_state.h"
@@ -541,7 +541,7 @@ int main(int argc, char** argv) {
   }
 
   if (!floors_path.empty()) {
-    rpc::Json floors;
+    Json floors;
     if (!bench::read_floors(floors_path, floors)) return 1;
     bool violated = false;
     if (floors.has("state_min_restart_speedup")) {

@@ -1,12 +1,11 @@
-#include "rpc/json.h"
+#include "common/json.h"
 
-#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 
-namespace themis::rpc {
+namespace themis {
 
 namespace {
 
@@ -68,16 +67,16 @@ const Json::Object& Json::as_object() const {
   fail("expected object");
 }
 
-const Json& Json::operator[](const std::string& key) const {
+const Json* Json::find(std::string_view key) const {
   const auto* o = std::get_if<Object>(&value_);
-  if (o == nullptr) return null_json();
+  if (o == nullptr) return nullptr;
   const auto it = o->find(key);
-  return it == o->end() ? null_json() : it->second;
+  return it == o->end() ? nullptr : &it->second;
 }
 
-bool Json::has(const std::string& key) const {
-  const auto* o = std::get_if<Object>(&value_);
-  return o != nullptr && o->contains(key);
+const Json& Json::operator[](std::string_view key) const {
+  const Json* field = find(key);
+  return field != nullptr ? *field : null_json();
 }
 
 Json& Json::set(const std::string& key, Json value) {
@@ -90,9 +89,7 @@ Json& Json::set(const std::string& key, Json value) {
 // Serialization
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void dump_string(const std::string& s, std::string& out) {
+void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -116,17 +113,17 @@ void dump_string(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
-void dump_value(const Json& v, std::string& out);
-
-void dump_number(double d, std::string& out) {
-  if (!std::isfinite(d)) {
+void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
     out += "null";  // JSON has no Inf/NaN; null is the conventional fallback
     return;
   }
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  out.append(buf, res.ptr);
 }
+
+namespace {
 
 void dump_value(const Json& v, std::string& out) {
   if (v.is_null()) {
@@ -134,7 +131,7 @@ void dump_value(const Json& v, std::string& out) {
   } else if (v.is_bool()) {
     out += v.as_bool() ? "true" : "false";
   } else if (v.is_string()) {
-    dump_string(v.as_string(), out);
+    append_json_string(out, v.as_string());
   } else if (v.is_array()) {
     out.push_back('[');
     bool first = true;
@@ -150,7 +147,7 @@ void dump_value(const Json& v, std::string& out) {
     for (const auto& [key, item] : v.as_object()) {
       if (!first) out.push_back(',');
       first = false;
-      dump_string(key, out);
+      append_json_string(out, key);
       out.push_back(':');
       dump_value(item, out);
     }
@@ -160,7 +157,7 @@ void dump_value(const Json& v, std::string& out) {
   } else if (v.is_i64()) {
     out += std::to_string(v.as_i64());
   } else {
-    dump_number(v.as_double(), out);
+    append_json_number(out, v.as_double());
   }
 }
 
@@ -292,15 +289,17 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote, backslash or control byte at once.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\' &&
+             static_cast<unsigned char>(text_[end]) >= 0x20) {
+        ++end;
+      }
+      out.append(text_.substr(pos_, end - pos_));
+      pos_ = end;
       const char c = next();
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') fail("unescaped control character in string");
       const char esc = next();
       switch (esc) {
         case '"': out.push_back('"'); break;
@@ -453,4 +452,4 @@ Json Json::parse(std::string_view text, std::size_t max_depth) {
   return Parser(text, max_depth).parse_document();
 }
 
-}  // namespace themis::rpc
+}  // namespace themis

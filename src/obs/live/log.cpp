@@ -7,6 +7,8 @@
 #include <iostream>
 #include <mutex>
 
+#include "common/json.h"
+
 namespace themis::obs::live {
 
 namespace {
@@ -30,39 +32,15 @@ std::string iso8601_now() {
   return buf;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 void append_value_json(std::string& out, const LogField& field) {
   if (const auto* s = std::get_if<std::string>(&field.value)) {
-    out += '"';
-    append_json_escaped(out, *s);
-    out += '"';
+    append_json_string(out, *s);
   } else if (const auto* u = std::get_if<std::uint64_t>(&field.value)) {
     out += std::to_string(*u);
   } else if (const auto* i = std::get_if<std::int64_t>(&field.value)) {
     out += std::to_string(*i);
   } else if (const auto* d = std::get_if<double>(&field.value)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", *d);
-    out += buf;
+    append_json_number(out, *d);
   } else if (const auto* b = std::get_if<bool>(&field.value)) {
     out += *b ? "true" : "false";
   }
@@ -118,15 +96,14 @@ void Logger::log(LogLevel level, std::string_view component,
     line += ts;
     line += "\",\"level\":\"";
     line += to_string(level);
-    line += "\",\"component\":\"";
-    append_json_escaped(line, component);
-    line += "\",\"msg\":\"";
-    append_json_escaped(line, msg);
-    line += '"';
+    line += "\",\"component\":";
+    append_json_string(line, component);
+    line += ",\"msg\":";
+    append_json_string(line, msg);
     for (const LogField& field : fields) {
-      line += ",\"";
-      append_json_escaped(line, field.key);
-      line += "\":";
+      line += ',';
+      append_json_string(line, field.key);
+      line += ':';
       append_value_json(line, field);
     }
     line += "}\n";

@@ -12,6 +12,9 @@
 //   {"ts":"2026-08-09T12:00:00.123Z","level":"info","component":"p2p",
 //    "msg":"peer ready","node":0,"remote":1}
 //
+// Both forms write numbers with common/json.h's formatter: a double as the
+// shortest decimal that reads back exactly, NaN and ±inf as null.
+//
 // The level gate is one relaxed atomic load, so call sites below the level
 // cost a branch; formatting and the sink mutex are paid only for records
 // that pass.  Use the free functions:

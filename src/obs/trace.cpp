@@ -1,46 +1,10 @@
 #include "obs/trace.h"
 
-#include <charconv>
-#include <cstdio>
 #include <fstream>
 
+#include "common/json.h"
+
 namespace themis::obs {
-
-void append_double(std::string& out, double value) {
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, res.ptr);
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void EventTracer::emit(SimTime t, std::string_view ev,
                        std::initializer_list<Field> fields) {
@@ -49,13 +13,12 @@ void EventTracer::emit(SimTime t, std::string_view ev,
   line.reserve(64 + 24 * fields.size());
   line += "{\"t_ns\":";
   line += std::to_string(t.count_nanos());
-  line += ",\"ev\":\"";
-  append_json_escaped(line, ev);
-  line += '"';
+  line += ",\"ev\":";
+  append_json_string(line, ev);
   for (const Field& field : fields) {
-    line += ",\"";
-    append_json_escaped(line, field.key);
-    line += "\":";
+    line += ',';
+    append_json_string(line, field.key);
+    line += ':';
     switch (field.type) {
       case Field::Type::kU64:
         line += std::to_string(field.u);
@@ -64,15 +27,13 @@ void EventTracer::emit(SimTime t, std::string_view ev,
         line += std::to_string(field.i);
         break;
       case Field::Type::kF64:
-        append_double(line, field.f);
+        append_json_number(line, field.f);
         break;
       case Field::Type::kBool:
         line += field.b ? "true" : "false";
         break;
       case Field::Type::kStr:
-        line += '"';
-        append_json_escaped(line, field.s);
-        line += '"';
+        append_json_string(line, field.s);
         break;
     }
   }

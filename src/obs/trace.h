@@ -2,10 +2,13 @@
 //
 // EventTracer records typed events as JSONL (one flat JSON object per line),
 // keyed by simulated time in integer nanoseconds (`t_ns`), so traces are
-// exact, diffable and mergeable.  Records are pre-rendered into an in-memory
-// buffer and written out once at the end of a run — tracing never does I/O
-// from inside the event loop and never perturbs simulation state, so a
-// traced run is bit-identical to an untraced one.
+// exact, diffable and mergeable.  Each line is written field by field, in
+// call order, with the shared writers of common/json.h: doubles in their
+// shortest round-trip form, and NaN or ±inf as null, so every line is JSON
+// that obs/trace_reader.h (Json::parse) reads back.  Records are
+// pre-rendered into an in-memory buffer and written out once at the end of a
+// run — tracing never does I/O from inside the event loop and never perturbs
+// simulation state, so a traced run is bit-identical to an untraced one.
 //
 // Zero overhead when disabled: every emission site guards on `enabled()`
 // (one predictable branch); a tracer that was never enabled allocates
@@ -95,12 +98,5 @@ class EventTracer {
   bool enabled_ = false;
   std::vector<std::string> lines_;
 };
-
-/// Render a double with the shortest round-trippable decimal representation
-/// (std::to_chars), so trace consumers read back the exact value.
-void append_double(std::string& out, double value);
-
-/// Append `s` JSON-escaped (quotes, backslashes, control characters).
-void append_json_escaped(std::string& out, std::string_view s);
 
 }  // namespace themis::obs

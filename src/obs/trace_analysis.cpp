@@ -26,9 +26,8 @@ double nearest_rank(std::vector<double>& sorted, double p) {
 
 }  // namespace
 
-TraceSummary analyze_trace(std::span<const TraceEvent> events) {
+TraceSummary analyze_trace(std::istream& in) {
   TraceSummary summary;
-  summary.total_events = events.size();
 
   // block hash -> simulated mining time, for propagation latency.
   std::unordered_map<std::string, std::int64_t> mined_at;
@@ -36,12 +35,19 @@ TraceSummary analyze_trace(std::span<const TraceEvent> events) {
   std::vector<std::pair<std::uint64_t, ledger::NodeId>> chain;  // height, producer
   std::uint64_t depth_sum = 0;
 
-  bool first = true;
-  for (const TraceEvent& event : events) {
-    if (first) {
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    const std::optional<TraceEvent> parsed = parse_trace_line(line);
+    if (!parsed.has_value()) {
+      ++summary.malformed_lines;
+      continue;
+    }
+    const TraceEvent& event = *parsed;
+    ++summary.event_counts[event.ev];
+    if (++summary.total_events == 1) {
       summary.first_ns = event.t_ns;
       summary.last_ns = event.t_ns;
-      first = false;
     }
     summary.first_ns = std::min(summary.first_ns, event.t_ns);
     summary.last_ns = std::max(summary.last_ns, event.t_ns);
@@ -51,9 +57,9 @@ TraceSummary analyze_trace(std::span<const TraceEvent> events) {
 
     if (event.ev == "run_meta") {
       summary.algorithm = event.str_or("algorithm", "");
-      summary.n_nodes = static_cast<std::uint64_t>(event.int_or("n_nodes", 0));
-      summary.delta = static_cast<std::uint64_t>(event.int_or("delta", 0));
-      summary.seed = static_cast<std::uint64_t>(event.int_or("seed", 0));
+      summary.n_nodes = event.u64_or("n_nodes", 0);
+      summary.delta = event.u64_or("delta", 0);
+      summary.seed = event.u64_or("seed", 0);
     } else if (event.ev == "block_mined") {
       NodeTimeline& node = summary.nodes[node_id];
       ++node.mined;
@@ -77,15 +83,14 @@ TraceSummary analyze_trace(std::span<const TraceEvent> events) {
       NodeTimeline& node = summary.nodes[node_id];
       ++node.reorgs;
       touch(node, event.t_ns);
-      const auto depth = static_cast<std::uint64_t>(event.int_or("depth", 0));
+      const std::uint64_t depth = event.u64_or("depth", 0);
       ++summary.reorgs.count;
       ++summary.reorgs.depth_counts[depth];
       summary.reorgs.max_depth = std::max(summary.reorgs.max_depth, depth);
       depth_sum += depth;
     } else if (event.ev == "gossip_send") {
       ++summary.gossip_sends;
-      summary.gossip_bytes +=
-          static_cast<std::uint64_t>(event.int_or("bytes", 0));
+      summary.gossip_bytes += event.u64_or("bytes", 0);
     } else if (event.ev == "gossip_dup") {
       ++summary.gossip_dup_drops;
     } else if (event.ev == "pbft_view_change") {
@@ -93,7 +98,7 @@ TraceSummary analyze_trace(std::span<const TraceEvent> events) {
       touch(summary.nodes[node_id], event.t_ns);
     } else if (event.ev == "chain_block") {
       chain.emplace_back(
-          static_cast<std::uint64_t>(event.int_or("height", 0)),
+          event.u64_or("height", 0),
           static_cast<ledger::NodeId>(event.int_or("producer", 0)));
     } else if (event.ev == "retarget") {
       summary.base_difficulty_per_epoch.push_back(

@@ -1,5 +1,9 @@
-// Summaries over a parsed trace — the analysis behind the `themis-trace`
+// Summaries over a JSONL trace — the analysis behind the `themis-trace`
 // CLI, exposed as a library so tests can assert on it directly.
+//
+// analyze_trace makes one pass over the stream: it parses a line, folds it
+// into the summary and drops it, so memory holds the summary (and the
+// mined-at index that propagation needs), never the trace.
 //
 // The per-epoch sigma_f^2 column is computed by feeding the trace's
 // `chain_block` producer sequence into the very same
@@ -9,9 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <istream>
 #include <map>
 #include <ostream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -53,7 +57,9 @@ struct TraceSummary {
   std::uint64_t delta = 0;
   std::uint64_t seed = 0;
 
-  std::uint64_t total_events = 0;
+  std::uint64_t total_events = 0;     ///< well-formed records
+  std::uint64_t malformed_lines = 0;  ///< skipped (blank lines do not count)
+  std::map<std::string, std::uint64_t> event_counts;  ///< per `ev` kind
   std::int64_t first_ns = 0;
   std::int64_t last_ns = 0;
 
@@ -75,7 +81,8 @@ struct TraceSummary {
   std::vector<double> base_difficulty_per_epoch;
 };
 
-TraceSummary analyze_trace(std::span<const TraceEvent> events);
+/// Read `in` as JSONL, one record per line, in a single pass.
+TraceSummary analyze_trace(std::istream& in);
 
 /// Render the CLI's text report.
 void print_summary(std::ostream& out, const TraceSummary& summary);

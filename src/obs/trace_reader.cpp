@@ -1,249 +1,60 @@
 #include "obs/trace_reader.h"
 
-#include <cctype>
-#include <charconv>
+#include <limits>
 
 namespace themis::obs {
 
-const TraceValue* TraceEvent::field(std::string_view key) const {
-  for (const auto& [name, value] : fields) {
-    if (name == key) return &value;
-  }
-  return nullptr;
-}
-
 std::int64_t TraceEvent::int_or(std::string_view key,
                                 std::int64_t fallback) const {
-  const TraceValue* v = field(key);
+  const Json* v = record.find(key);
   if (v == nullptr) return fallback;
-  if (v->kind == TraceValue::Kind::kInt) return v->i;
-  if (v->kind == TraceValue::Kind::kDouble) return static_cast<std::int64_t>(v->d);
+  if (v->is_i64()) return v->as_i64();
+  if (v->is_u64() &&
+      v->as_u64() <= static_cast<std::uint64_t>(
+                         std::numeric_limits<std::int64_t>::max())) {
+    return static_cast<std::int64_t>(v->as_u64());
+  }
+  return fallback;
+}
+
+std::uint64_t TraceEvent::u64_or(std::string_view key,
+                                 std::uint64_t fallback) const {
+  const Json* v = record.find(key);
+  if (v == nullptr) return fallback;
+  if (v->is_u64()) return v->as_u64();
   return fallback;
 }
 
 double TraceEvent::num_or(std::string_view key, double fallback) const {
-  const TraceValue* v = field(key);
-  if (v == nullptr) return fallback;
-  if (v->kind == TraceValue::Kind::kInt) return static_cast<double>(v->i);
-  if (v->kind == TraceValue::Kind::kDouble) return v->d;
-  return fallback;
+  const Json* v = record.find(key);
+  return v != nullptr && v->is_number() ? v->as_double() : fallback;
 }
 
 std::string_view TraceEvent::str_or(std::string_view key,
                                     std::string_view fallback) const {
-  const TraceValue* v = field(key);
-  if (v == nullptr || v->kind != TraceValue::Kind::kString) return fallback;
-  return v->s;
+  const Json* v = record.find(key);
+  return v != nullptr && v->is_string() ? std::string_view(v->as_string())
+                                        : fallback;
 }
 
 bool TraceEvent::bool_or(std::string_view key, bool fallback) const {
-  const TraceValue* v = field(key);
-  if (v == nullptr || v->kind != TraceValue::Kind::kBool) return fallback;
-  return v->b;
+  const Json* v = record.find(key);
+  return v != nullptr && v->is_bool() ? v->as_bool() : fallback;
 }
-
-namespace {
-
-/// Cursor over one line.  The grammar is the flat subset EventTracer emits:
-///   object  := '{' (pair (',' pair)*)? '}'
-///   pair    := string ':' value
-///   value   := string | number | 'true' | 'false' | 'null'
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  bool parse(TraceEvent& out) {
-    skip_ws();
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return finish(out);
-    for (;;) {
-      std::string key;
-      TraceValue value;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      if (!parse_value(value)) return false;
-      if (key == "t_ns" && value.kind == TraceValue::Kind::kInt) {
-        out.t_ns = value.i;
-      } else if (key == "ev" && value.kind == TraceValue::Kind::kString) {
-        out.ev = std::move(value.s);
-      } else {
-        out.fields.emplace_back(std::move(key), std::move(value));
-      }
-      skip_ws();
-      if (consume(',')) {
-        skip_ws();
-        continue;
-      }
-      if (consume('}')) return finish(out);
-      return false;
-    }
-  }
-
- private:
-  bool finish(TraceEvent& out) {
-    skip_ws();
-    return pos_ == text_.size() && !out.ev.empty();
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          const auto res = std::from_chars(text_.data() + pos_,
-                                           text_.data() + pos_ + 4, code, 16);
-          if (res.ec != std::errc() || res.ptr != text_.data() + pos_ + 4) {
-            return false;
-          }
-          pos_ += 4;
-          // The tracer only escapes control characters this way; anything in
-          // the BMP below 0x80 maps to one byte.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else {
-            return false;  // outside the schema EventTracer emits
-          }
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;
-  }
-
-  bool parse_value(TraceValue& out) {
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '"') {
-      out.kind = TraceValue::Kind::kString;
-      return parse_string(out.s);
-    }
-    if (text_.substr(pos_).starts_with("true")) {
-      pos_ += 4;
-      out.kind = TraceValue::Kind::kBool;
-      out.b = true;
-      return true;
-    }
-    if (text_.substr(pos_).starts_with("false")) {
-      pos_ += 5;
-      out.kind = TraceValue::Kind::kBool;
-      out.b = false;
-      return true;
-    }
-    if (text_.substr(pos_).starts_with("null")) {
-      pos_ += 4;
-      out.kind = TraceValue::Kind::kInt;
-      out.i = 0;
-      return true;
-    }
-    return parse_number(out);
-  }
-
-  bool parse_number(TraceValue& out) {
-    const std::size_t start = pos_;
-    bool is_double = false;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty()) return false;
-    if (!is_double) {
-      std::int64_t value = 0;
-      const auto res =
-          std::from_chars(token.data(), token.data() + token.size(), value);
-      if (res.ec == std::errc() && res.ptr == token.data() + token.size()) {
-        out.kind = TraceValue::Kind::kInt;
-        out.i = value;
-        out.d = static_cast<double>(value);
-        return true;
-      }
-      // Fall through: integer overflow parses as double below.
-    }
-    double value = 0.0;
-    const auto res =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (res.ec != std::errc() || res.ptr != token.data() + token.size()) {
-      return false;
-    }
-    out.kind = TraceValue::Kind::kDouble;
-    out.d = value;
-    out.i = static_cast<std::int64_t>(value);
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 std::optional<TraceEvent> parse_trace_line(std::string_view line) {
   TraceEvent event;
-  Parser parser(line);
-  if (!parser.parse(event)) return std::nullopt;
-  return event;
-}
-
-ReadResult read_trace(std::istream& in) {
-  ReadResult result;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    auto event = parse_trace_line(line);
-    if (event.has_value()) {
-      result.events.push_back(std::move(*event));
-    } else {
-      ++result.malformed_lines;
-    }
+  try {
+    event.record = Json::parse(line);
+    // Throws unless t_ns is an integer in the int64 range.
+    event.t_ns = event.record["t_ns"].as_i64();
+    const Json& ev = event.record["ev"];
+    if (!ev.is_string() || ev.as_string().empty()) return std::nullopt;
+    event.ev = ev.as_string();
+  } catch (const JsonError&) {
+    return std::nullopt;
   }
-  return result;
+  return event;
 }
 
 }  // namespace themis::obs

@@ -1,39 +1,35 @@
 // Reader for the JSONL traces EventTracer writes.
 //
-// The schema is deliberately flat — one object per line, string keys, scalar
-// values (integer, double, bool, string) — so a small hand-rolled parser
-// covers it exactly; there is no external JSON dependency in the image.
-// Unknown event kinds and extra fields pass through untouched, so the
-// analyzer stays forward-compatible with new event types.
+// Each line is parsed with the repository's JSON codec (common/json.h), the
+// same strict parser the RPC gateway uses, and must be an object with an
+// integer `t_ns` and a non-empty string `ev`.  Every other field passes
+// through untouched, so unknown event kinds, extra fields and nested values
+// never break the analyzer; the accessors read scalar fields and fall back
+// on anything else.  Traces are read one line at a time (see analyze_trace),
+// so no event outlives its line.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
+
+#include "common/json.h"
 
 namespace themis::obs {
-
-struct TraceValue {
-  enum class Kind { kInt, kDouble, kBool, kString };
-  Kind kind = Kind::kInt;
-  std::int64_t i = 0;   ///< kInt (also set, truncated, for kDouble)
-  double d = 0.0;       ///< kDouble (also set for kInt)
-  bool b = false;
-  std::string s;
-};
 
 struct TraceEvent {
   std::int64_t t_ns = 0;
   std::string ev;
-  /// Remaining fields in line order (t_ns and ev are lifted out).
-  std::vector<std::pair<std::string, TraceValue>> fields;
+  /// The whole parsed line (t_ns and ev included).
+  Json record;
 
-  const TraceValue* field(std::string_view key) const;
+  /// An integer field, or `fallback` when it is absent, not an integer, or
+  /// past the int64 range.
   std::int64_t int_or(std::string_view key, std::int64_t fallback) const;
+  /// A non-negative integer field, or `fallback`.
+  std::uint64_t u64_or(std::string_view key, std::uint64_t fallback) const;
+  /// Any numeric field as a double, or `fallback`.
   double num_or(std::string_view key, double fallback) const;
   std::string_view str_or(std::string_view key,
                           std::string_view fallback) const;
@@ -42,12 +38,5 @@ struct TraceEvent {
 
 /// Parse one JSONL record.  Returns nullopt on malformed input.
 std::optional<TraceEvent> parse_trace_line(std::string_view line);
-
-struct ReadResult {
-  std::vector<TraceEvent> events;
-  std::size_t malformed_lines = 0;  ///< skipped (blank lines do not count)
-};
-
-ReadResult read_trace(std::istream& in);
 
 }  // namespace themis::obs

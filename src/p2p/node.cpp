@@ -92,11 +92,14 @@ std::shared_ptr<const consensus::KeyRegistry> consortium_keys(
   return registry;
 }
 
+/// Blocks behind the head where the fork-choice walk starts.
+constexpr std::uint64_t kFinalityDepth = 16;
+
 consensus::ChainCoreConfig core_config(const P2pNodeConfig& config) {
   consensus::ChainCoreConfig core;
   core.id = config.id;
   core.n_nodes = config.n_nodes;
-  core.finality_depth = config.finality_depth;
+  core.finality_depth = kFinalityDepth;
   core.use_signatures = true;
   core.check_work = true;
   core.checkpoint_interval = config.checkpoint_interval;
@@ -134,6 +137,8 @@ P2pNode::P2pNode(P2pNodeConfig config,
           }) {
   expects(config_.n_nodes >= 1, "p2p node set must be non-empty");
   expects(config_.id < config_.n_nodes, "node id out of range");
+  expects(config_.snapshot_interval == 0 || config_.checkpoint_interval > 0,
+          "snapshots need checkpoint finality");
   core_.set_body_check([this](const Block& block) {
     return state_.replay_body(core_.tree(), block);
   });
@@ -780,7 +785,7 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
   live_.ckpt_certs->inc(fx.certificates);
   for (const finality::CheckpointCertificate& cert : fx.finalized) {
     // Every downstream floor keys off the hard anchor from here on: state
-    // walks and pins, pool confirmation immutability, snapshots.
+    // walks, pool confirmation immutability, snapshots.
     state_.set_finalized_floor(core_.tree(), cert.block);
     reconciler_.set_finalized(cert.height, cert.block);
     obs::live::log_info(
@@ -802,10 +807,7 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
     reconciler_.on_head_change(core_.tree(), fx.old_head, core_.head(), pool_,
                                state_.state_at(core_.tree(), core_.head()));
   }
-  if (fx.head_changed || !fx.finalized.empty()) {
-    state_.maybe_snapshot(core_.tree(), core_.tracker().anchor(),
-                          core_.tracker().anchor_height(), store_.get());
-  }
+  if (!fx.finalized.empty()) state_.maybe_snapshot(store_.get());
   // Last: one call can move the head onto a block and finalize it, and the
   // reconcile above must still see that block's body in memory.
   if (store_ != nullptr) {

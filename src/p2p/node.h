@@ -82,11 +82,12 @@ struct P2pNodeConfig {
   /// Directory for durable state (blocks.dat); empty = memory only.
   std::filesystem::path datadir;
 
-  /// Write a state snapshot (datadir/state.snap) whenever the finalized
-  /// anchor has advanced this many blocks past the previous snapshot
-  /// (0 = never).  A valid snapshot found at start() is always restored,
-  /// re-rooting the tree at the snapshot block so restart cost is
-  /// O(snapshot + blocks since) instead of O(history).
+  /// Write a state snapshot (datadir/state.snap) whenever the certified
+  /// checkpoint floor has advanced this many blocks past the previous
+  /// snapshot (0 = never; needs checkpoint_interval > 0).  A valid snapshot
+  /// found at start() is always restored, re-rooting the tree at the
+  /// snapshot block so restart cost is O(snapshot + blocks since) instead of
+  /// O(history).
   std::uint64_t snapshot_interval = 0;
   /// After each snapshot, drop block-store records below the snapshot
   /// height.  A pruned node keeps serving sync for everything above its
@@ -97,8 +98,6 @@ struct P2pNodeConfig {
   /// so expected hashes per block = difficulty (T_0 = T_max convention).
   double difficulty = 20000.0;
   bool mine = true;
-
-  std::uint64_t finality_depth = 16;
 
   /// Checkpoint finality (src/finality): every `checkpoint_interval` heights
   /// the node signs and gossips a checkpoint vote; >2/3 of the consortium

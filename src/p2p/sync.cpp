@@ -1,5 +1,7 @@
 #include "p2p/sync.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace themis::p2p {
@@ -33,25 +35,35 @@ std::vector<BlockPtr> serve_range(const BlockTree& tree, const BlockHash& head,
                                   std::size_t max_blocks,
                                   std::size_t max_bytes) {
   expects(tree.contains(head), "serve head not in tree");
-  const std::vector<BlockHash> chain = tree.chain_to(head);
 
-  // The fork point: newest locator entry on our main chain.  Heights index
-  // straight into `chain`, so each candidate costs two lookups.
-  std::size_t start = 0;  // default: genesis (always common)
+  // The fork point: newest locator entry on our main chain.  The tree's
+  // root (genesis, or the snapshot block a restore re-rooted it at) is
+  // always on it; entries below the root are unknown and skipped.
+  BlockHash fork = tree.genesis_hash();
   for (const BlockHash& candidate : locator) {
-    if (!tree.contains(candidate)) continue;
-    const std::uint64_t height = tree.height(candidate);
-    if (height < chain.size() && chain[height] == candidate) {
-      start = static_cast<std::size_t>(height);
+    if (tree.contains(candidate) && tree.is_ancestor(candidate, head)) {
+      fork = candidate;
       break;
     }
   }
 
+  // Walk down from the head, keeping the main-chain blocks just above the
+  // fork point, then serve them oldest first.
+  const std::uint64_t fork_height = tree.height(fork);
+  const std::uint64_t last =
+      fork_height + std::min<std::uint64_t>(tree.height(head) - fork_height,
+                                            max_blocks);
+  std::vector<BlockHash> range;  // newest first
+  BlockHash cur = head;
+  for (std::uint64_t h = tree.height(head); h > fork_height; --h) {
+    if (h <= last) range.push_back(cur);
+    cur = *tree.parent(cur);
+  }
+
   std::vector<BlockPtr> out;
   std::size_t bytes = 0;
-  for (std::size_t i = start + 1; i < chain.size() && out.size() < max_blocks;
-       ++i) {
-    BlockPtr block = tree.body(chain[i]);
+  for (auto it = range.rbegin(); it != range.rend(); ++it) {
+    BlockPtr block = tree.body(*it);
     if (block == nullptr) break;  // released and pruned: nothing past it
     bytes += block->size_bytes();
     out.push_back(std::move(block));

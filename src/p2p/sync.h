@@ -31,10 +31,12 @@ std::vector<ledger::BlockHash> build_locator(const ledger::BlockTree& tree,
                                              const ledger::BlockHash& head);
 
 /// Serve a range request: find the newest locator hash that sits on OUR main
-/// chain (genesis matches every honest locator, so a fork point always
-/// exists) and return up to `max_blocks` blocks after it, in chain order,
-/// stopping early once `max_bytes` of encodings are queued, or before a
-/// block whose body the tree cannot produce (released, then pruned).
+/// chain (the tree's root when none does: genesis matches every honest
+/// locator, and a snapshot-rooted tree serves from its root) and return up
+/// to `max_blocks` blocks after it, in chain order, stopping early once
+/// `max_bytes` of encodings are queued, or before a block whose body the
+/// tree cannot produce (released, then pruned).  Costs the height gap
+/// between the head and the fork point, not the whole chain.
 /// Locator entries we have never seen, or that sit on a side branch of ours,
 /// are skipped — the requester's chain past the fork point is exactly what
 /// sync replaces.

@@ -52,10 +52,10 @@
 #include <cstdint>
 #include <string>
 
+#include "common/json.h"
 #include "obs/live/registry.h"
 #include "p2p/node.h"
 #include "rpc/http_server.h"
-#include "rpc/json.h"
 
 namespace themis::rpc {
 

@@ -114,34 +114,32 @@ ChainState::Proof ChainState::prove(const ledger::BlockTree& tree,
   return result;
 }
 
-void ChainState::maybe_snapshot(const ledger::BlockTree& tree,
-                                const ledger::BlockHash& anchor,
-                                std::uint64_t anchor_height,
-                                ledger::BlockStore* store) {
+void ChainState::maybe_snapshot(ledger::BlockStore* store) {
   if (snapshot_interval_ == 0 || snapshot_path_.empty()) return;
-  if (anchor_height < stats_.snapshot_height + snapshot_interval_) return;
+  const auto* floor = states_.floor();
+  if (floor == nullptr) return;
+  const std::uint64_t height = states_.finalized_floor();
+  if (height < stats_.snapshot_height + snapshot_interval_) return;
   authstate::Snapshot snap;
-  snap.height = anchor_height;
-  snap.block = anchor;
-  snap.state = states_.state_at(tree, anchor);
+  snap.height = height;
+  snap.block = floor->first;
+  snap.state = floor->second;
   if (!authstate::write_snapshot(snapshot_path_, snap)) {
-    obs::live::log_warn("chain", "snapshot write failed",
-                        {{"height", anchor_height}});
+    obs::live::log_warn("chain", "snapshot write failed", {{"height", height}});
     return;
   }
-  states_.pin_anchor(tree, anchor);
-  stats_.snapshot_height = anchor_height;
+  stats_.snapshot_height = height;
   ++stats_.snapshots_written;
   obs::live::log_info(
       "chain", "snapshot written",
-      {{"height", anchor_height},
+      {{"height", height},
        {"accounts", static_cast<std::uint64_t>(snap.state.live_accounts())}});
   if (prune_ && store != nullptr) {
-    const std::size_t removed = store->prune_below(anchor_height);
+    const std::size_t removed = store->prune_below(height);
     stats_.blocks_pruned += removed;
     if (removed > 0) {
       obs::live::log_info("chain", "pruned block store",
-                          {{"below", anchor_height},
+                          {{"below", height},
                            {"removed", static_cast<std::uint64_t>(removed)}});
     }
   }

@@ -2,7 +2,7 @@
 // state"): the StateManager, the replay rule block validation and the miner
 // share, the incrementally maintained head state root, balance proofs read
 // off its stored Merkle levels, and the snapshot policy (restore at start,
-// then write / pin / prune as the finalized anchor advances).
+// then write and prune as the certified checkpoint floor advances).
 //
 // P2pNode calls it only under its consensus mutex; bench/state_scale drives
 // the same restore() and prove().  Not thread safe.
@@ -84,18 +84,18 @@ class ChainState {
               ledger::NodeId id);
 
   /// Checkpoint finality reached `block`: its state becomes the floor walks
-  /// stop at, and anchors are never pinned below it.
+  /// stop at.
   void set_finalized_floor(const ledger::BlockTree& tree,
                            const ledger::BlockHash& block) {
     states_.set_finalized_floor(tree, block);
   }
 
-  /// Once `anchor` is an interval past the last snapshot: write its state,
-  /// pin it (so the next snapshot replays only the interval since) and, with
-  /// pruning, drop `store` records below it.
-  void maybe_snapshot(const ledger::BlockTree& tree,
-                      const ledger::BlockHash& anchor,
-                      std::uint64_t anchor_height, ledger::BlockStore* store);
+  /// Once the finalized floor is an interval past the last snapshot: write
+  /// the floor's state and, with pruning, drop `store` records below it.
+  /// Only a certified block is ever snapshotted, so a restart re-roots the
+  /// tree at a block no fork choice can abandon; without a floor, nothing is
+  /// written.
+  void maybe_snapshot(ledger::BlockStore* store);
 
  private:
   StateManager states_;

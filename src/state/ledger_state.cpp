@@ -208,7 +208,6 @@ const LedgerState& StateManager::cache_put(const ledger::BlockHash& block,
 }
 
 const LedgerState* StateManager::held(const ledger::BlockHash& block) const {
-  if (pinned_.has_value() && pinned_->first == block) return &pinned_->second;
   if (floor_.has_value() && floor_->first == block) return &floor_->second;
   return nullptr;
 }
@@ -272,7 +271,6 @@ void StateManager::reset_base(LedgerState base) {
   cache_.clear();
   lru_.clear();
   deltas_.clear();
-  pinned_.reset();
   floor_.reset();
 }
 
@@ -288,14 +286,6 @@ void StateManager::set_finalized_floor(const ledger::BlockTree& tree,
   std::erase_if(deltas_, [&](const auto& entry) {
     return !tree.contains(entry.first) || tree.height(entry.first) <= height;
   });
-}
-
-void StateManager::pin_anchor(const ledger::BlockTree& tree,
-                              const ledger::BlockHash& block) {
-  expects(tree.height(block) >= finalized_floor_,
-          "pin_anchor below the hard-finalized height");
-  const LedgerState& state = state_at(tree, block);
-  pinned_.emplace(block, state);
 }
 
 }  // namespace themis::state

@@ -236,24 +236,21 @@ class StateManager {
 
   /// Replace the base state (snapshot-restore path: the tree is re-rooted at
   /// the snapshot block and `base` is the state *after* executing it).
-  /// Clears all cached states, deltas, the pinned anchor and the floor.
+  /// Clears all cached states, deltas and the floor.
   void reset_base(LedgerState base);
 
-  /// Pin the state at `block` so LRU churn cannot evict it (single slot; a
-  /// new pin replaces the old).  The snapshot path pins each written anchor,
-  /// so the next snapshot replays only the blocks since the previous one
-  /// instead of the whole chain.  Throws PreconditionError when `block` sits
-  /// below the hard-finalized floor — an anchor below finality would let the
-  /// snapshot cursor regress onto a prefix finality already committed.
-  void pin_anchor(const ledger::BlockTree& tree, const ledger::BlockHash& block);
-
   /// Raise the hard-finality floor to checkpoint `block` (monotone: a lower
-  /// checkpoint is ignored).  Keeps its state, where walks from above stop,
-  /// drops the deltas at or below its height (and of blocks the tree does
-  /// not hold), and rejects anchor pins below it from here on.
+  /// checkpoint is ignored).  Keeps its state, where walks from above stop
+  /// (so LRU churn never costs a replay from below it), and drops the deltas
+  /// at or below its height (and of blocks the tree does not hold).
   void set_finalized_floor(const ledger::BlockTree& tree,
                            const ledger::BlockHash& block);
   std::uint64_t finalized_floor() const { return finalized_floor_; }
+  /// The floor's checkpoint block and the state after it; nullptr until a
+  /// floor is set (and again after reset_base).
+  const std::pair<ledger::BlockHash, LedgerState>* floor() const {
+    return floor_.has_value() ? &*floor_ : nullptr;
+  }
 
   /// The state the root of the tree materializes from (genesis allocation,
   /// or the restored snapshot after reset_base).
@@ -277,15 +274,13 @@ class StateManager {
   const LedgerState& cache_put(const ledger::BlockHash& block,
                                LedgerState state);
   void cache_touch(CacheEntry& entry);
-  /// The state held for `block` outside the cache (pinned anchor or floor).
+  /// The state held for `block` outside the cache (the floor's).
   const LedgerState* held(const ledger::BlockHash& block) const;
 
   LedgerState base_state_;
   std::unordered_map<ledger::BlockHash, CacheEntry, Hash32Hasher> cache_;
   std::list<ledger::BlockHash> lru_;  // front = most recently used
   std::unordered_map<ledger::BlockHash, StateDelta, Hash32Hasher> deltas_;
-  /// Single eviction-proof slot for the snapshot anchor (see pin_anchor).
-  std::optional<std::pair<ledger::BlockHash, LedgerState>> pinned_;
   /// The finalized checkpoint and its state (see set_finalized_floor).
   std::optional<std::pair<ledger::BlockHash, LedgerState>> floor_;
   std::uint64_t finalized_floor_ = 0;

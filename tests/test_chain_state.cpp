@@ -119,12 +119,18 @@ TEST_F(ChainStateTest, SnapshotRestorePlusSuffixEqualsFullReplay) {
   EXPECT_FALSE(full.stats().restored_from_snapshot);
   EXPECT_EQ(full.stats().store_replayed, ids.size());
 
-  // The snapshot policy writes at the anchor once the interval has passed.
+  // The snapshot policy writes the certified floor once it is an interval
+  // past the last snapshot, and nothing while no floor is set.
   ChainState writer(genesis(), dir_ / "state.snap", /*snapshot_interval=*/10);
   const ledger::BlockTree writer_tree = writer.restore(store);
-  writer.maybe_snapshot(writer_tree, ids[8], 9, &store);
+  writer.maybe_snapshot(&store);
+  EXPECT_EQ(writer.stats().snapshots_written, 0u) << "no finalized floor";
+  EXPECT_FALSE(fs::exists(dir_ / "state.snap"));
+  writer.set_finalized_floor(writer_tree, ids[8]);
+  writer.maybe_snapshot(&store);
   EXPECT_EQ(writer.stats().snapshots_written, 0u) << "below the interval";
-  writer.maybe_snapshot(writer_tree, ids[11], 12, &store);
+  writer.set_finalized_floor(writer_tree, ids[11]);
+  writer.maybe_snapshot(&store);
   EXPECT_EQ(writer.stats().snapshots_written, 1u);
   EXPECT_EQ(writer.stats().snapshot_height, 12u);
 

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/json.h"
 #include "obs/live/log.h"
 #include "obs/live/prometheus.h"
 #include "obs/live/registry.h"
@@ -21,6 +24,7 @@
 
 namespace live = themis::obs::live;
 using themis::Hash32;
+using themis::Json;
 
 namespace {
 
@@ -220,17 +224,27 @@ TEST(LiveLog, JsonRecordShape) {
   logger.set_level(live::LogLevel::info);
   logger.set_json(true);
   live::log_info("p2p", "peer ready",
-                 {{"node", std::uint64_t{3}}, {"ok", true}, {"name", "a\"b"}});
+                 {{"node", std::uint64_t{3}},
+                  {"ok", true},
+                  {"name", "a\"b"},
+                  {"third", 1.0 / 3.0},
+                  {"nan", std::nan("")}});
   const std::string line = sink.str();
   EXPECT_EQ(line.find("{\"ts\":\""), 0u);
-  EXPECT_NE(line.find("\"level\":\"info\""), std::string::npos);
-  EXPECT_NE(line.find("\"component\":\"p2p\""), std::string::npos);
-  EXPECT_NE(line.find("\"msg\":\"peer ready\""), std::string::npos);
-  EXPECT_NE(line.find("\"node\":3"), std::string::npos);
-  EXPECT_NE(line.find("\"ok\":true"), std::string::npos);
-  // Quote inside a value is escaped, keeping the line valid JSON.
-  EXPECT_NE(line.find("\"name\":\"a\\\"b\""), std::string::npos);
-  EXPECT_EQ(line.back(), '\n');
+  ASSERT_EQ(line.back(), '\n');
+  // The whole record is one JSON object, doubles exact and NaN as null.
+  const Json record =
+      Json::parse(std::string_view(line).substr(0, line.size() - 1));
+  EXPECT_TRUE(record["ts"].is_string());
+  EXPECT_EQ(record["level"].as_string(), "info");
+  EXPECT_EQ(record["component"].as_string(), "p2p");
+  EXPECT_EQ(record["msg"].as_string(), "peer ready");
+  EXPECT_EQ(record["node"].as_u64(), 3u);
+  EXPECT_TRUE(record["ok"].as_bool());
+  EXPECT_EQ(record["name"].as_string(), "a\"b");
+  EXPECT_EQ(record["third"].as_double(), 1.0 / 3.0);
+  EXPECT_TRUE(record.has("nan"));
+  EXPECT_TRUE(record["nan"].is_null());
 }
 
 TEST(LiveLog, HumanRecordShape) {

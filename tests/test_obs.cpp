@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "common/json.h"
 #include "obs/counters.h"
 #include "obs/observability.h"
 #include "obs/profile.h"
@@ -47,12 +48,16 @@ TEST(ObsTracer, WriteJsonlEmitsOneLinePerEvent) {
 }
 
 TEST(ObsTracer, DoubleFormattingRoundTrips) {
-  std::string out;
-  append_double(out, 0.1);
-  EXPECT_EQ(std::stod(out), 0.1);
-  out.clear();
-  append_double(out, 1.0 / 3.0);
-  EXPECT_EQ(std::stod(out), 1.0 / 3.0);
+  EventTracer tracer;
+  tracer.enable(true);
+  tracer.emit(SimTime::zero(), "d",
+              {Field::f64("a", 0.1), Field::f64("b", 1.0 / 3.0)});
+  ASSERT_EQ(tracer.size(), 1u);
+  EXPECT_EQ(tracer.lines()[0],
+            "{\"t_ns\":0,\"ev\":\"d\",\"a\":0.1,\"b\":0.3333333333333333}");
+  const Json line = Json::parse(tracer.lines()[0]);
+  EXPECT_EQ(line["a"].as_double(), 0.1);
+  EXPECT_EQ(line["b"].as_double(), 1.0 / 3.0);
 }
 
 TEST(ObsCounters, HistogramPercentilesNearestRank) {

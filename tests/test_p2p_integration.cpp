@@ -26,10 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
+#include "common/json.h"
 #include "finality/aggregation.h"
 #include "ledger/block_store.h"
 #include "rpc/gateway.h"
-#include "rpc/json.h"
 #include "state/authstate/merkle_state.h"
 #include "state/transfer.h"
 
@@ -348,12 +349,13 @@ TEST_F(P2pIntegrationTest, StateRootsAgreeAcrossNodes) {
 }
 
 TEST_F(P2pIntegrationTest, SnapshotPruneRestartServesVerifiedProofs) {
-  // A snapshotting+pruning node must: write snapshots as the anchor
+  // A one-member consortium certifies its own checkpoints.  A snapshotting
+  // and pruning node must write snapshots of the certified floor as it
   // advances, prune its store below them, restart from the snapshot instead
   // of genesis replay, and keep serving balance proofs that verify.
-  P2pNodeConfig config = base_config(0, 2);
+  ckpt_interval_ = 2;
+  P2pNodeConfig config = base_config(0, 1);
   config.mine = true;
-  config.finality_depth = 4;
   config.snapshot_interval = 2;
   config.prune = true;
   nodes_.resize(1);
@@ -373,9 +375,10 @@ TEST_F(P2pIntegrationTest, SnapshotPruneRestartServesVerifiedProofs) {
                stats.txs_confirmed >= 3;
       },
       240s))
-      << "snapshot must be written once the anchor advances";
+      << "snapshot must be written once the certified floor advances";
   node->set_mining(false);
-  const UInt128 expected_balance(node->config().genesis_fund + 300);
+  // Account 1 is not a member here, so genesis leaves it unfunded.
+  const UInt128 expected_balance(300);
   ASSERT_TRUE(wait_until(
       [&] { return node->account_info(1).balance == expected_balance; }, 60s));
 
@@ -384,14 +387,15 @@ TEST_F(P2pIntegrationTest, SnapshotPruneRestartServesVerifiedProofs) {
   node->stop();
   const auto pre = node->chain_stats();
   EXPECT_GE(pre.snapshot_height, 2u);
+  EXPECT_LE(pre.snapshot_height, pre.finalized_height)
+      << "only a certified block is snapshotted";
   EXPECT_GT(pre.blocks_pruned, 0u);
   nodes_[0].reset();
 
   // Restart from the same datadir: the snapshot re-roots the tree, so the
   // store's pruned prefix is never needed.
-  P2pNodeConfig restarted = base_config(0, 2);
+  P2pNodeConfig restarted = base_config(0, 1);
   restarted.mine = false;
-  restarted.finality_depth = 4;
   restarted.snapshot_interval = 2;
   restarted.prune = true;
   nodes_[0] = std::make_unique<P2pNode>(std::move(restarted));
@@ -411,6 +415,50 @@ TEST_F(P2pIntegrationTest, SnapshotPruneRestartServesVerifiedProofs) {
   EXPECT_EQ(bp.account.balance, expected_balance);
   EXPECT_TRUE(state::authstate::verify_account_proof(bp.state_root, 1,
                                                      bp.account, bp.proof));
+}
+
+TEST_F(P2pIntegrationTest, MemberWithoutQuorumNeverSnapshotsItsOwnBranch) {
+  // Member 0 of a four-member consortium mines alone: its votes never reach
+  // a quorum, so nothing is certified.  However far its branch runs, it
+  // must write no snapshot and prune nothing (a certificate could still
+  // switch it to another branch), and a restart replays the full store.
+  ckpt_interval_ = 2;
+  P2pNodeConfig config = base_config(0, 4);
+  config.mine = true;
+  config.snapshot_interval = 2;
+  config.prune = true;
+  nodes_.resize(1);
+  nodes_[0] = std::make_unique<P2pNode>(std::move(config));
+  P2pNode* node = nodes_[0].get();
+  ASSERT_TRUE(node->start());
+  ASSERT_TRUE(wait_until([&] { return node->head_height() > 40; }, 240s));
+  node->stop();
+  const auto pre = node->chain_stats();
+  const std::uint64_t height = node->head_height();
+  EXPECT_EQ(pre.finalized_height, 0u);
+  EXPECT_EQ(pre.snapshots_written, 0u);
+  EXPECT_EQ(pre.blocks_pruned, 0u);
+  EXPECT_FALSE(fs::exists(root_ / "node0" / "state.snap"));
+  nodes_[0].reset();
+
+  P2pNodeConfig restarted = base_config(0, 4);
+  restarted.mine = false;
+  restarted.snapshot_interval = 2;
+  restarted.prune = true;
+  nodes_[0] = std::make_unique<P2pNode>(std::move(restarted));
+  node = nodes_[0].get();
+  ASSERT_TRUE(node->start());
+  const auto stats = node->chain_stats();
+  EXPECT_FALSE(stats.restored_from_snapshot);
+  EXPECT_EQ(stats.store_replayed, height);
+  EXPECT_EQ(node->head_height(), height);
+}
+
+TEST_F(P2pIntegrationTest, SnapshotsNeedCheckpointFinality) {
+  ckpt_interval_ = 0;
+  P2pNodeConfig config = base_config(0, 1);
+  config.snapshot_interval = 2;
+  EXPECT_THROW(P2pNode node(std::move(config)), PreconditionError);
 }
 
 // --- checkpoint finality over real sockets -----------------------------------
@@ -599,9 +647,9 @@ std::string address_of(const P2pNode& node) {
 }
 
 /// One JSON-RPC call straight through Gateway::handle; returns the reply.
-rpc::Json rpc_call(rpc::Gateway& gateway, const std::string& method,
-                   rpc::Json params) {
-  rpc::Json body;
+Json rpc_call(rpc::Gateway& gateway, const std::string& method,
+                   Json params) {
+  Json body;
   body.set("jsonrpc", "2.0");
   body.set("id", 1);
   body.set("method", method);
@@ -610,7 +658,7 @@ rpc::Json rpc_call(rpc::Gateway& gateway, const std::string& method,
   request.method = "POST";
   request.target = "/";
   request.body = body.dump();
-  return rpc::Json::parse(gateway.handle(request).body);
+  return Json::parse(gateway.handle(request).body);
 }
 
 TEST_F(P2pIntegrationTest, FinalizedBodiesAreServedFromTheStore) {
@@ -710,21 +758,21 @@ TEST_F(P2pIntegrationTest, FinalizedBodiesAreServedFromTheStore) {
 
     // A finalized transfer still answers get_tx in full, and get_txs.
     rpc::Gateway gateway(*node);
-    rpc::Json::Array ids;
+    Json::Array ids;
     for (const ledger::Transaction& tx : transfers) {
       const auto status = node->tx_status(tx.id());
       ASSERT_EQ(status.state, P2pNode::TxStatusInfo::State::confirmed);
       EXPECT_LE(status.block_height, stats.finalized_height);
       ASSERT_TRUE(status.tx.has_value());
       EXPECT_EQ(*status.tx, tx);
-      ids.push_back(rpc::Json(to_hex(tx.id())));
+      ids.push_back(Json(to_hex(tx.id())));
     }
-    rpc::Json params;
-    params.set("ids", rpc::Json(std::move(ids)));
-    const rpc::Json reply = rpc_call(gateway, "get_txs", std::move(params));
-    const rpc::Json::Array& states = reply["result"]["states"].as_array();
+    Json params;
+    params.set("ids", Json(std::move(ids)));
+    const Json reply = rpc_call(gateway, "get_txs", std::move(params));
+    const Json::Array& states = reply["result"]["states"].as_array();
     ASSERT_EQ(states.size(), transfers.size());
-    for (const rpc::Json& state : states) {
+    for (const Json& state : states) {
       EXPECT_EQ(state.as_string(), "confirmed");
     }
   }
@@ -757,7 +805,6 @@ TEST_F(P2pIntegrationTest, ReleasedAndPrunedBlocksAreNotFound) {
   // the store: its body exists nowhere on this node any more.
   ckpt_interval_ = 2;
   P2pNodeConfig config = base_config(0, 1);
-  config.finality_depth = 4;
   config.snapshot_interval = 2;
   config.prune = true;
   nodes_.resize(1);
@@ -779,6 +826,9 @@ TEST_F(P2pIntegrationTest, ReleasedAndPrunedBlocksAreNotFound) {
       },
       240s));
   node->set_mining(false);
+  EXPECT_LE(node->chain_stats().snapshot_height,
+            node->chain_stats().finalized_height)
+      << "only a certified block is snapshotted";
 
   const auto status = node->tx_status(id);
   ASSERT_TRUE(status.block.has_value());
@@ -789,9 +839,9 @@ TEST_F(P2pIntegrationTest, ReleasedAndPrunedBlocksAreNotFound) {
   EXPECT_TRUE(node->block_info(node->head()).has_value());
 
   rpc::Gateway gateway(*node);
-  rpc::Json params;
+  Json params;
   params.set("height", status.block_height);
-  const rpc::Json reply = rpc_call(gateway, "get_block", std::move(params));
+  const Json reply = rpc_call(gateway, "get_block", std::move(params));
   ASSERT_TRUE(reply.has("error"));
   EXPECT_EQ(reply["error"]["message"].as_string(), "block not found");
 }
@@ -968,8 +1018,8 @@ TEST_F(P2pIntegrationTest, ObservabilityCountersAreFilled) {
   ASSERT_TRUE(wait_until([&] { return node.head_height() >= 2; }, 120s));
   node.stop();
 
-  const rpc::Json report = rpc::Json::parse(gateway.metrics().dump());
-  const rpc::Json& chain = report["chain"];
+  const Json report = Json::parse(gateway.metrics().dump());
+  const Json& chain = report["chain"];
   EXPECT_GE(chain["height"].as_u64(), 2u);
   EXPECT_GE(chain["blocks_produced"].as_u64(), 2u);
   EXPECT_GE(chain["store_blocks"].as_u64(), 2u);

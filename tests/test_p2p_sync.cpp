@@ -160,5 +160,40 @@ TEST(ServeRange, SideBranchLocatorEntriesAreSkipped) {
   EXPECT_EQ(served.front()->id(), responder.hash("c6"));
 }
 
+TEST(ServeRange, SnapshotRootedResponderServesFromTheForkPoint) {
+  // A restored node's tree is rooted at its snapshot block (c10 here), so
+  // its heights no longer start at 0.  A requester on the same chain at c35
+  // must get exactly c36..c40, and a batch cap must count from its fork
+  // point, not from the root.
+  TreeBuilder chain;
+  extend_chain(chain, 1, 40);
+  ledger::BlockTree responder(chain.get("c10"));
+  for (std::size_t i = 11; i <= 40; ++i) {
+    responder.insert(chain.get(test::numbered("c", i)));
+  }
+  ASSERT_EQ(responder.genesis_hash(), chain.hash("c10"));
+
+  const auto near = build_locator(chain.tree(), chain.hash("c35"));
+  const auto served =
+      serve_range(responder, chain.hash("c40"), near, 512, 1u << 30);
+  ASSERT_EQ(served.size(), 5u);
+  EXPECT_EQ(served.front()->id(), chain.hash("c36"));
+  EXPECT_EQ(served.back()->id(), chain.hash("c40"));
+
+  const auto behind = build_locator(chain.tree(), chain.hash("c12"));
+  const auto capped =
+      serve_range(responder, chain.hash("c40"), behind, 5, 1u << 30);
+  ASSERT_EQ(capped.size(), 5u);
+  EXPECT_EQ(capped.front()->id(), chain.hash("c13"));
+  EXPECT_EQ(capped.back()->id(), chain.hash("c17"));
+
+  // A locator entirely below the root is served from the root up.
+  const auto fresh = build_locator(chain.tree(), chain.hash("c4"));
+  const auto from_root =
+      serve_range(responder, chain.hash("c40"), fresh, 3, 1u << 30);
+  ASSERT_EQ(from_root.size(), 3u);
+  EXPECT_EQ(from_root.front()->id(), chain.hash("c11"));
+}
+
 }  // namespace
 }  // namespace themis::p2p

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -15,12 +16,12 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/json.h"
 #include "ledger/transaction.h"
 #include "p2p/node.h"
 #include "p2p/socket.h"
 #include "rpc/http_client.h"
 #include "rpc/http_server.h"
-#include "rpc/json.h"
 #include "state/authstate/merkle_state.h"
 #include "state/transfer.h"
 
@@ -61,6 +62,21 @@ TEST(RpcJson, ParseDumpRoundTripIsDeterministic) {
   EXPECT_EQ(v.dump(), v.dump());
   EXPECT_EQ(v["b"]["nested"].as_string(), "x");
   EXPECT_TRUE(v["missing"].is_null());
+
+  // Doubles dump in their shortest round-trip form and parse back exactly.
+  const std::pair<double, const char*> shortest[] = {
+      {0.1, "0.1"},
+      {1.0 / 3.0, "0.3333333333333333"},
+      {1e300, "1e+300"},
+      {5e-324, "5e-324"}};
+  for (const auto& [value, form] : shortest) {
+    const std::string dumped = Json(value).dump();
+    EXPECT_EQ(dumped, form);
+    EXPECT_EQ(Json::parse(dumped).as_double(), value) << form;
+  }
+  // JSON cannot spell NaN or infinity.
+  EXPECT_EQ(Json(std::nan("")).dump(), "null");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).dump(), "null");
 }
 
 TEST(RpcJson, DepthCapRejectsDeepNesting) {

@@ -178,26 +178,23 @@ TEST(StateManager, ForkGetsItsOwnState) {
   EXPECT_EQ(manager.state_at(b.tree(), right->id()).balance(1), 0u);
 }
 
-// Regression: a snapshot anchor pinned below the hard-finalized floor would
-// let the snapshot cursor regress onto a prefix the checkpoint overlay
-// already committed.
-TEST(StateManager, PinAnchorBelowFinalizedFloorRejected) {
+// The hard-finality floor only rises: a stale lower certificate cannot drop
+// it, and the floor keeps the state of its checkpoint block.
+TEST(StateManager, FinalizedFloorIsMonotone) {
   test::TreeBuilder b;
   b.add("a1", "g", 0);
   b.add("a2", "a1", 0);
   b.add("a3", "a2", 0);
   StateManager manager(std::map<ledger::NodeId, UInt128>{{0, 100}});
-  manager.pin_anchor(b.tree(), b.hash("a1"));  // no floor yet: fine
+  EXPECT_EQ(manager.floor(), nullptr);
 
   manager.set_finalized_floor(b.tree(), b.hash("a2"));
-  EXPECT_THROW(manager.pin_anchor(b.tree(), b.hash("a1")), PreconditionError);
-  manager.pin_anchor(b.tree(), b.hash("a2"));  // exactly at the floor: ok
-  manager.pin_anchor(b.tree(), b.hash("a3"));
-
-  // The floor is monotone; a stale lower certificate cannot drop it.
+  EXPECT_EQ(manager.finalized_floor(), 2u);
   manager.set_finalized_floor(b.tree(), b.hash("a1"));
   EXPECT_EQ(manager.finalized_floor(), 2u);
-  EXPECT_THROW(manager.pin_anchor(b.tree(), b.hash("a1")), PreconditionError);
+  ASSERT_NE(manager.floor(), nullptr);
+  EXPECT_EQ(manager.floor()->first, b.hash("a2"));
+  EXPECT_EQ(manager.floor()->second, manager.state_at(b.tree(), b.hash("a2")));
 }
 
 TEST(StateManager, GenesisState) {

@@ -1,10 +1,14 @@
 // Trace reader + analysis: JSONL parsing round-trips the tracer's output,
-// hand-built traces produce the expected summaries, and a real experiment's
-// trace yields per-epoch sigma_f^2 that matches the harness *exactly* (both
-// feed the same metrics code).
+// hand-built trace streams produce the expected summaries, and a real
+// experiment's trace yields per-epoch sigma_f^2 that matches the harness
+// *exactly* (both feed the same metrics code).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "obs/observability.h"
 #include "obs/trace.h"
@@ -17,7 +21,9 @@ namespace {
 
 TEST(TraceReader, ParsesAllScalarKinds) {
   const auto event = parse_trace_line(
-      R"({"t_ns":1500,"ev":"x","u":42,"i":-7,"f":0.25,"b":true,"s":"a\"b\\c"})");
+      R"({"t_ns":1500,"ev":"x","u":42,"i":-7,"f":0.25,"b":true,"s":"a\"b\\c",)"
+      R"("big":18446744073709551615,"huge":1e30,"esc":"\u0001\/",)"
+      R"("nested":{"u":1,"a":[2,{"s":"x"}]}})");
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->t_ns, 1500);
   EXPECT_EQ(event->ev, "x");
@@ -27,6 +33,19 @@ TEST(TraceReader, ParsesAllScalarKinds) {
   EXPECT_TRUE(event->bool_or("b", false));
   EXPECT_EQ(event->str_or("s", ""), "a\"b\\c");
   EXPECT_EQ(event->int_or("missing", -1), -1);
+  // Past the int64 range, or not integral: int_or falls back, num_or reads.
+  EXPECT_EQ(event->int_or("big", -1), -1);
+  EXPECT_EQ(event->u64_or("big", 0), 18446744073709551615ull);
+  EXPECT_EQ(event->num_or("big", 0.0), 18446744073709551615.0);
+  EXPECT_EQ(event->int_or("huge", -1), -1);
+  EXPECT_EQ(event->num_or("huge", 0.0), 1e30);
+  EXPECT_EQ(event->u64_or("i", 9), 9u);
+  EXPECT_EQ(event->str_or("esc", ""), "\x01/");
+  // A nested value parses; the scalar accessors pass over it.
+  EXPECT_EQ(event->int_or("nested", -1), -1);
+  EXPECT_EQ(event->num_or("nested", -1.0), -1.0);
+  EXPECT_EQ(event->str_or("nested", "none"), "none");
+  EXPECT_FALSE(event->bool_or("nested", false));
 }
 
 TEST(TraceReader, RejectsMalformedLines) {
@@ -34,6 +53,9 @@ TEST(TraceReader, RejectsMalformedLines) {
   EXPECT_FALSE(parse_trace_line("not json").has_value());
   EXPECT_FALSE(parse_trace_line(R"({"t_ns":1)").has_value());
   EXPECT_FALSE(parse_trace_line(R"({"t_ns":1,"x":2})").has_value());  // no ev
+  EXPECT_FALSE(parse_trace_line(R"({"t_ns":1,"ev":"a"} x)").has_value());
+  EXPECT_FALSE(parse_trace_line(R"([{"t_ns":1,"ev":"a"}])").has_value());
+  EXPECT_FALSE(parse_trace_line(R"({"t_ns":"1","ev":"a"})").has_value());
 }
 
 TEST(TraceReader, RoundTripsTracerOutput) {
@@ -42,19 +64,16 @@ TEST(TraceReader, RoundTripsTracerOutput) {
   tracer.emit(SimTime::nanos(12), "block_mined",
               {Field::u64("node", 3), Field::str("hash", "ab\"cd"),
                Field::f64("diff", 1.0 / 3.0), Field::boolean("ok", false)});
-  std::stringstream buf;
-  tracer.write_jsonl(buf);
+  ASSERT_EQ(tracer.size(), 1u);
 
-  const ReadResult result = read_trace(buf);
-  EXPECT_EQ(result.malformed_lines, 0u);
-  ASSERT_EQ(result.events.size(), 1u);
-  const TraceEvent& event = result.events[0];
-  EXPECT_EQ(event.t_ns, 12);
-  EXPECT_EQ(event.ev, "block_mined");
-  EXPECT_EQ(event.int_or("node", 0), 3);
-  EXPECT_EQ(event.str_or("hash", ""), "ab\"cd");
-  EXPECT_EQ(event.num_or("diff", 0.0), 1.0 / 3.0);  // exact round-trip
-  EXPECT_FALSE(event.bool_or("ok", true));
+  const auto event = parse_trace_line(tracer.lines()[0]);
+  ASSERT_TRUE(event.has_value());
+  EXPECT_EQ(event->t_ns, 12);
+  EXPECT_EQ(event->ev, "block_mined");
+  EXPECT_EQ(event->int_or("node", 0), 3);
+  EXPECT_EQ(event->str_or("hash", ""), "ab\"cd");
+  EXPECT_EQ(event->num_or("diff", 0.0), 1.0 / 3.0);  // exact round-trip
+  EXPECT_FALSE(event->bool_or("ok", true));
 }
 
 TEST(TraceReader, CountsMalformedAndSkipsBlank) {
@@ -62,9 +81,9 @@ TEST(TraceReader, CountsMalformedAndSkipsBlank) {
   buf << R"({"t_ns":1,"ev":"a"})" << "\n\n"
       << "garbage\n"
       << R"({"t_ns":2,"ev":"b"})" << "\n";
-  const ReadResult result = read_trace(buf);
-  EXPECT_EQ(result.events.size(), 2u);
-  EXPECT_EQ(result.malformed_lines, 1u);
+  const TraceSummary summary = analyze_trace(buf);
+  EXPECT_EQ(summary.total_events, 2u);
+  EXPECT_EQ(summary.malformed_lines, 1u);
 }
 
 TEST(TraceAnalysis, SummarizesHandBuiltTrace) {
@@ -88,10 +107,17 @@ TEST(TraceAnalysis, SummarizesHandBuiltTrace) {
       << R"({"t_ns":7000000000,"ev":"chain_block","height":1,"producer":0})"
       << "\n"
       << R"({"t_ns":7000000000,"ev":"chain_block","height":2,"producer":1})"
+      << "\n"
+      << R"({"t_ns":8000000000,"ev":"reorg","node":1,"depth":inf})"
       << "\n";
-  const ReadResult result = read_trace(buf);
-  ASSERT_EQ(result.malformed_lines, 0u);
-  const TraceSummary summary = analyze_trace(result.events);
+  const TraceSummary summary = analyze_trace(buf);
+  EXPECT_EQ(summary.malformed_lines, 1u) << "inf is not JSON";
+  EXPECT_EQ(summary.total_events, 10u);
+  const std::map<std::string, std::uint64_t> kinds{
+      {"block_mined", 1}, {"block_received", 2}, {"chain_block", 2},
+      {"gossip_dup", 1},  {"gossip_send", 1},    {"reorg", 2},
+      {"run_meta", 1}};
+  EXPECT_EQ(summary.event_counts, kinds);
 
   EXPECT_EQ(summary.algorithm, "themis");
   EXPECT_EQ(summary.n_nodes, 4u);
@@ -137,9 +163,11 @@ TEST(TraceAnalysis, SigmaF2MatchesExperimentExactly) {
 
   std::stringstream buf;
   obs.tracer.write_jsonl(buf);
-  const ReadResult result = read_trace(buf);
-  ASSERT_EQ(result.malformed_lines, 0u);
-  const TraceSummary summary = analyze_trace(result.events);
+  const TraceSummary summary = analyze_trace(buf);
+  ASSERT_EQ(summary.malformed_lines, 0u);
+  EXPECT_EQ(summary.total_events, obs.tracer.size());
+  EXPECT_EQ(summary.event_counts.at("chain_block"),
+            exp.main_chain_producers().size());
 
   EXPECT_EQ(summary.chain_producers, exp.main_chain_producers());
   const std::vector<double> expected = exp.per_epoch_frequency_variance();
@@ -149,14 +177,36 @@ TEST(TraceAnalysis, SigmaF2MatchesExperimentExactly) {
   }
 }
 
+// JSON has no NaN or infinity: the tracer writes such a field as null, so
+// the line stays an event and the field reads as absent.
+TEST(TraceAnalysis, NonFiniteTracerFieldsStayEvents) {
+  EventTracer tracer;
+  tracer.enable(true);
+  tracer.emit(SimTime::nanos(3), "retarget",
+              {Field::f64("new_base", std::nan("")),
+               Field::f64("hi", std::numeric_limits<double>::infinity()),
+               Field::f64("lo", -std::numeric_limits<double>::infinity())});
+  ASSERT_EQ(tracer.size(), 1u);
+  EXPECT_EQ(tracer.lines()[0],
+            R"({"t_ns":3,"ev":"retarget","new_base":null,"hi":null,"lo":null})");
+  std::stringstream buf;
+  tracer.write_jsonl(buf);
+  const TraceSummary summary = analyze_trace(buf);
+  EXPECT_EQ(summary.malformed_lines, 0u);
+  EXPECT_EQ(summary.total_events, 1u);
+  ASSERT_EQ(summary.base_difficulty_per_epoch.size(), 1u);
+  EXPECT_EQ(summary.base_difficulty_per_epoch[0], 0.0);  // num_or's fallback
+}
+
 TEST(TraceAnalysis, PrintSummaryMentionsEverySection) {
   std::stringstream buf;
   buf << R"({"t_ns":0,"ev":"run_meta","algorithm":"themis","n_nodes":2,"delta":1,"seed":1})"
       << "\n"
       << R"({"t_ns":5,"ev":"block_mined","node":0,"hash":"aa","height":1})"
       << "\n";
-  const ReadResult result = read_trace(buf);
-  const TraceSummary summary = analyze_trace(result.events);
+  const TraceSummary summary = analyze_trace(buf);
+  EXPECT_EQ(summary.malformed_lines, 0u);
+  EXPECT_EQ(summary.event_counts.at("block_mined"), 1u);
   std::ostringstream out;
   print_summary(out, summary);
   const std::string text = out.str();

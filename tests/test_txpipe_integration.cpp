@@ -22,12 +22,12 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/json.h"
 #include "obs/live/stage_tracker.h"
 #include "p2p/node.h"
 #include "rpc/gateway.h"
 #include "rpc/http_client.h"
 #include "rpc/http_server.h"
-#include "rpc/json.h"
 #include "state/ledger_state.h"
 
 namespace themis::rpc {

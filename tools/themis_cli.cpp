@@ -18,10 +18,10 @@
 
 #include "bench_util.h"
 #include "common/bytes.h"
+#include "common/json.h"
 #include "common/uint128.h"
 #include "finality/aggregation.h"
 #include "rpc/http_client.h"
-#include "rpc/json.h"
 #include "state/authstate/merkle_state.h"
 
 namespace {
@@ -70,9 +70,9 @@ Endpoint parse_endpoint(std::string_view spec) {
 }
 
 /// One JSON-RPC call; exits the process on transport failure.
-themis::rpc::Json call(themis::rpc::HttpClient& client,
-                       const std::string& method, themis::rpc::Json params) {
-  themis::rpc::Json request;
+themis::Json call(themis::rpc::HttpClient& client, const std::string& method,
+                  themis::Json params) {
+  themis::Json request;
   request.set("jsonrpc", "2.0");
   request.set("id", std::uint64_t{1});
   request.set("method", method);
@@ -83,15 +83,15 @@ themis::rpc::Json call(themis::rpc::HttpClient& client,
     std::exit(1);
   }
   try {
-    return themis::rpc::Json::parse(result->body);
-  } catch (const themis::rpc::JsonError& e) {
+    return themis::Json::parse(result->body);
+  } catch (const themis::JsonError& e) {
     std::cerr << "error: bad response: " << e.what() << "\n";
     std::exit(1);
   }
 }
 
 /// Print the result (or error) and return the process exit code.
-int finish(const themis::rpc::Json& response) {
+int finish(const themis::Json& response) {
   if (response.has("error")) {
     std::cout << response["error"].dump() << "\n";
     return 3;
@@ -107,7 +107,7 @@ int finish(const themis::rpc::Json& response) {
 /// so it works under tee, CI logs and scripts alike.
 int watch_loop(themis::rpc::HttpClient& client, std::uint64_t interval_sec,
                std::uint64_t count) {
-  using themis::rpc::Json;
+  using themis::Json;
   bool have_prev = false;
   double prev_confirmed = 0.0;
   double prev_submitted = 0.0;
@@ -176,7 +176,7 @@ int watch_loop(themis::rpc::HttpClient& client, std::uint64_t interval_sec,
       prev_confirmed = confirmed;
       prev_submitted = submitted;
       prev_when = now;
-    } catch (const themis::rpc::JsonError& e) {
+    } catch (const themis::JsonError& e) {
       std::cerr << "error: bad /metrics response: " << e.what() << "\n";
       return 1;
     }
@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
   rpc::HttpClient client(ep.host, ep.port);
 
   if (command == "submit") {
-    rpc::Json params;
+    Json params;
     if (const auto raw = parser.value("--raw")) {
       params.set("raw", std::string(*raw));
     } else {
@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
     const bool wait = parser.flag("--wait");
     const std::uint64_t timeout_sec = parser.value_u64("--timeout", 30);
 
-    const rpc::Json response = call(client, "submit_tx", std::move(params));
+    const Json response = call(client, "submit_tx", std::move(params));
     if (!wait || response.has("error")) return finish(response);
 
     // Poll get_tx until the node reports the transaction confirmed.
@@ -246,9 +246,9 @@ int main(int argc, char** argv) {
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(timeout_sec);
     while (std::chrono::steady_clock::now() < deadline) {
-      rpc::Json query;
+      Json query;
       query.set("id", id);
-      const rpc::Json status = call(client, "get_tx", std::move(query));
+      const Json status = call(client, "get_tx", std::move(query));
       if (status.has("error")) return finish(status);
       if (status["result"]["state"].as_string() == "confirmed") {
         return finish(status);
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
       std::cerr << "error: tx needs --id\n";
       return 2;
     }
-    rpc::Json params;
+    Json params;
     params.set("id", std::string(*id));
     return finish(call(client, "get_tx", std::move(params)));
   }
@@ -279,10 +279,10 @@ int main(int argc, char** argv) {
     }
     const std::uint64_t account_id = parser.value_u64("--account", 0);
     const bool prove = parser.flag("--prove");
-    rpc::Json params;
+    Json params;
     params.set("account", account_id);
     if (prove) params.set("prove", true);
-    const rpc::Json response = call(client, "get_balance", std::move(params));
+    const Json response = call(client, "get_balance", std::move(params));
     if (!prove || response.has("error")) return finish(response);
 
     // Verify the proof locally: decode the page, find the claimed account
@@ -292,21 +292,21 @@ int main(int argc, char** argv) {
     std::cout << response["result"].dump() << "\n";
     bool ok = false;
     try {
-      const rpc::Json& result = response["result"];
+      const Json& result = response["result"];
       const Hash32 root = hash_from_hex(result["state_root"].as_string());
       const auto balance =
           UInt128::from_decimal(result["balance"].as_string());
-      if (!balance.has_value()) throw rpc::JsonError("bad balance");
+      if (!balance.has_value()) throw JsonError("bad balance");
       state::Account claimed;
       claimed.balance = *balance;
       claimed.next_nonce = result["next_nonce"].as_u64();
-      const rpc::Json& pj = result["proof"];
+      const Json& pj = result["proof"];
       state::authstate::AccountProof proof;
       proof.page = static_cast<std::uint32_t>(pj["page"].as_u64());
       proof.page_count =
           static_cast<std::uint32_t>(pj["page_count"].as_u64());
       proof.page_bytes = from_hex(pj["page_bytes"].as_string());
-      for (const rpc::Json& step : pj["steps"].as_array()) {
+      for (const Json& step : pj["steps"].as_array()) {
         proof.steps.push_back(crypto::MerkleStep{
             hash_from_hex(step["sibling"].as_string()),
             step["left"].as_bool()});
@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
       if (ok) {
         // Cross-check the proven root against the node's status line; a
         // mismatch at the same head means the node contradicts itself.
-        const rpc::Json status = call(client, "status", rpc::Json());
+        const Json status = call(client, "status", Json());
         if (!status.has("error") &&
             status["result"]["head"].as_string() ==
                 result["head"].as_string() &&
@@ -340,7 +340,7 @@ int main(int argc, char** argv) {
   }
 
   if (command == "block") {
-    rpc::Json params;
+    Json params;
     if (const auto hash = parser.value("--hash")) {
       params.set("hash", std::string(*hash));
     } else if (parser.value("--height")) {
@@ -353,11 +353,11 @@ int main(int argc, char** argv) {
   }
 
   if (command == "checkpoint") {
-    rpc::Json params;
+    Json params;
     if (parser.value("--height")) {
       params.set("height", parser.value_u64("--height", 0));
     }
-    const rpc::Json response = call(client, "get_checkpoint", std::move(params));
+    const Json response = call(client, "get_checkpoint", std::move(params));
     const auto validators = parser.value("--validators");
     if (!validators || response.has("error")) return finish(response);
 
@@ -386,9 +386,9 @@ int main(int argc, char** argv) {
     return watch_loop(client, interval == 0 ? 1 : interval, count);
   }
 
-  if (command == "head") return finish(call(client, "get_head", rpc::Json()));
-  if (command == "status") return finish(call(client, "status", rpc::Json()));
-  if (command == "metrics") return finish(call(client, "metrics", rpc::Json()));
+  if (command == "head") return finish(call(client, "get_head", Json()));
+  if (command == "status") return finish(call(client, "status", Json()));
+  if (command == "metrics") return finish(call(client, "metrics", Json()));
 
   std::cerr << "error: unknown command '" << command << "'\n" << kUsage;
   return 2;

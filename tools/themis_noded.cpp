@@ -59,8 +59,9 @@ constexpr std::string_view kUsage =
     "  --genesis-fund=<n>    genesis balance per consortium account\n"
     "                        (default 1000000)\n"
     "  --snapshot-interval=<n>  write a verified state snapshot every n\n"
-    "                        finalized blocks (0 = disabled); restart\n"
-    "                        restores from it instead of replaying history\n"
+    "                        certified blocks (0 = disabled; needs\n"
+    "                        --ckpt-interval > 0); restart restores from it\n"
+    "                        instead of replaying history\n"
     "  --prune               with snapshots, drop block-store records below\n"
     "                        each snapshot height (bounded disk)\n"
     "  --max-block-txs=<n>   transactions per mined block cap (default 256)\n"
@@ -177,6 +178,11 @@ int main(int argc, char** argv) {
 
   if (config.id >= config.n_nodes) {
     std::cerr << "error: --id must be < --nodes\n";
+    return 2;
+  }
+  if (config.snapshot_interval > 0 && config.checkpoint_interval == 0) {
+    std::cerr << "error: --snapshot-interval needs checkpoint finality "
+                 "(--ckpt-interval > 0)\n";
     return 2;
   }
 

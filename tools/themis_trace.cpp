@@ -8,16 +8,14 @@
 //
 // The sigma_f^2 column is computed by the same metrics code the experiment
 // harness uses, so it matches PoxExperiment::per_epoch_frequency_variance()
-// exactly.
+// exactly.  Both modes read the trace in one streaming pass (see
+// obs/trace_analysis.h), so memory does not grow with the trace's length.
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/trace_analysis.h"
-#include "obs/trace_reader.h"
 
 namespace {
 
@@ -51,37 +49,33 @@ int main(int argc, char** argv) {
   }
   if (path.empty()) return usage(std::cerr, 2);
 
-  obs::ReadResult trace;
+  obs::TraceSummary summary;
   if (path == "-") {
-    trace = obs::read_trace(std::cin);
+    summary = obs::analyze_trace(std::cin);
   } else {
     std::ifstream in(path);
     if (!in) {
       std::cerr << "themis-trace: cannot open " << path << "\n";
       return 1;
     }
-    trace = obs::read_trace(in);
+    summary = obs::analyze_trace(in);
   }
-  if (trace.malformed_lines > 0) {
-    std::cerr << "themis-trace: skipped " << trace.malformed_lines
+  if (summary.malformed_lines > 0) {
+    std::cerr << "themis-trace: skipped " << summary.malformed_lines
               << " malformed line(s)\n";
   }
-  if (trace.events.empty()) {
+  if (summary.total_events == 0) {
     std::cerr << "themis-trace: no events in " << path << "\n";
     return 1;
   }
 
   if (events_only) {
-    std::map<std::string, std::uint64_t> counts;
-    for (const obs::TraceEvent& event : trace.events) ++counts[event.ev];
-    for (const auto& [kind, count] : counts) {
+    for (const auto& [kind, count] : summary.event_counts) {
       std::cout << kind << ": " << count << "\n";
     }
-    std::cout << "total: " << trace.events.size() << "\n";
+    std::cout << "total: " << summary.total_events << "\n";
     return 0;
   }
-
-  const obs::TraceSummary summary = obs::analyze_trace(trace.events);
   obs::print_summary(std::cout, summary);
   return 0;
 }
