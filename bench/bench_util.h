@@ -8,8 +8,8 @@
 //                     0/absent = the driver's historical default)
 //   --threads <N>     worker threads for the trial runner (also --threads=<N>;
 //                     0 = one per hardware thread, default 1)
-//   --trace=<path>    write a JSONL event trace of the base-seed run
-//   --report[=<path>] print an end-of-run counters/histograms report
+//   --trace=<path>    stream a JSONL event trace of the base-seed run
+//   --report[=<path>] print the run's metrics as Prometheus text at the end
 //                     (stderr without a path, so stdout stays diffable)
 // and prints the paper's rows/series for one figure or table.
 //
@@ -216,7 +216,12 @@ struct BenchArgs {
     parser.reject_unknown(kUsage);
     if (!args.trace_path.empty() || args.report) {
       args.observability = std::make_shared<obs::Observability>();
-      args.observability->tracer.enable(!args.trace_path.empty());
+      if (!args.trace_path.empty() &&
+          !args.observability->tracer.open(args.trace_path)) {
+        std::cerr << "error: cannot open trace file '" << args.trace_path
+                  << "'\n";
+        std::exit(2);
+      }
     }
     return args;
   }
@@ -283,14 +288,14 @@ class WallTimer {
       std::chrono::steady_clock::now();
 };
 
-/// Flush the observability outputs a driver asked for: the JSONL trace file
-/// and the end-of-run report (stderr, or the --report=<path> file).  A no-op
-/// when neither flag was given.
+/// Finish the observability outputs a driver asked for: close the JSONL
+/// trace file and write the end-of-run report (stderr, or the
+/// --report=<path> file).  A no-op when neither flag was given.
 inline void write_observability_outputs(const BenchArgs& args) {
   if (!args.observability) return;
-  const obs::Observability& o = *args.observability;
+  obs::Observability& o = *args.observability;
   if (!args.trace_path.empty()) {
-    if (o.tracer.write_file(args.trace_path)) {
+    if (o.tracer.close()) {
       std::cerr << "[bench] trace: " << args.trace_path << " ("
                 << o.tracer.size() << " events)\n";
     } else {

@@ -1,5 +1,7 @@
 #include "consensus/node.h"
 
+#include <string>
+
 #include "common/check.h"
 #include "consensus/wire.h"
 
@@ -41,7 +43,6 @@ PowNode::PowNode(net::Simulation& sim, net::GossipNetwork& network,
     prof_mine_ = &obs_->profiler.scope("consensus.mine_block");
     prof_accept_ = &obs_->profiler.scope("consensus.accept_block");
     core_.set_profile(&obs_->profiler.scope("consensus.update_head"));
-    reorg_depths_ = &obs_->counters.histogram("consensus.reorg_depth");
   }
 }
 
@@ -163,8 +164,15 @@ void PowNode::react(const ChainCore::Effects& fx) {
   if (fx.reorg) {
     ++reorgs_;
     if (obs_ != nullptr) {
+      // One counter per exact depth; reorgs are rare, so the registry's
+      // find-or-create lookup is paid per reorg instead of being cached.
       if (fx.reorg_depth > 0) {
-        reorg_depths_->record(static_cast<double>(fx.reorg_depth));
+        obs_->registry
+            .counter("themis_sim_reorgs_total{depth=\"" +
+                         std::to_string(fx.reorg_depth) + "\"}",
+                     "Simulated head moves that abandoned `depth` blocks, "
+                     "summed over nodes.")
+            .inc();
       }
       if (obs_->tracer.enabled()) {
         obs_->tracer.emit(sim_.now(), "reorg",

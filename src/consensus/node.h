@@ -140,13 +140,12 @@ class PowNode {
 
   // Observability (null when the simulation has no bundle attached — the
   // default — so every hook below is one predictable branch).  The profiling
-  // stats and histogram are resolved once here; hot paths never do the
-  // string-keyed registry lookup.  The update-head scope is handed to the
-  // core, which runs HeadTracker::on_insert.
+  // stats are resolved once here; hot paths never do the string-keyed
+  // lookup.  The update-head scope is handed to the core, which runs
+  // HeadTracker::on_insert.
   obs::Observability* obs_ = nullptr;
   obs::ScopeStat* prof_mine_ = nullptr;    ///< on_block_found
   obs::ScopeStat* prof_accept_ = nullptr;  ///< a block's core call + react
-  obs::Histogram* reorg_depths_ = nullptr;
 };
 
 }  // namespace themis::consensus

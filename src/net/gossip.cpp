@@ -101,17 +101,13 @@ void GossipNetwork::deliver(PeerId from, PeerId to,
                             std::shared_ptr<const Message> msg) {
   if (drop_filter_ && drop_filter_(from, to, *msg)) return;
   const SimTime arrival = links_.enqueue_send(from, sim_.now(), msg->size_bytes);
-  if (obs::Observability* o = sim_.obs()) {
-    obs::LinkStat& link = o->counters.link(from, to);
-    ++link.messages;
-    link.bytes += msg->size_bytes;
-    if (o->tracer.enabled()) {
-      o->tracer.emit(sim_.now(), "gossip_send",
-                     {obs::Field::u64("from", from), obs::Field::u64("to", to),
-                      obs::Field::u64("msg", msg->id),
-                      obs::Field::u64("type", msg->type),
-                      obs::Field::u64("bytes", msg->size_bytes)});
-    }
+  if (obs::Observability* o = sim_.obs();
+      o != nullptr && o->tracer.enabled()) {
+    o->tracer.emit(sim_.now(), "gossip_send",
+                   {obs::Field::u64("from", from), obs::Field::u64("to", to),
+                    obs::Field::u64("msg", msg->id),
+                    obs::Field::u64("type", msg->type),
+                    obs::Field::u64("bytes", msg->size_bytes)});
   }
   // 32-byte capture (this, endpoints, shared message) — stays inline in the
   // event arena; the whole fanout shares one immutable Message.

@@ -1,9 +1,10 @@
-// Lock-free metrics for the live node.
+// Lock-free metrics for the live node, and the simulator's registry too.
 //
-// The simulator's obs::Counters is a map-keyed, allocating registry driven by
-// exactly one thread per run.  The daemon's hot paths — the miner, and the
-// PeerManager reader threads and RPC connection threads that admit
-// transactions — are concurrent, so they get their own primitives:
+// The daemon's hot paths — the miner, and the PeerManager reader threads and
+// RPC connection threads that admit transactions — are concurrent, so the
+// primitives are atomics.  The simulator records into the same registry
+// (obs::Observability), one thread per run, so a figure's --report and a
+// daemon's /metrics.prom are one format:
 //
 //   * Counter / Gauge: one cache-line-padded atomic each.  Bumps are a single
 //     relaxed fetch_add — wait-free, no false sharing between neighbours.

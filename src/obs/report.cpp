@@ -1,89 +1,19 @@
 #include "obs/report.h"
 
-#include <algorithm>
-#include <iomanip>
-#include <vector>
+#include "obs/live/prometheus.h"
 
 namespace themis::obs {
 
-namespace {
-
-void write_links(std::ostream& out, const Counters& counters) {
-  const auto& links = counters.links();
-  if (links.empty()) return;
-  std::uint64_t total_msgs = 0;
-  std::uint64_t total_bytes = 0;
-  for (const auto& [key, stat] : links) {
-    total_msgs += stat.messages;
-    total_bytes += stat.bytes;
-  }
-  out << "links: " << links.size() << " directed links, " << total_msgs
-      << " messages, " << total_bytes << " bytes\n";
-
-  // Busiest links by bytes (ties broken by the (from, to) key so the listing
-  // is deterministic).
-  using Entry = std::pair<std::pair<std::uint32_t, std::uint32_t>, LinkStat>;
-  std::vector<Entry> busiest(links.begin(), links.end());
-  std::sort(busiest.begin(), busiest.end(), [](const Entry& a, const Entry& b) {
-    if (a.second.bytes != b.second.bytes) return a.second.bytes > b.second.bytes;
-    return a.first < b.first;
-  });
-  const std::size_t top = std::min<std::size_t>(busiest.size(), 5);
-  for (std::size_t i = 0; i < top; ++i) {
-    const auto& [key, stat] = busiest[i];
-    out << "  link " << key.first << " -> " << key.second << ": "
-        << stat.messages << " msgs, " << stat.bytes << " bytes\n";
-  }
-}
-
-}  // namespace
-
 void write_report(std::ostream& out, const Observability& obs) {
-  out << "== run report ==\n";
-
-  if (!obs.counters.counters().empty()) {
-    out << "-- counters --\n";
-    for (const auto& [name, value] : obs.counters.counters()) {
-      out << "  " << name << " = " << value << "\n";
-    }
-  }
-
-  if (!obs.counters.histograms().empty()) {
-    out << "-- histograms --\n";
-    for (const auto& [name, h] : obs.counters.histograms()) {
-      out << "  " << name << ": n=" << h.count();
-      if (h.count() > 0) {
-        out << " mean=" << h.mean() << " p50=" << h.percentile(50)
-            << " p90=" << h.percentile(90) << " p99=" << h.percentile(99)
-            << " max=" << h.max();
-      }
-      out << "\n";
-    }
-  }
-
-  if (!obs.counters.series().empty()) {
-    out << "-- series --\n";
-    for (const auto& [name, values] : obs.counters.series()) {
-      out << "  " << name << ":";
-      for (const double v : values) out << ' ' << v;
-      out << "\n";
-    }
-  }
-
-  if (!obs.counters.links().empty()) {
-    out << "-- gossip traffic --\n";
-    write_links(out, obs.counters);
-  }
-
+  out << live::render_prometheus(obs.registry);
   if (!obs.profiler.scopes().empty()) {
-    out << "-- profile (wall clock; not reproducible) --\n";
+    out << "# profile (wall clock; not reproducible)\n";
     for (const auto& [name, stat] : obs.profiler.scopes()) {
-      out << "  " << name << ": calls=" << stat.calls << " total="
-          << stat.total_ms() << "ms ns/call=" << stat.ns_per_call() << "\n";
+      out << "# " << name << ": calls=" << stat.calls
+          << " total=" << stat.total_ms() << "ms ns/call="
+          << stat.ns_per_call() << "\n";
     }
   }
-
-  out << "trace events buffered: " << obs.tracer.size() << "\n";
 }
 
 }  // namespace themis::obs

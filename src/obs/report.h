@@ -7,10 +7,10 @@
 
 namespace themis::obs {
 
-/// Human-readable run report: counters, histograms (count/mean/percentiles),
-/// per-epoch series, gossip link-traffic summary and wall-clock profile
-/// scopes.  Deterministic iteration order (everything is in ordered maps);
-/// only the profile section contains wall-clock (non-reproducible) numbers.
+/// The run's registry as Prometheus text (obs/live/prometheus.h), the same
+/// format a daemon serves at /metrics.prom, followed by the wall-clock
+/// profile scopes as `#` comment lines.  Every sample line is deterministic;
+/// only the profile comments hold wall-clock (non-reproducible) numbers.
 void write_report(std::ostream& out, const Observability& obs);
 
 }  // namespace themis::obs

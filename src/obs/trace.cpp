@@ -1,16 +1,32 @@
 #include "obs/trace.h"
 
-#include <fstream>
-
 #include "common/json.h"
 
 namespace themis::obs {
 
+bool EventTracer::open(const std::string& path) {
+  file_.open(path, std::ios::out | std::ios::trunc);
+  if (!file_) return false;
+  sink_ = &file_;
+  enabled_ = true;
+  return true;
+}
+
+bool EventTracer::close() {
+  if (!file_.is_open()) return true;
+  enabled_ = false;
+  sink_ = nullptr;
+  file_.close();
+  return !file_.fail();
+}
+
 void EventTracer::emit(SimTime t, std::string_view ev,
                        std::initializer_list<Field> fields) {
   if (!enabled_) return;
-  std::string line;
-  line.reserve(64 + 24 * fields.size());
+  ++count_;
+  if (sink_ == nullptr) return;
+  std::string& line = line_;
+  line.clear();
   line += "{\"t_ns\":";
   line += std::to_string(t.count_nanos());
   line += ",\"ev\":";
@@ -37,19 +53,8 @@ void EventTracer::emit(SimTime t, std::string_view ev,
         break;
     }
   }
-  line += '}';
-  lines_.push_back(std::move(line));
-}
-
-void EventTracer::write_jsonl(std::ostream& out) const {
-  for (const std::string& line : lines_) out << line << '\n';
-}
-
-bool EventTracer::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_jsonl(out);
-  return static_cast<bool>(out);
+  line += "}\n";
+  sink_->write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
 }  // namespace themis::obs

@@ -1,13 +1,14 @@
-// Structured event tracing for the discrete-event simulator.
+// Structured event tracing for the discrete-event simulator and the daemon.
 //
 // EventTracer records typed events as JSONL (one flat JSON object per line),
 // keyed by simulated time in integer nanoseconds (`t_ns`), so traces are
 // exact, diffable and mergeable.  Each line is written field by field, in
 // call order, with the shared writers of common/json.h: doubles in their
 // shortest round-trip form, and NaN or ±inf as null, so every line is JSON
-// that obs/trace_reader.h (Json::parse) reads back.  Records are
-// pre-rendered into an in-memory buffer and written out once at the end of a
-// run — tracing never does I/O from inside the event loop and never perturbs
+// that obs/trace_reader.h (Json::parse) reads back.  The sink is set before
+// the run — a file (open) for the bench drivers and themis-noded, any
+// std::ostream (set_sink) for tests — and emit() appends each record to it
+// at once, so memory does not grow with the trace.  Tracing never perturbs
 // simulation state, so a traced run is bit-identical to an untraced one.
 //
 // Zero overhead when disabled: every emission site guards on `enabled()`
@@ -16,11 +17,11 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <initializer_list>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/sim_time.h"
 
@@ -78,25 +79,41 @@ struct Field {
 
 class EventTracer {
  public:
+  EventTracer() = default;
+  // open() points the sink at this object's own file.
+  EventTracer(const EventTracer&) = delete;
+  EventTracer& operator=(const EventTracer&) = delete;
+
   void enable(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
+
+  /// Append every later record to `sink` (not owned) and enable tracing;
+  /// null detaches the sink and stops tracing.
+  void set_sink(std::ostream* sink) {
+    sink_ = sink;
+    enabled_ = sink != nullptr;
+  }
+  /// Truncate `path`, make it the sink and enable tracing; false, with the
+  /// tracer left as it was, when the file cannot be opened.
+  bool open(const std::string& path);
+  /// Flush and close the file open() made the sink, and stop tracing; false
+  /// when a write failed.
+  bool close();
 
   /// Append one record: {"t_ns":<t>,"ev":"<ev>",<fields...>}.  A no-op when
   /// the tracer is disabled, but call sites should still guard on enabled()
   /// so argument evaluation (hash hex-encoding etc.) is skipped too.
   void emit(SimTime t, std::string_view ev, std::initializer_list<Field> fields);
 
-  std::size_t size() const { return lines_.size(); }
-  const std::vector<std::string>& lines() const { return lines_; }
-
-  /// Write the buffered records as JSONL.
-  void write_jsonl(std::ostream& out) const;
-  /// Convenience: write to a file path; returns false on I/O failure.
-  bool write_file(const std::string& path) const;
+  /// Records emitted while enabled.
+  std::size_t size() const { return count_; }
 
  private:
   bool enabled_ = false;
-  std::vector<std::string> lines_;
+  std::ostream* sink_ = nullptr;
+  std::ofstream file_;
+  std::string line_;  ///< render buffer, reused by every emit
+  std::size_t count_ = 0;
 };
 
 }  // namespace themis::obs

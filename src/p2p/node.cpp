@@ -202,6 +202,23 @@ P2pNode::P2pNode(P2pNodeConfig config,
   live_.ckpt_certs = &r.counter(
       "themis_finality_certificates_total",
       "Checkpoint quorums completed locally (certificates formed).");
+  live_.reorgs_refused_finality = &r.counter(
+      "themis_reorgs_refused_finality_total",
+      "Head moves refused because they would revert finalized blocks.");
+  live_.block_invs_received = &r.counter(
+      "themis_block_invs_received_total", "Block ids announced by peers.");
+  live_.block_invs_redundant = &r.counter(
+      "themis_block_invs_redundant_total", "Announced blocks already held.");
+  live_.tx_invs_received = &r.counter(
+      "themis_tx_invs_received_total", "Transaction ids announced by peers.");
+  live_.tx_invs_redundant = &r.counter(
+      "themis_tx_invs_redundant_total", "Announced txs already known.");
+  live_.sync_rounds = &r.counter("themis_sync_rounds_total",
+                                 "Chain-sync (getblocks) requests issued.");
+  live_.txs_relayed = &r.counter("themis_tx_relayed_total",
+                                 "Full transactions served to peers.");
+  live_.txs_received = &r.counter("themis_tx_received_total",
+                                  "Full transactions received over the wire.");
   live_.block_submit = &r.histogram(
       "themis_block_submit_seconds",
       "Latency of block validate + insert + head update + pool reconcile.");
@@ -382,8 +399,8 @@ void P2pNode::request_sync(Peer& peer) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     request.locator = build_locator(core_.tree(), core_.head());
-    ++stats_.sync_rounds;
   }
+  live_.sync_rounds->inc();
   request.max_blocks = static_cast<std::uint32_t>(kMaxSyncBlocks);
   peer.send_frame(consensus::kP2pGetBlocks, request.encode());
 }
@@ -428,10 +445,11 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload, bool txs) {
   const InvMsg inv = InvMsg::decode(payload);  // tx ids are Hash32 like blocks
   InvMsg want;
   const std::int64_t now = steady_ms();
+  (txs ? live_.tx_invs_received : live_.block_invs_received)
+      ->inc(inv.hashes.size());
+  std::uint64_t redundant = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    (txs ? stats_.tx_invs_received : stats_.invs_received) +=
-        inv.hashes.size();
     // Sweep at most once per retry window, so a table of live entries is not
     // rescanned on every announcement.
     if (requested_.size() > kMaxRequestsInFlight &&
@@ -445,7 +463,7 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload, bool txs) {
       const bool known = txs ? pool_.contains(h) || reconciler_.confirmed(h)
                              : core_.tree().contains(h);
       if (known) {
-        ++(txs ? stats_.tx_invs_redundant : stats_.invs_redundant);
+        ++redundant;
         continue;
       }
       const auto [it, fresh] = requested_.try_emplace(h, now);
@@ -458,6 +476,7 @@ void P2pNode::handle_inv(Peer& peer, ByteSpan payload, bool txs) {
       want.hashes.push_back(h);
     }
   }
+  (txs ? live_.tx_invs_redundant : live_.block_invs_redundant)->inc(redundant);
   for (const Hash32& h : inv.hashes) peer.mark_known(h);
   if (!want.hashes.empty()) {
     peer.send_frame(txs ? consensus::kP2pGetTxData : consensus::kP2pGetData,
@@ -575,10 +594,7 @@ void P2pNode::handle_get_txdata(Peer& peer, ByteSpan payload) {
     batch.txs.push_back(std::move(encoded));
   }
   flush_batch();
-  if (served > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.txs_relayed += served;
-  }
+  live_.txs_relayed->inc(served);
 }
 
 void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
@@ -590,10 +606,7 @@ void P2pNode::handle_tx_batch(Peer& peer, ByteSpan payload) {
     stxs.push_back(ledger::SignedTransaction::decode(raw));
     peer.mark_known(stxs.back().tx.id());
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.txs_received += stxs.size();
-  }
+  live_.txs_received->inc(stxs.size());
   // The whole frame enters admission as one verification batch.  Its ids
   // stay in requested_ until admit_stateful settles them, so an inv for one
   // of them during verification fetches nothing.
@@ -778,7 +791,7 @@ void P2pNode::absorb_locked(const consensus::ChainCore::Effects& fx) {
          {"height", block->header().height},
          {"producer", static_cast<std::uint64_t>(block->header().producer)}});
   }
-  if (fx.below_finalized) ++stats_.reorgs_refused_finality;
+  if (fx.below_finalized) live_.reorgs_refused_finality->inc();
   if (fx.reorg) live_.reorgs->inc();
   if (fx.head_changed) live_.head_changes->inc();
   live_.ckpt_votes_sent->inc(fx.votes.size());
@@ -969,7 +982,6 @@ P2pNode::ChainStats P2pNode::chain_stats() const {
   ChainStats s;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    s = stats_;
     static_cast<state::ChainState::Stats&>(s) = state_.stats();
     const state::PoolReconciler::Stats& rec = reconciler_.totals();
     s.txs_confirmed = rec.confirmed;
@@ -995,6 +1007,15 @@ P2pNode::ChainStats P2pNode::chain_stats() const {
   s.ckpt_votes_accepted = live_.ckpt_votes_accepted->get();
   s.ckpt_votes_rejected = live_.ckpt_votes_rejected->get();
   s.ckpt_certs_formed = live_.ckpt_certs->get();
+  s.reorgs_refused_finality = live_.reorgs_refused_finality->get();
+  // Each redundant count is read before its total, which is bumped first.
+  s.invs_redundant = live_.block_invs_redundant->get();
+  s.invs_received = live_.block_invs_received->get();
+  s.tx_invs_redundant = live_.tx_invs_redundant->get();
+  s.tx_invs_received = live_.tx_invs_received->get();
+  s.sync_rounds = live_.sync_rounds->get();
+  s.txs_relayed = live_.txs_relayed->get();
+  s.txs_received = live_.txs_received->get();
   return s;
 }
 

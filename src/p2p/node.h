@@ -389,9 +389,6 @@ class P2pNode {
   mutable state::ChainState state_;
   /// Confirmed-tx index + pool/chain reconciliation across head changes.
   state::PoolReconciler reconciler_;
-  /// Only the inventory, relay, sync and refused-reorg counts, which live
-  /// nowhere else; chain_stats() reads every other field from its one store.
-  ChainStats stats_;
   /// Pending transactions: written by TxAdmission's stateful stage and the
   /// reconciler, read by the miner, relay and observers.
   ledger::TxPool pool_;
@@ -432,6 +429,14 @@ class P2pNode {
     obs::live::Counter* ckpt_votes_accepted = nullptr;
     obs::live::Counter* ckpt_votes_rejected = nullptr;
     obs::live::Counter* ckpt_certs = nullptr;
+    obs::live::Counter* reorgs_refused_finality = nullptr;
+    obs::live::Counter* block_invs_received = nullptr;
+    obs::live::Counter* block_invs_redundant = nullptr;
+    obs::live::Counter* tx_invs_received = nullptr;
+    obs::live::Counter* tx_invs_redundant = nullptr;
+    obs::live::Counter* sync_rounds = nullptr;
+    obs::live::Counter* txs_relayed = nullptr;
+    obs::live::Counter* txs_received = nullptr;
     obs::live::Histogram* block_submit = nullptr;
   } live_;
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <string_view>
 
 #include "common/bytes.h"
 #include "common/check.h"
@@ -15,6 +17,31 @@ using consensus::NodeConfig;
 using consensus::PowNode;
 using core::Algorithm;
 using ledger::NodeId;
+
+namespace {
+
+/// End-of-run totals shared by the PoX and PBFT runs: gossip traffic and the
+/// events the simulation processed.
+void record_run_totals(obs::live::Registry& r,
+                       const net::GossipNetwork& network,
+                       const net::Simulation& sim) {
+  r.counter("themis_sim_gossip_deliveries_total",
+            "Gossip messages delivered to a node.")
+      .inc(network.messages_delivered());
+  r.counter("themis_sim_gossip_duplicate_drops_total",
+            "Flood deliveries dropped by the receiver's dedup.")
+      .inc(network.duplicates_dropped());
+  r.counter("themis_sim_gossip_bytes_total", "Bytes put on simulated links.")
+      .inc(network.links().total_bytes_sent());
+  r.counter("themis_sim_gossip_transfers_total",
+            "Transfers serialized onto simulated links.")
+      .inc(network.links().total_transfers());
+  r.counter("themis_sim_events_processed_total",
+            "Events the simulation executed.")
+      .inc(sim.events_processed());
+}
+
+}  // namespace
 
 std::uint64_t PoxExperiment::delta_for(const PoxConfig& config) {
   expects(config.beta > 0, "beta must be positive");
@@ -216,7 +243,10 @@ void PoxExperiment::emit_trace_summary() {
   // Final main chain (node 0's view): one record per non-genesis block,
   // keyed by the block's own timestamp.  This snapshot is what lets
   // `themis-trace` recompute per-epoch sigma_f^2 exactly.
-  obs::Histogram& intervals = o->counters.histogram("chain.block_interval_s");
+  obs::live::Registry& r = o->registry;
+  obs::live::Histogram& intervals = r.histogram(
+      "themis_sim_block_interval_seconds",
+      "Timestamp gaps between consecutive main-chain blocks.");
   std::int64_t prev_ts = 0;
   for (std::size_t i = 1; i < chain.size(); ++i) {
     const ledger::Block& block = *tree.block(chain[i]);
@@ -229,7 +259,8 @@ void PoxExperiment::emit_trace_summary() {
                       obs::Field::str("hash", short_hex(chain[i]))});
     }
     if (i > 1) {
-      intervals.record(static_cast<double>(ts - prev_ts) / 1e9);
+      intervals.record_ns(
+          static_cast<std::uint64_t>(std::max<std::int64_t>(ts - prev_ts, 0)));
     }
     prev_ts = ts;
   }
@@ -237,10 +268,8 @@ void PoxExperiment::emit_trace_summary() {
   // Per-epoch difficulty snapshots and retarget records (adaptive variants
   // only — PoW-H has no observer policy here).
   if (observer_policy_ != nullptr && !chain.empty()) {
-    std::vector<double>& base_series =
-        o->counters.series("difficulty.base_per_epoch");
-    std::vector<double>& multiple_spread =
-        o->counters.series("difficulty.max_multiple_per_epoch");
+    std::vector<double> base_per_epoch;
+    std::vector<double> max_multiple_per_epoch;
     const std::uint64_t full_epochs = (chain.size() - 1) / delta_;
     double prev_base = 0.0;
     for (std::uint64_t e = 0; e <= full_epochs; ++e) {
@@ -256,8 +285,8 @@ void PoxExperiment::emit_trace_summary() {
           table.multiples.empty()
               ? 1.0
               : sum_m / static_cast<double>(table.multiples.size());
-      base_series.push_back(table.base_difficulty);
-      multiple_spread.push_back(max_m);
+      base_per_epoch.push_back(table.base_difficulty);
+      max_multiple_per_epoch.push_back(max_m);
       if (e > 0 && o->tracer.enabled()) {
         o->tracer.emit(
             SimTime::nanos(tree.block(boundary)->header().timestamp_nanos),
@@ -270,28 +299,53 @@ void PoxExperiment::emit_trace_summary() {
       }
       prev_base = table.base_difficulty;
     }
+    // One family at a time, so each family's samples stay contiguous.
+    const auto per_epoch = [&r](std::string_view family, std::string_view help,
+                                const std::vector<double>& values) {
+      for (std::size_t e = 0; e < values.size(); ++e) {
+        r.gauge_fn(std::string(family) + "{epoch=\"" + std::to_string(e) +
+                       "\"}",
+                   help, [v = values[e]] { return v; });
+      }
+    };
+    per_epoch("themis_sim_base_difficulty", "D_base of the epoch (Eq. 7).",
+              base_per_epoch);
+    per_epoch("themis_sim_max_multiple",
+              "Largest producer multiple m_i of the epoch (Eq. 6).",
+              max_multiple_per_epoch);
   }
 
-  // Run-wide counters: gossip traffic and fork statistics.
-  o->counters.counter("gossip.deliveries") = network_->messages_delivered();
-  o->counters.counter("gossip.dup_drops") = network_->duplicates_dropped();
-  o->counters.counter("gossip.bytes_sent") =
-      network_->links().total_bytes_sent();
-  o->counters.counter("gossip.transfers") = network_->links().total_transfers();
+  // Run-wide totals: gossip traffic, fork statistics and the event queue.
+  record_run_totals(r, *network_, sim_);
   const metrics::ForkStats forks = fork_stats();
-  o->counters.counter("forks.total_blocks") = forks.total_blocks;
-  o->counters.counter("forks.main_chain_blocks") = forks.main_chain_blocks;
-  o->counters.counter("forks.stale_blocks") = forks.stale_blocks;
-  o->counters.counter("forks.fork_runs") = forks.fork_count;
-  o->counters.counter("forks.longest_duration") = forks.longest_fork_duration;
-  o->counters.counter("sim.events_processed") = sim_.events_processed();
+  r.counter("themis_sim_fork_blocks_total",
+            "Non-genesis blocks in the reference node's tree.")
+      .inc(forks.total_blocks);
+  r.counter("themis_sim_fork_main_chain_blocks_total",
+            "Non-genesis blocks on the reference node's main chain.")
+      .inc(forks.main_chain_blocks);
+  r.counter("themis_sim_fork_stale_blocks_total",
+            "Blocks off the reference node's main chain.")
+      .inc(forks.stale_blocks);
+  r.counter("themis_sim_fork_runs_total", "Runs of consecutive forked heights.")
+      .inc(forks.fork_count);
+  r.gauge("themis_sim_fork_longest_run_blocks",
+          "Longest run of consecutive forked heights.")
+      .set(static_cast<std::int64_t>(forks.longest_fork_duration));
   const net::CalendarQueue::Stats qs = sim_.queue_stats();
-  o->counters.counter("sim.queue_peak_pending") = qs.peak_live;
-  o->counters.counter("sim.queue_buckets") = qs.bucket_count;
-  o->counters.counter("sim.queue_rebuilds") = qs.rebuilds;
-  o->counters.counter("sim.queue_cancelled") = qs.cancelled;
-  o->counters.counter("sim.queue_arena_slots") = qs.arena_slots;
-  o->counters.counter("sim.queue_direct_searches") = qs.direct_searches;
+  r.gauge("themis_sim_queue_peak_pending", "Most events pending at once.")
+      .set(static_cast<std::int64_t>(qs.peak_live));
+  r.gauge("themis_sim_queue_buckets", "Calendar-queue buckets at run end.")
+      .set(static_cast<std::int64_t>(qs.bucket_count));
+  r.gauge("themis_sim_queue_arena_slots", "Event-arena slots at run end.")
+      .set(static_cast<std::int64_t>(qs.arena_slots));
+  r.counter("themis_sim_queue_rebuilds_total", "Calendar-queue resizes.")
+      .inc(qs.rebuilds);
+  r.counter("themis_sim_queue_cancelled_total", "Events cancelled.")
+      .inc(qs.cancelled);
+  r.counter("themis_sim_queue_direct_searches_total",
+            "Sparse-queue cursor resets (direct searches).")
+      .inc(qs.direct_searches);
 }
 
 PbftResult run_pbft(const PbftScenario& scenario) {
@@ -334,18 +388,11 @@ PbftResult run_pbft(const PbftScenario& scenario) {
   }
 
   if (scenario.obs != nullptr) {
-    scenario.obs->counters.counter("gossip.deliveries") =
-        network.messages_delivered();
-    scenario.obs->counters.counter("gossip.dup_drops") =
-        network.duplicates_dropped();
-    scenario.obs->counters.counter("gossip.bytes_sent") =
-        network.links().total_bytes_sent();
-    scenario.obs->counters.counter("gossip.transfers") =
-        network.links().total_transfers();
-    scenario.obs->counters.counter("pbft.view_changes") =
-        cluster.total_view_changes();
-    scenario.obs->counters.counter("sim.events_processed") =
-        sim.events_processed();
+    obs::live::Registry& r = scenario.obs->registry;
+    record_run_totals(r, network, sim);
+    r.counter("themis_sim_pbft_view_changes_total",
+              "PBFT view changes, summed over replicas.")
+        .inc(cluster.total_view_changes());
   }
 
   PbftResult result;

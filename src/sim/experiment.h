@@ -109,8 +109,9 @@ class PoxExperiment {
   /// Fold the run's end state into the attached Observability bundle (no-op
   /// without one): a `chain_block` trace record per final main-chain block, a
   /// `retarget` record per epoch boundary (old/new D_base and the multiple
-  /// spread; Themis/Lite only), the block-interval histogram, per-epoch
-  /// D_base series, fork-stat and gossip counters.  Call once, after the run.
+  /// spread; Themis/Lite only), and in the registry the block-interval
+  /// histogram, per-epoch D_base and largest-multiple gauges, fork, gossip
+  /// and event-queue totals.  Call once, after the run.
   void emit_trace_summary();
 
  private:

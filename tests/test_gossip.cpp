@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "obs/observability.h"
+#include "obs/trace_reader.h"
 
 namespace themis::net {
 namespace {
@@ -163,6 +166,8 @@ TEST(Gossip, AccountingMatchesHandComputedRing) {
     ASSERT_EQ(h.network.peers(i).size(), 2u) << "ring degree, node " << i;
   }
   obs::Observability obs;
+  std::stringstream trace;
+  obs.tracer.set_sink(&trace);
   h.sim.set_obs(&obs);
 
   h.network.broadcast(0, /*type=*/1, /*size=*/100, 0);
@@ -173,17 +178,19 @@ TEST(Gossip, AccountingMatchesHandComputedRing) {
   EXPECT_DOUBLE_EQ(h.network.redundant_push_ratio(), 2.0 / 5.0);
   for (PeerId i = 1; i < 4; ++i) EXPECT_EQ(h.deliveries[i], 1) << i;
 
-  // Per-link byte counters: exactly the five directed sends, 100 bytes each.
-  const auto& links = obs.counters.links();
-  ASSERT_EQ(links.size(), 5u);
-  const std::pair<PeerId, PeerId> expected_links[] = {
-      {0, 1}, {0, 3}, {1, 2}, {3, 2}, {2, 3}};
-  for (const auto& [from, to] : expected_links) {
-    const auto it = links.find({from, to});
-    ASSERT_NE(it, links.end()) << from << "->" << to;
-    EXPECT_EQ(it->second.messages, 1u) << from << "->" << to;
-    EXPECT_EQ(it->second.bytes, 100u) << from << "->" << to;
+  // Per-link traffic, from the trace's gossip_send records: exactly the five
+  // directed sends, 100 bytes each.
+  std::multiset<std::pair<std::uint64_t, std::uint64_t>> sends;
+  for (std::string line; std::getline(trace, line);) {
+    const auto event = obs::parse_trace_line(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    if (event->ev != "gossip_send") continue;
+    sends.emplace(event->u64_or("from", 99), event->u64_or("to", 99));
+    EXPECT_EQ(event->u64_or("bytes", 0), 100u) << line;
   }
+  const std::multiset<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {0, 1}, {0, 3}, {1, 2}, {3, 2}, {2, 3}};
+  EXPECT_EQ(sends, expected);
 }
 
 TEST(Gossip, RedundantPushRatioIsZeroBeforeTraffic) {

@@ -1,12 +1,14 @@
-// Observability subsystem: tracer format, counter/histogram registry,
-// profiling scopes, report rendering — and the determinism contract that a
-// traced run produces exactly the chain an untraced run does.
+// Observability subsystem: tracer format and sink, profiling scopes, report
+// rendering — and the determinism contract that a traced run produces
+// exactly the chain an untraced run does.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "common/json.h"
-#include "obs/counters.h"
 #include "obs/observability.h"
 #include "obs/profile.h"
 #include "obs/report.h"
@@ -25,78 +27,61 @@ TEST(ObsTracer, DisabledTracerRecordsNothing) {
 
 TEST(ObsTracer, RendersAllFieldTypes) {
   EventTracer tracer;
-  tracer.enable(true);
+  std::ostringstream out;
+  tracer.set_sink(&out);
   tracer.emit(SimTime::nanos(1500), "kitchen_sink",
               {Field::u64("u", 42), Field::i64("i", -7),
                Field::f64("f", 0.25), Field::boolean("b", true),
                Field::str("s", "a\"b\\c")});
   ASSERT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.lines()[0],
+  EXPECT_EQ(out.str(),
             "{\"t_ns\":1500,\"ev\":\"kitchen_sink\",\"u\":42,\"i\":-7,"
-            "\"f\":0.25,\"b\":true,\"s\":\"a\\\"b\\\\c\"}");
+            "\"f\":0.25,\"b\":true,\"s\":\"a\\\"b\\\\c\"}\n");
 }
 
-TEST(ObsTracer, WriteJsonlEmitsOneLinePerEvent) {
+// The tracer holds no records: each is in the sink when emit returns.
+TEST(ObsTracer, RecordReachesTheSinkWhenEmitted) {
   EventTracer tracer;
-  tracer.enable(true);
-  tracer.emit(SimTime::zero(), "a", {});
-  tracer.emit(SimTime::nanos(5), "b", {Field::u64("x", 1)});
   std::ostringstream out;
-  tracer.write_jsonl(out);
+  tracer.set_sink(&out);
+  tracer.emit(SimTime::zero(), "a", {});
+  EXPECT_EQ(out.str(), "{\"t_ns\":0,\"ev\":\"a\"}\n");
+  tracer.emit(SimTime::nanos(5), "b", {Field::u64("x", 1)});
   EXPECT_EQ(out.str(), "{\"t_ns\":0,\"ev\":\"a\"}\n"
                        "{\"t_ns\":5,\"ev\":\"b\",\"x\":1}\n");
+  EXPECT_EQ(tracer.size(), 2u);
+}
+
+TEST(ObsTracer, OpenStreamsToAFileUntilClosed) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("themis_obs_trace_" + std::to_string(::getpid()) + ".jsonl");
+  EventTracer tracer;
+  ASSERT_TRUE(tracer.open(path.string()));
+  tracer.emit(SimTime::nanos(7), "a", {Field::boolean("ok", true)});
+  EXPECT_TRUE(tracer.close());
+  tracer.emit(SimTime::nanos(8), "after_close", {});  // tracing stopped
+  EXPECT_EQ(tracer.size(), 1u);
+  std::stringstream text;
+  text << std::ifstream(path).rdbuf();
+  EXPECT_EQ(text.str(), "{\"t_ns\":7,\"ev\":\"a\",\"ok\":true}\n");
+  std::filesystem::remove(path);
+  EXPECT_FALSE(tracer.open((path / "not_a_dir" / "x").string()));
+  EXPECT_FALSE(tracer.enabled());
 }
 
 TEST(ObsTracer, DoubleFormattingRoundTrips) {
   EventTracer tracer;
-  tracer.enable(true);
+  std::ostringstream out;
+  tracer.set_sink(&out);
   tracer.emit(SimTime::zero(), "d",
               {Field::f64("a", 0.1), Field::f64("b", 1.0 / 3.0)});
   ASSERT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.lines()[0],
-            "{\"t_ns\":0,\"ev\":\"d\",\"a\":0.1,\"b\":0.3333333333333333}");
-  const Json line = Json::parse(tracer.lines()[0]);
+  EXPECT_EQ(out.str(),
+            "{\"t_ns\":0,\"ev\":\"d\",\"a\":0.1,\"b\":0.3333333333333333}\n");
+  const Json line = Json::parse(out.str());
   EXPECT_EQ(line["a"].as_double(), 0.1);
   EXPECT_EQ(line["b"].as_double(), 1.0 / 3.0);
-}
-
-TEST(ObsCounters, HistogramPercentilesNearestRank) {
-  Histogram h;
-  for (int v = 1; v <= 100; ++v) h.record(v);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 100.0);
-  EXPECT_EQ(h.mean(), 50.5);
-  EXPECT_EQ(h.percentile(50), 50.0);
-  EXPECT_EQ(h.percentile(90), 90.0);
-  EXPECT_EQ(h.percentile(99), 99.0);
-  EXPECT_EQ(h.percentile(100), 100.0);
-}
-
-TEST(ObsCounters, EmptyHistogramIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.percentile(50), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(ObsCounters, RegistryReferencesAreStable) {
-  Counters counters;
-  std::uint64_t& a = counters.counter("a");
-  a = 5;
-  for (int i = 0; i < 100; ++i) counters.counter("pad" + std::to_string(i));
-  EXPECT_EQ(&counters.counter("a"), &a);
-  EXPECT_EQ(counters.counter("a"), 5u);
-}
-
-TEST(ObsCounters, LinkStatsAccumulatePerDirectedEdge) {
-  Counters counters;
-  counters.link(1, 2).messages += 1;
-  counters.link(1, 2).bytes += 100;
-  counters.link(2, 1).messages += 1;
-  EXPECT_EQ(counters.links().size(), 2u);
-  EXPECT_EQ(counters.links().at({1, 2}).bytes, 100u);
-  EXPECT_EQ(counters.links().at({2, 1}).messages, 1u);
 }
 
 TEST(ObsProfiler, ScopeAccumulatesCalls) {
@@ -113,17 +98,26 @@ TEST(ObsProfiler, NullScopeIsNoop) {
 
 TEST(ObsReport, RendersDeterministicSections) {
   Observability obs;
-  obs.counters.counter("gossip.deliveries") = 7;
-  obs.counters.histogram("chain.block_interval_s").record(4.0);
-  obs.counters.series("difficulty.base_per_epoch") = {1.0, 2.0};
-  obs.counters.link(0, 1).messages = 3;
-  obs.counters.link(0, 1).bytes = 300;
+  obs.registry.counter("themis_sim_gossip_deliveries_total", "Deliveries.")
+      .inc(7);
+  obs.registry.histogram("themis_sim_block_interval_seconds", "Intervals.")
+      .record_ns(4'000'000'000);
+  obs.registry.gauge_fn("themis_sim_base_difficulty{epoch=\"0\"}", "D_base.",
+                        [] { return 2.5; });
+  obs.profiler.scope("consensus.mine_block").calls = 3;
   std::ostringstream out;
   write_report(out, obs);
   const std::string text = out.str();
-  EXPECT_NE(text.find("gossip.deliveries"), std::string::npos);
-  EXPECT_NE(text.find("chain.block_interval_s"), std::string::npos);
-  EXPECT_NE(text.find("difficulty.base_per_epoch"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE themis_sim_gossip_deliveries_total counter\n"
+                      "themis_sim_gossip_deliveries_total 7\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("themis_sim_block_interval_seconds_count 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("themis_sim_base_difficulty{epoch=\"0\"} 2.5\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("themis_sim_trace_events 0\n"), std::string::npos);
+  // The wall-clock profile follows the samples, as comments.
+  EXPECT_NE(text.find("\n# consensus.mine_block: calls=3 "), std::string::npos);
   std::ostringstream again;
   write_report(again, obs);
   EXPECT_EQ(text, again.str());
@@ -146,7 +140,8 @@ TEST(ObsDeterminism, TracedRunProducesIdenticalMainChain) {
   plain.run_to_height(target);
 
   Observability obs;
-  obs.tracer.enable(true);
+  std::ostringstream trace;
+  obs.tracer.set_sink(&trace);
   sim::PoxConfig traced_config = config;
   traced_config.obs = &obs;
   sim::PoxExperiment traced(traced_config);
@@ -159,7 +154,10 @@ TEST(ObsDeterminism, TracedRunProducesIdenticalMainChain) {
   EXPECT_EQ(plain.per_epoch_frequency_variance(),
             traced.per_epoch_frequency_variance());
   EXPECT_GT(obs.tracer.size(), 0u);
-  EXPECT_GT(obs.counters.counters().at("gossip.deliveries"), 0u);
+  EXPECT_FALSE(trace.str().empty());
+  EXPECT_GT(obs.registry.counter("themis_sim_gossip_deliveries_total", "")
+                .get(),
+            0u);
 }
 
 TEST(ObsDeterminism, ProfilingScopesRecordHotPaths) {

@@ -7,10 +7,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "obs/observability.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
 #include "obs/trace_reader.h"
@@ -60,13 +62,17 @@ TEST(TraceReader, RejectsMalformedLines) {
 
 TEST(TraceReader, RoundTripsTracerOutput) {
   EventTracer tracer;
-  tracer.enable(true);
+  std::ostringstream out;
+  tracer.set_sink(&out);
   tracer.emit(SimTime::nanos(12), "block_mined",
               {Field::u64("node", 3), Field::str("hash", "ab\"cd"),
                Field::f64("diff", 1.0 / 3.0), Field::boolean("ok", false)});
   ASSERT_EQ(tracer.size(), 1u);
 
-  const auto event = parse_trace_line(tracer.lines()[0]);
+  std::string line = out.str();
+  ASSERT_EQ(line.back(), '\n');
+  line.pop_back();
+  const auto event = parse_trace_line(line);
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->t_ns, 12);
   EXPECT_EQ(event->ev, "block_mined");
@@ -145,52 +151,88 @@ TEST(TraceAnalysis, SummarizesHandBuiltTrace) {
   ASSERT_EQ(summary.per_epoch_sigma_f2.size(), 1u);
 }
 
-// Acceptance criterion: themis-trace's sigma_f^2 equals
-// PoxExperiment::per_epoch_frequency_variance() bit for bit, because the
-// analysis feeds the traced chain into the same metrics function.
-TEST(TraceAnalysis, SigmaF2MatchesExperimentExactly) {
-  Observability obs;
-  obs.tracer.enable(true);
+/// A Themis run of three epochs and two blocks, traced into `sink` and
+/// summarized into `obs`.
+std::unique_ptr<sim::PoxExperiment> traced_run(Observability& obs,
+                                               std::ostream& sink) {
+  obs.tracer.set_sink(&sink);
   sim::PoxConfig config;
   config.algorithm = core::Algorithm::kThemis;
   config.n_nodes = 20;
   config.beta = 2.0;
   config.seed = 91;
   config.obs = &obs;
-  sim::PoxExperiment exp(config);
-  exp.run_to_height(3 * exp.delta() + 2);
-  exp.emit_trace_summary();
+  auto exp = std::make_unique<sim::PoxExperiment>(config);
+  exp->run_to_height(3 * exp->delta() + 2);
+  exp->emit_trace_summary();
+  return exp;
+}
 
+// Acceptance criterion: themis-trace's sigma_f^2 equals
+// PoxExperiment::per_epoch_frequency_variance() bit for bit, because the
+// analysis feeds the traced chain into the same metrics function.
+TEST(TraceAnalysis, SigmaF2MatchesExperimentExactly) {
+  Observability obs;
   std::stringstream buf;
-  obs.tracer.write_jsonl(buf);
+  const auto exp = traced_run(obs, buf);
+
   const TraceSummary summary = analyze_trace(buf);
   ASSERT_EQ(summary.malformed_lines, 0u);
   EXPECT_EQ(summary.total_events, obs.tracer.size());
   EXPECT_EQ(summary.event_counts.at("chain_block"),
-            exp.main_chain_producers().size());
+            exp->main_chain_producers().size());
 
-  EXPECT_EQ(summary.chain_producers, exp.main_chain_producers());
-  const std::vector<double> expected = exp.per_epoch_frequency_variance();
+  EXPECT_EQ(summary.chain_producers, exp->main_chain_producers());
+  const std::vector<double> expected = exp->per_epoch_frequency_variance();
   ASSERT_EQ(summary.per_epoch_sigma_f2.size(), expected.size());
   for (std::size_t e = 0; e < expected.size(); ++e) {
     EXPECT_EQ(summary.per_epoch_sigma_f2[e], expected[e]) << "epoch " << e;
   }
 }
 
+// The report counts reorgs per exact depth; the trace's `reorg` records are
+// the same events, so both views of one traced run agree at every depth.
+TEST(TraceAnalysis, ReportReorgDepthsMatchTheTrace) {
+  Observability obs;
+  std::stringstream buf;
+  traced_run(obs, buf);
+  const TraceSummary summary = analyze_trace(buf);
+
+  std::ostringstream report;
+  write_report(report, obs);
+  std::map<std::uint64_t, std::uint64_t> reported;
+  std::istringstream lines(report.str());
+  const std::string prefix = "themis_sim_reorgs_total{depth=\"";
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t close = line.find("\"} ", prefix.size());
+    ASSERT_NE(close, std::string::npos) << line;
+    reported[std::stoull(line.substr(prefix.size(), close - prefix.size()))] =
+        std::stoull(line.substr(close + 3));
+  }
+
+  std::map<std::uint64_t, std::uint64_t> traced;
+  for (const auto& [depth, count] : summary.reorgs.depth_counts) {
+    if (depth >= 1) traced[depth] = count;
+  }
+  ASSERT_FALSE(traced.empty()) << "the run must reorg for this to test much";
+  EXPECT_EQ(reported, traced);
+}
+
 // JSON has no NaN or infinity: the tracer writes such a field as null, so
 // the line stays an event and the field reads as absent.
 TEST(TraceAnalysis, NonFiniteTracerFieldsStayEvents) {
   EventTracer tracer;
-  tracer.enable(true);
+  std::stringstream buf;
+  tracer.set_sink(&buf);
   tracer.emit(SimTime::nanos(3), "retarget",
               {Field::f64("new_base", std::nan("")),
                Field::f64("hi", std::numeric_limits<double>::infinity()),
                Field::f64("lo", -std::numeric_limits<double>::infinity())});
   ASSERT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.lines()[0],
-            R"({"t_ns":3,"ev":"retarget","new_base":null,"hi":null,"lo":null})");
-  std::stringstream buf;
-  tracer.write_jsonl(buf);
+  EXPECT_EQ(buf.str(),
+            R"({"t_ns":3,"ev":"retarget","new_base":null,"hi":null,"lo":null})"
+            "\n");
   const TraceSummary summary = analyze_trace(buf);
   EXPECT_EQ(summary.malformed_lines, 0u);
   EXPECT_EQ(summary.total_events, 1u);

@@ -14,7 +14,7 @@
 // with exponential backoff, and re-dials dropped peers, so start order does
 // not matter.  SIGINT/SIGTERM (or --run-for / --stop-at-height) stop the
 // node cleanly; --report prints the JSON document GET /metrics serves, and
-// --trace writes the JSONL event trace the simulator benches use.
+// --trace streams the JSONL event trace the simulator benches write.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -71,7 +71,7 @@ constexpr std::string_view kUsage =
     "  --status-interval=<s> status line period in seconds (0 = quiet)\n"
     "  --log-level=<l>       debug | info | warn | error | off (default info)\n"
     "  --log-json            structured JSONL log records instead of text\n"
-    "  --trace=<path>        write a JSONL event trace on exit\n"
+    "  --trace=<path>        stream a JSONL event trace to <path>\n"
     "  --report[=<path>]     JSON /metrics document on exit (stderr or file)\n";
 
 std::atomic<bool> g_stop{false};
@@ -193,7 +193,10 @@ int main(int argc, char** argv) {
   logger.set_json(log_json);
 
   obs::EventTracer tracer;
-  tracer.enable(!trace_path.empty());
+  if (!trace_path.empty() && !tracer.open(trace_path)) {
+    std::cerr << "error: cannot open trace file '" << trace_path << "'\n";
+    return 2;
+  }
 
   p2p::P2pNode node(config, rule);
   node.set_tracer(&tracer);
@@ -265,7 +268,7 @@ int main(int argc, char** argv) {
   node.stop();
   status_line(node);
   if (!trace_path.empty()) {
-    if (tracer.write_file(trace_path)) {
+    if (tracer.close()) {
       obs::live::log_info(
           "noded", "trace written",
           {{"path", trace_path},
